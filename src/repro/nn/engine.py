@@ -183,23 +183,24 @@ class ReferenceEngine:
         return not plans_disabled()
 
     def _plan_for(self, layer: Layer, in_shape: tuple[int, ...],
-                  dtype: np.dtype) -> ExecutionPlan:
+                  dtype: np.dtype) -> tuple[ExecutionPlan, int]:
         """Resolve the plan for one layer configuration.
 
         The per-engine memo makes the steady-state path a dict probe and
         a version compare; the shared LRU cache is only consulted when
         the memo misses (first call, weight mutation, shape change).
+        Returns the plan and 1 on a memo hit, else 0; a pass sums these
+        in a local (engines are shared across threads) and reports once.
         """
         version = self.weights.version_of(layer.name)
         memo = self._resolved.get(layer.name)
         if memo is not None:
             if memo[0] == version and memo[1] == in_shape \
                     and memo[2] == dtype:
-                self.plan_cache.record_hit()
-                return memo[3]
+                return memo[3], 1
         plan = self.plan_cache.lookup(layer, in_shape, self.weights, dtype)
         self._resolved[layer.name] = (version, in_shape, dtype, plan)
-        return plan
+        return plan, 0
 
     def _post_layer(self, layer: Layer, out: np.ndarray) -> np.ndarray:
         """Per-sample/per-batch hook applied after every planned layer.
@@ -232,11 +233,14 @@ class ReferenceEngine:
                 x = self.run_layer(layer, x)
             return x
         owns_output = True
+        hits = 0
         for layer in self.net.layers:
-            plan = self._plan_for(layer, tuple(x.shape), x.dtype)
+            plan, hit = self._plan_for(layer, tuple(x.shape), x.dtype)
+            hits += hit
             out = plan.run(x)
             x = self._post_layer(layer, out)
             owns_output = not plan.returns_scratch or x is not out
+        self.plan_cache.record_hit(hits)
         # never hand plan-owned scratch to the caller — the next forward
         # pass would overwrite it in place
         return x if owns_output else x.copy()
@@ -266,11 +270,14 @@ class ReferenceEngine:
             return batch
         x = batch
         owns_output = True
+        hits = 0
         for layer in self.net.layers:
-            plan = self._plan_for(layer, tuple(x.shape[1:]), x.dtype)
+            plan, hit = self._plan_for(layer, tuple(x.shape[1:]), x.dtype)
+            hits += hit
             out = plan.run_batch(x)
             x = self._post_layer(layer, out)
             owns_output = not plan.returns_scratch or x is not out
+        self.plan_cache.record_hit(hits)
         return x if owns_output else x.copy()
 
     def _run_batch_traced(self, batch: np.ndarray) -> np.ndarray:
@@ -292,13 +299,16 @@ class ReferenceEngine:
                 return batch
             x = batch
             owns_output = True
+            hits = 0
             for layer in self.net.layers:
                 with span("engine.layer", layer=layer.name):
-                    plan = self._plan_for(layer, tuple(x.shape[1:]),
-                                          x.dtype)
+                    plan, hit = self._plan_for(layer, tuple(x.shape[1:]),
+                                               x.dtype)
+                    hits += hit
                     out = plan.run_batch(x)
                     x = self._post_layer(layer, out)
                     owns_output = not plan.returns_scratch or x is not out
+            self.plan_cache.record_hit(hits)
             return x if owns_output else x.copy()
 
     def forward_batch(self, batch: np.ndarray) -> np.ndarray:

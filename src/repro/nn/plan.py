@@ -615,12 +615,13 @@ class PlanCache:
         return (store.token, store.version_of(layer.name), layer,
                 tuple(in_shape), dtype.str)
 
-    def record_hit(self) -> None:
-        """Count a replay served without touching the cache dict (the
-        engine memoizes resolved plans per layer and version)."""
+    def record_hit(self, count: int) -> None:
+        """Count ``count`` replays served without touching the cache
+        dict (the engine memoizes resolved plans per layer and version,
+        and reports one forward pass's memo hits in a single call)."""
         with self._lock:
-            self._stats["hits"] += 1
-        PLAN_HITS.inc()
+            self._stats["hits"] += count
+        PLAN_HITS.inc(count)
 
     def lookup(self, layer: Layer, in_shape: tuple[int, ...],
                store: "WeightStore",

@@ -62,6 +62,8 @@ _LabelKey = tuple[tuple[str, str], ...]
 
 
 def _label_key(labels: dict[str, Any]) -> _LabelKey:
+    if not labels:
+        return ()
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 

@@ -121,6 +121,12 @@ class Program:
         self.accelerator = build_accelerator(self.model)
         # honour the achieved (linked) frequency, not the requested one
         self.accelerator.frequency_hz = self.xclbin.frequency_hz
+        # the accelerator is fixed from here on: launches only read these
+        net = self.accelerator.network
+        self.performance = estimate_performance(self.accelerator)
+        self.input_shape = net.input_shape().as_tuple()
+        self.input_size = int(np.prod(self.input_shape))
+        self.output_size = net.output_shape().size
 
     def kernel_names(self) -> list[str]:
         return [self.xclbin.kernel_name]
@@ -179,7 +185,6 @@ class CommandQueue:
         self.context = context
         self.emulation = emulation
         self.clock = clock
-        self.events: list[Event] = []
         self._device_time_s = 0.0
 
     # -- data movement --------------------------------------------------------
@@ -196,7 +201,6 @@ class CommandQueue:
         seconds = flat.nbytes / self.context.device.hw.ddr_bandwidth
         event = Event("write_buffer", device_seconds=seconds)
         self._device_time_s += seconds
-        self.events.append(event)
         return event
 
     def enqueue_read_buffer(self, buffer: Buffer, count: int) -> np.ndarray:
@@ -204,7 +208,6 @@ class CommandQueue:
             raise RuntimeAPIError("read exceeds buffer size")
         seconds = count * 4 / self.context.device.hw.ddr_bandwidth
         self._device_time_s += seconds
-        self.events.append(Event("read_buffer", device_seconds=seconds))
         return buffer.data[:count].copy()
 
     # -- execution --------------------------------------------------------------
@@ -242,10 +245,8 @@ class CommandQueue:
         program = kernel.program
         acc = program.accelerator
         net = acc.network
-        in_shape = net.input_shape().as_tuple()
-        out_size = net.output_shape().size
-        images = in_buf.data[:batch * int(np.prod(in_shape))] \
-            .reshape((batch,) + in_shape)
+        images = in_buf.data[:batch * program.input_size] \
+            .reshape((batch,) + program.input_shape)
 
         wall_start = time.perf_counter()
         if self.emulation == "event":
@@ -264,17 +265,16 @@ class CommandQueue:
                 engine = ReferenceEngine(net, weights)
                 kernel._engine = (w_buf, w_buf.generation, engine)
             outputs = engine.forward_batch(images)
-            perf = estimate_performance(acc)
+            perf = program.performance
             cycles = perf.batch_cycles(batch) + perf.config_cycles
         wall = time.perf_counter() - wall_start
 
-        out_buf.data[:batch * out_size] = outputs.reshape(-1)
+        out_buf.data[:batch * program.output_size] = outputs.reshape(-1)
         seconds = cycles / acc.frequency_hz
         self._device_time_s += seconds
         event = Event("task", end_cycles=cycles, device_seconds=seconds,
                       wall_seconds=wall,
                       extra={"batch": batch, "mode": self.emulation})
-        self.events.append(event)
         _log.debug("task: batch=%d cycles=%d (%s)", batch, cycles,
                    self.emulation)
         return event

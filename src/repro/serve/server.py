@@ -26,6 +26,7 @@ every flush decision deterministic under the
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass
 
@@ -210,9 +211,12 @@ class InferenceServer:
             request.bucket = flush.bucket
             request.trigger = flush.trigger
             request.extra["slot"] = receipt.slot
-            _REQUESTS.inc(tenant=request.tenant, status="ok")
             _LATENCY.observe(completion - request.arrival_s,
                              server=self.config.name)
+        # one counter update per tenant per flush, not per request
+        per_tenant = collections.Counter(r.tenant for r in requests)
+        for tenant, count in per_tenant.items():
+            _REQUESTS.inc(count, tenant=tenant, status="ok")
         _BATCHES.inc(trigger=flush.trigger, size=str(flush.bucket))
         if flush.padding:
             _PADDED.inc(flush.padding)

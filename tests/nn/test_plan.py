@@ -341,6 +341,46 @@ def test_plan_stats_shape(zoo_model, zoo_weights):
     assert stats["compile_seconds"] >= 0.0
 
 
+@pytest.mark.parametrize("mode", ["untraced", "recording", "threads"])
+def test_warm_passes_count_one_hit_per_layer(mode, zoo_model, zoo_weights):
+    # each pass reports its memo hits in one call; none may be lost,
+    # including when two threads share one engine (the fleet's golden
+    # engine is shared by concurrent submitters)
+    import threading
+
+    from repro.nn.plan import PLAN_HITS
+    from repro.obs import recording
+
+    net = zoo_model("tc1").network
+    engine = ReferenceEngine(net, zoo_weights("tc1"),
+                             plan_cache=PlanCache(), use_plans=True)
+    images = _images(net, 3, seed=12)
+    engine.run_batch(images)  # cold pass: compiles, no memo hits
+    hits_before = engine.plan_cache.stats()["hits"]
+    metric_before = PLAN_HITS.total()
+    passes = 6
+    if mode == "threads":
+        def work():
+            for _ in range(passes // 2):
+                engine.run_batch(images)
+        workers = [threading.Thread(target=work) for _ in range(2)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+    elif mode == "recording":
+        with recording() as rec:
+            for _ in range(passes):
+                engine.run_batch(images)
+        assert any(s.name == "engine.layer" for s in rec.spans)
+    else:
+        for _ in range(passes):
+            engine.run_batch(images)
+    expected = passes * len(net.layers)
+    assert engine.plan_cache.stats()["hits"] - hits_before == expected
+    assert PLAN_HITS.total() - metric_before == expected
+
+
 def test_default_cache_is_shared():
     assert default_plan_cache() is default_plan_cache()
 

@@ -151,6 +151,41 @@ class TestExecution:
             times.append(event.device_seconds / batch)
         assert times[1] < times[0]
 
+    def test_fast_mode_never_reevaluates_the_model(self, session,
+                                                   monkeypatch):
+        # the Program fixed the timing model at load; launches only
+        # read it
+        import repro.runtime.opencl as opencl
+
+        context, program, kernel = session
+        calls = []
+        original = opencl.estimate_performance
+
+        def counting(acc):
+            calls.append(acc)
+            return original(acc)
+
+        monkeypatch.setattr(opencl, "estimate_performance", counting)
+        weights = WeightStore.initialize(program.accelerator.network, 5)
+        for batch in (1, 3):
+            images = np.zeros((batch, 1, 16, 16), dtype=np.float32)
+            run_batch(context, program, kernel, images, weights)
+        assert calls == []
+
+    @pytest.mark.parametrize("batch", [1, 2, 4, 8])
+    def test_fast_mode_cycles_follow_the_model(self, session, batch):
+        from repro.hw.perf import estimate_performance
+
+        context, program, kernel = session
+        weights = WeightStore.initialize(program.accelerator.network, 5)
+        images = np.zeros((batch, 1, 16, 16), dtype=np.float32)
+        event, _, _ = run_batch(context, program, kernel, images, weights)
+        perf = estimate_performance(program.accelerator)
+        assert event.end_cycles == \
+            perf.batch_cycles(batch) + perf.config_cycles
+        assert event.device_seconds == \
+            event.end_cycles / program.accelerator.frequency_hz
+
     def test_missing_args_rejected(self, session):
         context, program, kernel = session
         queue = CommandQueue(context)

@@ -161,6 +161,55 @@ class TestFailureAndLanes:
             "Requests waiting in the batcher, per server")
         assert depth.value(server=server_name) == 0.0
 
+    def test_request_counters_per_tenant_per_flush(self, server_name):
+        # a mixed-tenant flush counts each tenant's ok requests; shed
+        # and failed requests are still counted one per request
+        requests_total = REGISTRY.counter(
+            "condor_serve_requests_total",
+            "Requests finished, by tenant and status (ok|failed)")
+        shed_total = REGISTRY.counter(
+            "condor_serve_shed_total",
+            "Requests refused by admission control, by tenant and reason")
+
+        def counts():
+            return {(tenant, status): requests_total.value(
+                        tenant=tenant, status=status)
+                    for tenant in ("alpha", "beta")
+                    for status in ("ok", "failed")}
+
+        fleet = StubFleet("tc1")
+        server = make_server(fleet, server_name, buckets=(8,),
+                             max_queue_depth=8)
+        pool = images_for(fleet, np.random.default_rng(19), 8)
+        before = counts()
+        tenants = ["alpha", "beta", "alpha", "alpha", "beta", "alpha",
+                   "beta", "alpha"]
+        for i, tenant in enumerate(tenants):
+            server.submit(tenant, pool[i], now=0.0)
+        assert fleet.batch_sizes == [8]  # one mixed-tenant flush
+        after = counts()
+        assert after[("alpha", "ok")] - before[("alpha", "ok")] == 5
+        assert after[("beta", "ok")] - before[("beta", "ok")] == 3
+
+        # a second server with a tight queue bound: two beta requests
+        # are shed, then the two queued alpha requests fail together
+        server = make_server(fleet, f"{server_name}-tight", buckets=(8,),
+                             max_queue_depth=2)
+        shed_before = shed_total.value(tenant="beta", reason="queue")
+        for i in range(2):
+            server.submit("alpha", pool[i], now=1.0)
+        for i in range(2):
+            with pytest.raises(ShedError):
+                server.submit("beta", pool[2 + i], now=1.0)
+        assert shed_total.value(tenant="beta", reason="queue") - \
+            shed_before == 2
+        fleet.fail = FleetError("all slots down")
+        before = counts()
+        server.drain(2.0)
+        expected = dict(before)
+        expected[("alpha", "failed")] += 2
+        assert counts() == expected
+
 
 class TestRealFleetServing:
     def test_coalesced_equals_per_request_on_the_fleet(
