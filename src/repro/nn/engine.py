@@ -3,24 +3,25 @@
 This is the functional oracle for the generated accelerator and the software
 baseline for the evaluation harness.
 
-Two execution paths produce bit-identical outputs:
+Every pass runs an ``(N, C, H, W)`` batch; one sample is a batch of one.
+Each layer executes one of two ways, with bit-identical outputs:
 
-* the **oracle** path (:meth:`ReferenceEngine.run_layer` /
-  :meth:`~ReferenceEngine.run_layer_batch`) — stride-trick kernels from
+* the **oracle** — :func:`run_layer`, stride-trick kernels from
   :mod:`repro.nn.functional` that re-derive geometry on every call;
 * the **planned** path — each (layer, input shape, dtype) configuration
   is compiled once into an :class:`repro.nn.plan.ExecutionPlan`
   (precomputed gather-index maps, packed weights, scratch buffers) and
   replayed from a process-wide LRU cache on every subsequent call.
 
-Plans are on by default; ``REPRO_NO_PLAN_CACHE=1`` or
-``ReferenceEngine(..., use_plans=False)`` falls back to the oracle.  The
-engine hot loops deliberately allocate nothing shape-derived — all
-scratch lives inside plans (enforced by the ``engine-plan-alloc`` lint
-rule).
+Plans are on by default; ``ReferenceEngine(..., use_plans=False)`` runs
+the oracle.  The engine loop deliberately allocates nothing
+shape-derived — all scratch lives inside plans (enforced by the
+``engine-plan-alloc`` lint rule).
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -41,18 +42,60 @@ from repro.ir.layers import (
 from repro.ir.network import Network
 from repro.nn import functional as F
 from repro.nn.plan import (
+    ACTIVATIONS,
     ExecutionPlan,
     PlanCache,
     default_plan_cache,
-    plans_disabled,
 )
 from repro.obs import current_recorder, span
 
-_ACTIVATIONS = {
-    Activation.RELU: F.relu,
-    Activation.SIGMOID: F.sigmoid,
-    Activation.TANH: F.tanh,
-}
+#: Stands in for a span while no recorder is active (reusable).
+_NO_SPAN = contextlib.nullcontext()
+
+
+def run_layer(layer: Layer, weights: WeightStore,
+              x: np.ndarray) -> np.ndarray:
+    """Execute one layer on an (N, C, H, W) batch with the oracle kernels."""
+    if isinstance(layer, InputLayer):
+        expected = layer.shape.as_tuple()
+        if tuple(x.shape[1:]) != expected:
+            raise ShapeError(
+                f"input shape {tuple(x.shape[1:])} does not match"
+                f" declared {expected}")
+        return x
+    if isinstance(layer, ConvLayer):
+        out = F.conv2d(
+            x,
+            weights.get(layer.name, "weights"),
+            weights.get(layer.name, "bias") if layer.bias else None,
+            stride=layer.stride,
+            pad=layer.pad,
+        )
+        if layer.activation is not Activation.NONE:
+            out = ACTIVATIONS[layer.activation](out)
+        return out
+    if isinstance(layer, PoolLayer):
+        assert layer.stride is not None
+        pool = F.max_pool2d if layer.op is PoolOp.MAX else F.avg_pool2d
+        return pool(x, layer.kernel, layer.stride, layer.pad,
+                    ceil_mode=layer.ceil_mode)
+    if isinstance(layer, ActivationLayer):
+        return ACTIVATIONS[layer.kind](x)
+    if isinstance(layer, FlattenLayer):
+        return x.reshape(x.shape[0], -1, 1, 1)
+    if isinstance(layer, FullyConnectedLayer):
+        out = F.fully_connected(
+            x,
+            weights.get(layer.name, "weights"),
+            weights.get(layer.name, "bias") if layer.bias else None,
+        )
+        if layer.activation is not Activation.NONE:
+            out = ACTIVATIONS[layer.activation](out)
+        return out.reshape(x.shape[0], -1, 1, 1)
+    if isinstance(layer, SoftmaxLayer):
+        fn = F.log_softmax if layer.log else F.softmax
+        return fn(x)
+    raise TypeError(f"unknown layer type {type(layer).__name__}")
 
 
 class ReferenceEngine:
@@ -62,14 +105,13 @@ class ReferenceEngine:
     share across threads — compiled plans keep their replay scratch in
     per-thread storage; pass a private
     :class:`~repro.nn.plan.PlanCache` only to isolate cache statistics
-    or eviction behaviour.  ``use_plans`` forces the
-    planned path on (``True``) or off (``False``); the default ``None``
-    follows the ``REPRO_NO_PLAN_CACHE`` environment escape hatch.
+    or eviction behaviour.  ``use_plans=False`` runs the oracle kernels
+    instead of compiled plans.
     """
 
     def __init__(self, net: Network, weights: WeightStore, *,
                  plan_cache: PlanCache | None = None,
-                 use_plans: bool | None = None):
+                 use_plans: bool = True):
         weights.validate(net)
         self.net = net
         self.weights = weights
@@ -81,106 +123,7 @@ class ReferenceEngine:
         self._resolved: dict[str, tuple[int, tuple[int, ...], np.dtype,
                                         ExecutionPlan]] = {}
 
-    # -- single-layer dispatch (the oracle path) -----------------------------
-
-    def run_layer(self, layer: Layer, x: np.ndarray) -> np.ndarray:
-        """Execute one layer on a (C, H, W) activation."""
-        if isinstance(layer, InputLayer):
-            expected = layer.shape.as_tuple()
-            if tuple(x.shape) != expected:
-                raise ShapeError(
-                    f"input shape {tuple(x.shape)} does not match declared"
-                    f" {expected}")
-            return x
-        if isinstance(layer, ConvLayer):
-            out = F.conv2d(
-                x,
-                self.weights.get(layer.name, "weights"),
-                self.weights.get(layer.name, "bias") if layer.bias else None,
-                stride=layer.stride,
-                pad=layer.pad,
-            )
-            if layer.activation is not Activation.NONE:
-                out = _ACTIVATIONS[layer.activation](out)
-            return out
-        if isinstance(layer, PoolLayer):
-            assert layer.stride is not None
-            pool = F.max_pool2d if layer.op is PoolOp.MAX else F.avg_pool2d
-            return pool(x, layer.kernel, layer.stride, layer.pad,
-                        ceil_mode=layer.ceil_mode)
-        if isinstance(layer, ActivationLayer):
-            return _ACTIVATIONS[layer.kind](x)
-        if isinstance(layer, FlattenLayer):
-            return x.reshape(-1, 1, 1)
-        if isinstance(layer, FullyConnectedLayer):
-            out = F.fully_connected(
-                x,
-                self.weights.get(layer.name, "weights"),
-                self.weights.get(layer.name, "bias") if layer.bias else None,
-            )
-            if layer.activation is not Activation.NONE:
-                out = _ACTIVATIONS[layer.activation](out)
-            return out.reshape(-1, 1, 1)
-        if isinstance(layer, SoftmaxLayer):
-            fn = F.log_softmax if layer.log else F.softmax
-            return fn(x)
-        raise TypeError(f"unknown layer type {type(layer).__name__}")
-
-    def run_layer_batch(self, layer: Layer, x: np.ndarray) -> np.ndarray:
-        """Execute one layer on an (N, C, H, W) batch.
-
-        Bit-identical to mapping :meth:`run_layer` over the batch (see the
-        accumulation-order notes in :mod:`repro.nn.functional`).
-        """
-        if isinstance(layer, InputLayer):
-            expected = layer.shape.as_tuple()
-            if tuple(x.shape[1:]) != expected:
-                raise ShapeError(
-                    f"input shape {tuple(x.shape[1:])} does not match"
-                    f" declared {expected}")
-            return x
-        if isinstance(layer, ConvLayer):
-            out = F.conv2d_batch(
-                x,
-                self.weights.get(layer.name, "weights"),
-                self.weights.get(layer.name, "bias") if layer.bias else None,
-                stride=layer.stride,
-                pad=layer.pad,
-            )
-            if layer.activation is not Activation.NONE:
-                out = _ACTIVATIONS[layer.activation](out)
-            return out
-        if isinstance(layer, PoolLayer):
-            assert layer.stride is not None
-            pool = F.max_pool2d_batch if layer.op is PoolOp.MAX \
-                else F.avg_pool2d_batch
-            return pool(x, layer.kernel, layer.stride, layer.pad,
-                        ceil_mode=layer.ceil_mode)
-        if isinstance(layer, ActivationLayer):
-            return _ACTIVATIONS[layer.kind](x)
-        if isinstance(layer, FlattenLayer):
-            return x.reshape(x.shape[0], -1, 1, 1)
-        if isinstance(layer, FullyConnectedLayer):
-            out = F.fully_connected_batch(
-                x,
-                self.weights.get(layer.name, "weights"),
-                self.weights.get(layer.name, "bias") if layer.bias else None,
-            )
-            if layer.activation is not Activation.NONE:
-                out = _ACTIVATIONS[layer.activation](out)
-            return out.reshape(x.shape[0], -1, 1, 1)
-        if isinstance(layer, SoftmaxLayer):
-            fn = F.log_softmax_batch if layer.log else F.softmax_batch
-            return fn(x)
-        raise TypeError(f"unknown layer type {type(layer).__name__}")
-
     # -- execution plans ------------------------------------------------------
-
-    def plans_active(self) -> bool:
-        """Whether forward passes replay compiled execution plans."""
-        if self._use_plans is not None:
-            return self._use_plans
-        return not plans_disabled()
 
     def _plan_for(self, layer: Layer, in_shape: tuple[int, ...],
                   dtype: np.dtype) -> tuple[ExecutionPlan, int]:
@@ -203,7 +146,7 @@ class ReferenceEngine:
         return plan, 0
 
     def _post_layer(self, layer: Layer, out: np.ndarray) -> np.ndarray:
-        """Per-sample/per-batch hook applied after every planned layer.
+        """Hook applied to every layer's output, planned or oracle.
 
         The base engine is the identity; :class:`~repro.quant.apply.
         QuantizedEngine` rounds activations here so its dynamic
@@ -214,7 +157,7 @@ class ReferenceEngine:
     def plan_stats(self) -> dict:
         """Plan-cache counters + this engine's resolution state."""
         stats = self.plan_cache.stats()
-        stats["plans_active"] = self.plans_active()
+        stats["plans_active"] = self._use_plans
         stats["resolved_layers"] = len(self._resolved)
         return stats
 
@@ -225,100 +168,75 @@ class ReferenceEngine:
 
     # -- network-level API ----------------------------------------------------
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Run one sample through the whole network."""
-        x = np.asarray(x, dtype=np.float32)
-        if not self.plans_active():
-            for layer in self.net.layers:
-                x = self.run_layer(layer, x)
-            return x
+    def _execute(self, x: np.ndarray, planned: bool,
+                 outputs: dict[str, np.ndarray] | None = None) \
+            -> np.ndarray:
+        """The layer loop: run every layer's plan (or, unplanned, the
+        oracle :func:`run_layer`), then the :meth:`_post_layer` hook.
+
+        Spans are opened only while a recorder is active (the worker
+        thread running this batch inherits it via
+        ``contextvars.copy_context``, so they nest under the submitting
+        request's span).  ``outputs``, when given, collects every
+        layer's output by name.
+        """
+        traced = current_recorder() is not None
         owns_output = True
         hits = 0
-        for layer in self.net.layers:
-            plan, hit = self._plan_for(layer, tuple(x.shape), x.dtype)
-            hits += hit
-            out = plan.run(x)
-            x = self._post_layer(layer, out)
-            owns_output = not plan.returns_scratch or x is not out
-        self.plan_cache.record_hit(hits)
-        # never hand plan-owned scratch to the caller — the next forward
-        # pass would overwrite it in place
+        with span("engine.run_batch", batch=int(x.shape[0]),
+                  layers=len(self.net.layers)) if traced else _NO_SPAN:
+            for layer in self.net.layers:
+                with span("engine.layer", layer=layer.name) \
+                        if traced else _NO_SPAN:
+                    if planned:
+                        plan, hit = self._plan_for(
+                            layer, tuple(x.shape[1:]), x.dtype)
+                        hits += hit
+                        out = plan.run_batch(x)
+                    else:
+                        out = run_layer(layer, self.weights, x)
+                    x = self._post_layer(layer, out)
+                    owns_output = x is not out or not (
+                        planned and plan.returns_scratch)
+                if outputs is not None:
+                    outputs[layer.name] = x
+        if planned:
+            self.plan_cache.record_hit(hits)
+        # never hand plan-owned scratch to the caller — the next pass
+        # would overwrite it in place
         return x if owns_output else x.copy()
 
-    def run(self, x: np.ndarray) -> np.ndarray:
-        """Single-sample forward through the batched kernels."""
-        x = np.asarray(x, dtype=np.float32)
-        return self.run_batch(x[None])[0]
-
     def run_batch(self, batch: np.ndarray) -> np.ndarray:
-        """Run an (N, C, H, W) batch through the batched kernels.
+        """Run an (N, C, H, W) batch through the network.
 
-        The whole batch moves through each layer at once (one im2col GEMM
-        per conv layer, vectorized pool/activation/softmax), which amortizes
-        the per-layer dispatch and GEMM setup over the batch; outputs are
-        bit-identical to :meth:`forward` of each sample.
+        The whole batch moves through each layer at once (one stacked
+        GEMM per conv layer, vectorized pool/activation/softmax), which
+        amortizes the per-layer dispatch over the batch; row ``i`` of the
+        output is bit-identical to running sample ``i`` alone.
         """
         batch = np.asarray(batch, dtype=np.float32)
         if batch.ndim != 4:
             raise ShapeError(
                 f"run_batch expects (N, C, H, W), got {batch.shape}")
-        if current_recorder() is not None:
-            return self._run_batch_traced(batch)
-        if not self.plans_active():
-            for layer in self.net.layers:
-                batch = self.run_layer_batch(layer, batch)
-            return batch
-        x = batch
-        owns_output = True
-        hits = 0
-        for layer in self.net.layers:
-            plan, hit = self._plan_for(layer, tuple(x.shape[1:]), x.dtype)
-            hits += hit
-            out = plan.run_batch(x)
-            x = self._post_layer(layer, out)
-            owns_output = not plan.returns_scratch or x is not out
-        self.plan_cache.record_hit(hits)
-        return x if owns_output else x.copy()
-
-    def _run_batch_traced(self, batch: np.ndarray) -> np.ndarray:
-        """The :meth:`run_batch` body with per-layer spans.
-
-        Kept as a separate method so the untraced hot path stays free
-        of span plumbing: the engine only pays for tracing while a
-        recorder is active (and the worker thread running this batch
-        inherited it via ``contextvars.copy_context``, so these spans
-        nest under the submitting request's span).  Same calls in the
-        same order — outputs are bit-identical to the untraced path.
-        """
-        with span("engine.run_batch", batch=int(batch.shape[0]),
-                  layers=len(self.net.layers)):
-            if not self.plans_active():
-                for layer in self.net.layers:
-                    with span("engine.layer", layer=layer.name):
-                        batch = self.run_layer_batch(layer, batch)
-                return batch
-            x = batch
-            owns_output = True
-            hits = 0
-            for layer in self.net.layers:
-                with span("engine.layer", layer=layer.name):
-                    plan, hit = self._plan_for(layer, tuple(x.shape[1:]),
-                                               x.dtype)
-                    hits += hit
-                    out = plan.run_batch(x)
-                    x = self._post_layer(layer, out)
-                    owns_output = not plan.returns_scratch or x is not out
-            self.plan_cache.record_hit(hits)
-            return x if owns_output else x.copy()
+        return self._execute(batch, self._use_plans)
 
     def forward_batch(self, batch: np.ndarray) -> np.ndarray:
         """Run an (N, C, H, W) batch (alias of :meth:`run_batch`)."""
         return self.run_batch(batch)
 
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Run one (C, H, W) sample: a batch of one."""
+        return self.run_batch(np.asarray(x, dtype=np.float32)[None])[0]
+
     def predict_batch(self, batch: np.ndarray) -> np.ndarray:
         """Class indices of the most probable outputs, shape ``(N,)``."""
         out = self.run_batch(batch)
         return np.argmax(out.reshape(out.shape[0], -1), axis=1)
+
+    def predict(self, x: np.ndarray) -> int:
+        """Class index of the most probable output for one sample."""
+        x = np.asarray(x, dtype=np.float32)
+        return int(self.predict_batch(x[None])[0])
 
     def activations(self, x: np.ndarray) -> dict[str, np.ndarray]:
         """Per-layer output activations for one sample (keyed by name).
@@ -326,19 +244,7 @@ class ReferenceEngine:
         Always runs the oracle kernels: every layer output must survive
         the whole pass, which is exactly what plan scratch reuse forbids.
         """
-        x = np.asarray(x, dtype=np.float32)
         outputs: dict[str, np.ndarray] = {}
-        for layer in self.net.layers:
-            x = self.run_layer(layer, x)
-            outputs[layer.name] = x
-        return outputs
-
-    def predict(self, x: np.ndarray) -> int:
-        """Class index of the most probable output.
-
-        Routed through :meth:`run_batch` with a singleton batch so
-        single-sample serving shares the batched kernels and the plan
-        cache (bit-identical to ``argmax(forward(x))``).
-        """
-        x = np.asarray(x, dtype=np.float32)
-        return int(self.predict_batch(x[None])[0])
+        self._execute(np.asarray(x, dtype=np.float32)[None], planned=False,
+                      outputs=outputs)
+        return {name: out[0] for name, out in outputs.items()}

@@ -1,28 +1,23 @@
 """Vectorized numpy kernels for the IR layer set.
 
-Layout convention: activations are ``(C, H, W)`` float arrays (one sample —
-the accelerator processes a stream of single images).  Convolution is
-implemented with an im2col lowering (stride-trick view + one GEMM), the
-standard way to get near-BLAS throughput out of numpy; the window view
-avoids materializing patch copies until the single reshape before the GEMM,
-per the "views not copies" guidance.
+Layout convention: activations are ``(N, C, H, W)`` float batches; one
+sample is a batch of one.  Convolution is implemented with an im2col
+lowering (stride-trick view + one stacked GEMM), the standard way to get
+near-BLAS throughput out of numpy; the window view avoids materializing
+patch copies until the single reshape before the GEMM, per the "views
+not copies" guidance.
 
-Every kernel also has a ``*_batch`` variant over ``(N, C, H, W)`` arrays.
-The batched variants are **bit-identical** to mapping the per-sample kernel
-over the batch — the property the evaluation harness asserts with
-``np.array_equal`` — which constrains how they may vectorize:
+Every kernel keeps one contract, which the tests assert with
+``np.array_equal``: **batch-size invariance, bit-exact** — row ``i`` of
+the output for an N-sample batch equals the output for sample ``i``
+alone (N=1).  That constrains how the kernels may vectorize:
 
-* windowed reductions (pooling) and row-wise reductions (softmax) keep the
-  same per-element reduction runs, so adding a leading batch axis does not
-  change any accumulation order;
-* the conv GEMM concatenates the per-sample patch matrices column-wise and
-  issues one GEMM — BLAS accumulates over K identically for every output
-  column regardless of how many columns the GEMM has — *except* when the
-  per-sample GEMM has a single output column (``OH*OW == 1``), where numpy
-  dispatches a matrix-vector product with a different accumulation order;
-  that case falls back to the per-sample kernel;
-* the fully-connected layer is always the single-column case, so its batch
-  variant loops the per-sample matrix-vector product.
+* windowed reductions (pooling) and row-wise reductions (softmax) reduce
+  each sample's elements in the same runs whatever N is;
+* the conv and fully-connected GEMMs are stacked matmuls
+  (``(F, K) @ (N, K, M)``), so numpy runs the same 2-D BLAS call per
+  sample; fusing the batch into one wide GEMM would let BLAS pick a
+  different kernel by column count and change the accumulation order.
 """
 
 from __future__ import annotations
@@ -33,12 +28,6 @@ from numpy.lib.stride_tricks import as_strided
 from repro.errors import ShapeError
 
 
-def _check_chw(x: np.ndarray, who: str) -> None:
-    if x.ndim != 3:
-        raise ShapeError(f"{who} expects a (C, H, W) array, got shape"
-                         f" {x.shape}")
-
-
 def _check_nchw(x: np.ndarray, who: str) -> None:
     if x.ndim != 4:
         raise ShapeError(f"{who} expects an (N, C, H, W) array, got shape"
@@ -46,87 +35,19 @@ def _check_nchw(x: np.ndarray, who: str) -> None:
 
 
 def _pad_hw(x: np.ndarray, pad: tuple[int, int]) -> np.ndarray:
-    """Zero-pad the trailing two (spatial) axes of a CHW or NCHW array."""
+    """Zero-pad the trailing two (spatial) axes of an NCHW array."""
     if pad == (0, 0):
         return x
-    lead = ((0, 0),) * (x.ndim - 2)
-    return np.pad(x, lead + ((pad[0], pad[0]), (pad[1], pad[1])))
+    return np.pad(x, ((0, 0), (0, 0), (pad[0], pad[0]), (pad[1], pad[1])))
 
 
 def sliding_windows(x: np.ndarray, kernel: tuple[int, int],
                     stride: tuple[int, int]) -> np.ndarray:
-    """Return a strided view ``(C, OH, OW, KH, KW)`` of all windows of ``x``.
+    """Return a strided view ``(N, C, OH, OW, KH, KW)`` of all windows.
 
     The view shares memory with ``x``; callers must not write through it.
     """
-    _check_chw(x, "sliding_windows")
-    c, h, w = x.shape
-    kh, kw = kernel
-    sh, sw = stride
-    if kh > h or kw > w:
-        raise ShapeError(
-            f"window {kernel} does not fit input of shape {x.shape}")
-    oh = (h - kh) // sh + 1
-    ow = (w - kw) // sw + 1
-    sc, srow, scol = x.strides
-    return as_strided(
-        x,
-        shape=(c, oh, ow, kh, kw),
-        strides=(sc, srow * sh, scol * sw, srow, scol),
-        writeable=False,
-    )
-
-
-def im2col(x: np.ndarray, kernel: tuple[int, int],
-           stride: tuple[int, int] = (1, 1),
-           pad: tuple[int, int] = (0, 0)) -> np.ndarray:
-    """Lower ``x`` to a ``(C*KH*KW, OH*OW)`` patch matrix."""
-    x = _pad_hw(x, pad)
-    windows = sliding_windows(x, kernel, stride)
-    c, oh, ow, kh, kw = windows.shape
-    # (C, KH, KW, OH, OW) -> (C*KH*KW, OH*OW); the transpose is a view, the
-    # reshape makes the single necessary copy.
-    cols = windows.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, oh * ow)
-    return cols
-
-
-def conv2d(x: np.ndarray, weights: np.ndarray,
-           bias: np.ndarray | None = None,
-           stride: tuple[int, int] = (1, 1),
-           pad: tuple[int, int] = (0, 0)) -> np.ndarray:
-    """2-D cross-correlation over all input channels — paper eq. (1).
-
-    ``weights`` has shape ``(F, C, KH, KW)``; the result has shape
-    ``(F, OH, OW)``.  (Like Caffe and every accelerator in this space, the
-    "convolution" does not flip the kernel.)
-    """
-    _check_chw(x, "conv2d")
-    if weights.ndim != 4:
-        raise ShapeError(
-            f"conv2d weights must be (F, C, KH, KW), got {weights.shape}")
-    f, c, kh, kw = weights.shape
-    if c != x.shape[0]:
-        raise ShapeError(
-            f"conv2d channel mismatch: input has {x.shape[0]}, weights"
-            f" expect {c}")
-    cols = im2col(x, (kh, kw), stride, pad)
-    out = weights.reshape(f, c * kh * kw) @ cols
-    if bias is not None:
-        if bias.shape != (f,):
-            raise ShapeError(
-                f"conv2d bias must have shape ({f},), got {bias.shape}")
-        out += bias[:, None]
-    h = x.shape[1] + 2 * pad[0]
-    w = x.shape[2] + 2 * pad[1]
-    oh = (h - kh) // stride[0] + 1
-    ow = (w - kw) // stride[1] + 1
-    return out.reshape(f, oh, ow)
-
-
-def sliding_windows_batch(x: np.ndarray, kernel: tuple[int, int],
-                          stride: tuple[int, int]) -> np.ndarray:
-    """Batched :func:`sliding_windows`: ``(N, C, OH, OW, KH, KW)`` view."""
-    _check_nchw(x, "sliding_windows_batch")
+    _check_nchw(x, "sliding_windows")
     n, c, h, w = x.shape
     kh, kw = kernel
     sh, sw = stride
@@ -144,16 +65,12 @@ def sliding_windows_batch(x: np.ndarray, kernel: tuple[int, int],
     )
 
 
-def im2col_batch(x: np.ndarray, kernel: tuple[int, int],
-                 stride: tuple[int, int] = (1, 1),
-                 pad: tuple[int, int] = (0, 0)) -> np.ndarray:
-    """Lower a batch to an ``(N, C*KH*KW, OH*OW)`` patch-matrix stack.
-
-    ``im2col_batch(x, ...)[n]`` equals ``im2col(x[n], ...)``, so a stacked
-    matmul against this array covers the whole batch in one call.
-    """
+def im2col(x: np.ndarray, kernel: tuple[int, int],
+           stride: tuple[int, int] = (1, 1),
+           pad: tuple[int, int] = (0, 0)) -> np.ndarray:
+    """Lower a batch to an ``(N, C*KH*KW, OH*OW)`` patch-matrix stack."""
     x = _pad_hw(x, pad)
-    windows = sliding_windows_batch(x, kernel, stride)
+    windows = sliding_windows(x, kernel, stride)
     n, c, oh, ow, kh, kw = windows.shape
     # (N, C, KH, KW, OH, OW) -> (N, C*KH*KW, OH*OW); the transpose is a
     # view, the reshape makes the single necessary copy.
@@ -161,20 +78,17 @@ def im2col_batch(x: np.ndarray, kernel: tuple[int, int],
         n, c * kh * kw, oh * ow)
 
 
-def conv2d_batch(x: np.ndarray, weights: np.ndarray,
-                 bias: np.ndarray | None = None,
-                 stride: tuple[int, int] = (1, 1),
-                 pad: tuple[int, int] = (0, 0)) -> np.ndarray:
-    """Batched :func:`conv2d`: ``(N, C, H, W)`` → ``(N, F, OH, OW)``.
+def conv2d(x: np.ndarray, weights: np.ndarray,
+           bias: np.ndarray | None = None,
+           stride: tuple[int, int] = (1, 1),
+           pad: tuple[int, int] = (0, 0)) -> np.ndarray:
+    """2-D cross-correlation over all input channels — paper eq. (1).
 
-    Bit-identical to stacking per-sample :func:`conv2d` results: the
-    stacked ``(F, K) @ (N, K, OH*OW)`` matmul runs the *same* BLAS kernel
-    on the same 2-D operands per sample as the per-sample GEMM, so every
-    accumulation order is preserved (concatenating the batch into one wide
-    GEMM would not be — BLAS picks different kernels by column count).
-    The batch win is one im2col/pad/bias/dispatch per layer instead of N.
+    ``x`` is ``(N, C, H, W)`` and ``weights`` ``(F, C, KH, KW)``; the
+    result is ``(N, F, OH, OW)``.  (Like Caffe and every accelerator in
+    this space, the "convolution" does not flip the kernel.)
     """
-    _check_nchw(x, "conv2d_batch")
+    _check_nchw(x, "conv2d")
     if weights.ndim != 4:
         raise ShapeError(
             f"conv2d weights must be (F, C, KH, KW), got {weights.shape}")
@@ -191,7 +105,7 @@ def conv2d_batch(x: np.ndarray, weights: np.ndarray,
     w = x.shape[3] + 2 * pad[1]
     oh = (h - kh) // stride[0] + 1
     ow = (w - kw) // stride[1] + 1
-    cols = im2col_batch(x, (kh, kw), stride, pad)
+    cols = im2col(x, (kh, kw), stride, pad)
     out = np.matmul(weights.reshape(f, c * kh * kw), cols)
     if bias is not None:
         out += bias[:, None]
@@ -228,14 +142,13 @@ def _pool_pad(x: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int],
               pad: tuple[int, int], fill: float,
               ceil_mode: bool) -> np.ndarray:
     """Pad the spatial axes for pooling; with ceil_mode, extend so the last
-    window fits.  Works on ``(C, H, W)`` and ``(N, C, H, W)`` alike."""
+    window fits."""
     ph, pw, extra_h, extra_w = pool_pad_amounts(
         x.shape[-2:], kernel, stride, pad, ceil_mode)
     if ph == 0 and pw == 0 and extra_h == 0 and extra_w == 0:
         return x
-    lead = ((0, 0),) * (x.ndim - 2)
-    return np.pad(x, lead + ((ph, ph + extra_h), (pw, pw + extra_w)),
-                  constant_values=fill)
+    return np.pad(x, ((0, 0), (0, 0), (ph, ph + extra_h),
+                      (pw, pw + extra_w)), constant_values=fill)
 
 
 def max_pool2d(x: np.ndarray, kernel: tuple[int, int],
@@ -243,11 +156,11 @@ def max_pool2d(x: np.ndarray, kernel: tuple[int, int],
                pad: tuple[int, int] = (0, 0),
                *, ceil_mode: bool = True) -> np.ndarray:
     """Max pooling — eq. (3) with the max operator."""
-    _check_chw(x, "max_pool2d")
+    _check_nchw(x, "max_pool2d")
     stride = kernel if stride is None else stride
     padded = _pool_pad(x, kernel, stride, pad, -np.inf, ceil_mode)
     windows = sliding_windows(padded, kernel, stride)
-    return windows.max(axis=(3, 4))
+    return windows.max(axis=(4, 5))
 
 
 def avg_pool2d(x: np.ndarray, kernel: tuple[int, int],
@@ -258,63 +171,20 @@ def avg_pool2d(x: np.ndarray, kernel: tuple[int, int],
 
     Padding elements (zeros) participate in the average, matching Caffe.
     """
-    _check_chw(x, "avg_pool2d")
+    _check_nchw(x, "avg_pool2d")
     stride = kernel if stride is None else stride
     padded = _pool_pad(x, kernel, stride, pad, 0.0, ceil_mode)
     windows = sliding_windows(padded, kernel, stride)
-    return windows.mean(axis=(3, 4))
-
-
-def max_pool2d_batch(x: np.ndarray, kernel: tuple[int, int],
-                     stride: tuple[int, int] | None = None,
-                     pad: tuple[int, int] = (0, 0),
-                     *, ceil_mode: bool = True) -> np.ndarray:
-    """Batched :func:`max_pool2d` (bit-identical per sample)."""
-    _check_nchw(x, "max_pool2d_batch")
-    stride = kernel if stride is None else stride
-    padded = _pool_pad(x, kernel, stride, pad, -np.inf, ceil_mode)
-    windows = sliding_windows_batch(padded, kernel, stride)
-    return windows.max(axis=(4, 5))
-
-
-def avg_pool2d_batch(x: np.ndarray, kernel: tuple[int, int],
-                     stride: tuple[int, int] | None = None,
-                     pad: tuple[int, int] = (0, 0),
-                     *, ceil_mode: bool = True) -> np.ndarray:
-    """Batched :func:`avg_pool2d` (bit-identical per sample)."""
-    _check_nchw(x, "avg_pool2d_batch")
-    stride = kernel if stride is None else stride
-    padded = _pool_pad(x, kernel, stride, pad, 0.0, ceil_mode)
-    windows = sliding_windows_batch(padded, kernel, stride)
     return windows.mean(axis=(4, 5))
 
 
 def fully_connected(x: np.ndarray, weights: np.ndarray,
                     bias: np.ndarray | None = None) -> np.ndarray:
-    """Fully-connected layer — eq. (4).  ``x`` is flattened implicitly."""
-    flat = x.reshape(-1)
-    if weights.ndim != 2 or weights.shape[1] != flat.shape[0]:
-        raise ShapeError(
-            f"fc weights must be (N, {flat.shape[0]}), got {weights.shape}")
-    out = weights @ flat
-    if bias is not None:
-        if bias.shape != (weights.shape[0],):
-            raise ShapeError(
-                f"fc bias must have shape ({weights.shape[0]},), got"
-                f" {bias.shape}")
-        out = out + bias
-    return out
+    """Fully-connected layer — eq. (4): ``(N, ...)`` → ``(N, F)``.
 
-
-def fully_connected_batch(x: np.ndarray, weights: np.ndarray,
-                          bias: np.ndarray | None = None) -> np.ndarray:
-    """Batched :func:`fully_connected`: ``(N, ...)`` → ``(N, F)``.
-
-    The per-sample kernel is a matrix-vector product; fusing the batch into
-    one wide GEMM would change the BLAS accumulation order (gemv vs gemm
-    kernels), so the batch runs as a stacked ``(F, K) @ (N, K, 1)`` matmul
-    — the same per-sample kernel, dispatched once — which keeps the result
-    bit-identical to the per-sample path.
+    Each sample is flattened implicitly and multiplied as a stacked
+    ``(F, K) @ (N, K, 1)`` matmul — one matrix-vector product per sample,
+    dispatched once.
     """
     n = x.shape[0]
     flat = x.reshape(n, -1)
@@ -352,35 +222,16 @@ def tanh(x: np.ndarray) -> np.ndarray:
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
-    """Softmax normalization — eq. (5) without the log."""
-    flat = x.reshape(-1)
-    shifted = flat - flat.max()
-    ex = np.exp(shifted)
-    return (ex / ex.sum()).reshape(x.shape)
-
-
-def log_softmax(x: np.ndarray) -> np.ndarray:
-    """LogSoftMax — the paper's normalization operator (eq. 5, log form)."""
-    flat = x.reshape(-1)
-    shifted = flat - flat.max()
-    return (shifted - np.log(np.exp(shifted).sum())).reshape(x.shape)
-
-
-def softmax_batch(x: np.ndarray) -> np.ndarray:
-    """Batched :func:`softmax`: normalizes each sample independently.
-
-    Row-wise max/sum reductions over the contiguous trailing axis run the
-    same per-row accumulation as the 1-D reductions of the per-sample
-    kernel, so the result is bit-identical.
-    """
+    """Softmax normalization — eq. (5) without the log, per sample."""
     flat = x.reshape(x.shape[0], -1)
     shifted = flat - flat.max(axis=1, keepdims=True)
     ex = np.exp(shifted)
     return (ex / ex.sum(axis=1, keepdims=True)).reshape(x.shape)
 
 
-def log_softmax_batch(x: np.ndarray) -> np.ndarray:
-    """Batched :func:`log_softmax` (bit-identical per sample)."""
+def log_softmax(x: np.ndarray) -> np.ndarray:
+    """LogSoftMax — the paper's normalization operator (eq. 5, log form),
+    per sample."""
     flat = x.reshape(x.shape[0], -1)
     shifted = flat - flat.max(axis=1, keepdims=True)
     return (shifted -
@@ -394,9 +245,9 @@ def log_softmax_batch(x: np.ndarray) -> np.ndarray:
 # call.  When the same (shape, dtype) configuration recurs — steady-state
 # serving runs identical layer shapes millions of times — the geometry can
 # be compiled once into a flat gather-index map and replayed with a single
-# ``take``.  The maps below index into the *flattened padded* activation,
-# so one map serves both the single-sample path (``flat.take(map)``) and
-# the batched path (``np.take(flat2d, map, axis=1)``).  Output values are
+# ``take``.  The maps below index into one *flattened padded* sample, so
+# a batch replays them row-wise (``np.take(flat2d, map, axis=1)``) for any
+# N.  Output values are
 # bit-identical to the stride-trick kernels: a gather is a pure data
 # movement, and the downstream GEMM / max reduction sees the same operand
 # values in the same logical order.  (Average pooling is the exception:
@@ -411,9 +262,9 @@ def im2col_index_map(in_shape: tuple[int, int, int],
                      pad: tuple[int, int] = (0, 0)) -> np.ndarray:
     """Gather map for :func:`im2col`: ``(C*KH*KW, OH*OW)`` flat indices.
 
-    Indexes into the flattened zero-padded ``(C, H+2PH, W+2PW)`` input;
-    ``padded.reshape(-1).take(map)`` equals ``im2col(x, ...)`` bit for
-    bit.
+    Indexes into one flattened zero-padded ``(C, H+2PH, W+2PW)`` sample;
+    ``np.take(padded.reshape(n, -1), map, axis=1)`` equals
+    ``im2col(x, ...)`` bit for bit.
     """
     c, h, w = in_shape
     kh, kw = kernel
@@ -439,10 +290,10 @@ def pool_index_map(padded_shape: tuple[int, int, int],
     """Gather map for windowed reductions: ``(KH*KW, C*OH*OW)`` indices.
 
     Transposed relative to :func:`im2col_index_map` so the reduction runs
-    over the *leading* axis — ``np.maximum.reduce(flat.take(map), axis=0)``
-    reduces KH·KW contiguous rows with one vectorized pass per row, which
-    is what makes the planned max-pool several times faster than the
-    strided-view reduction.  Sound for max (order-independent, exact);
+    over the window axis — ``np.maximum.reduce(gathered, axis=1)`` on the
+    ``(N, KH*KW, C*OH*OW)`` gather reduces KH·KW contiguous rows with one
+    vectorized pass per row, which is what makes the planned max-pool
+    several times faster than the strided-view reduction.  Sound for max (order-independent, exact);
     not used for mean (accumulation order differs).
     """
     c, hp, wp = padded_shape

@@ -9,10 +9,11 @@ compiled result — this module compiles each layer once into an
 :class:`ExecutionPlan`:
 
 * a flat gather-index map (:func:`~repro.nn.functional.im2col_index_map`
-  / :func:`~repro.nn.functional.pool_index_map`) shared by the single
-  and batched paths;
+  / :func:`~repro.nn.functional.pool_index_map`) over one sample,
+  replayed row-wise for any batch size;
 * pre-packed weight matrices and pre-broadcast bias columns;
-* pre-allocated padded-input / patch-matrix / output scratch buffers;
+* pre-allocated padded-input / patch-matrix / output scratch buffers,
+  kept per batch size;
 * a fused conv+bias+ReLU step list replayed with in-place kernels.
 
 Replay is **bit-identical** to the unplanned kernels: gathers move the
@@ -27,22 +28,19 @@ stride-trick kernel unchanged.
 per-layer weight version, layer config, input shape, dtype).  Mutating a
 layer's blobs through :meth:`~repro.frontend.weights.WeightStore.set`
 bumps its version, so stale plans can never be replayed; they age out of
-the LRU.  ``REPRO_NO_PLAN_CACHE=1`` disables planning engine-wide (the
-escape hatch the equivalence tests exercise), and
-``REPRO_PLAN_CACHE_SIZE`` overrides the default LRU capacity.
+the LRU.
 
 Plans are safe to replay from multiple threads at once: the compiled
 geometry (index maps, packed weights, bias columns) is immutable and
 shared, while the mutable scratch buffers live in per-thread storage
-(:class:`_PerThread`), allocated lazily on each thread's first replay.
+(:class:`_BatchScratch`), allocated lazily on each thread's first replay.
 Engines on different threads may therefore share one :class:`PlanCache`
 — including the process-wide :func:`default_plan_cache` — at the cost
-of one scratch set per (plan, thread) pair.
+of one scratch set per (plan, thread, batch size).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import OrderedDict
@@ -71,22 +69,25 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.frontend.weights import WeightStore
 
 __all__ = [
-    "DISABLE_ENV",
-    "SIZE_ENV",
+    "ACTIVATIONS",
     "ExecutionPlan",
     "PlanCache",
     "compile_plan",
     "default_plan_cache",
-    "plans_disabled",
 ]
 
-DISABLE_ENV = "REPRO_NO_PLAN_CACHE"
-SIZE_ENV = "REPRO_PLAN_CACHE_SIZE"
 DEFAULT_CAPACITY = 256
 
 #: Distinct batch sizes a plan keeps scratch for (serving traffic runs a
 #: few stable batch sizes; anything beyond rotates out LRU-style).
 MAX_BATCH_VARIANTS = 4
+
+#: Point-wise activation kernels, shared by the plans and the oracle.
+ACTIVATIONS = {
+    Activation.RELU: F.relu,
+    Activation.SIGMOID: F.sigmoid,
+    Activation.TANH: F.tanh,
+}
 
 PLAN_HITS = REGISTRY.counter(
     "condor_plan_cache_hits_total",
@@ -111,20 +112,12 @@ PLAN_COMPILE_SECONDS = REGISTRY.histogram(
     "Wall seconds spent compiling execution plans")
 
 
-def plans_disabled() -> bool:
-    """True when ``REPRO_NO_PLAN_CACHE=1`` (the escape hatch)."""
-    return os.environ.get(DISABLE_ENV, "") == "1"
-
-
-def _env_capacity() -> int:
-    raw = os.environ.get(SIZE_ENV, "")
-    if not raw:
-        return DEFAULT_CAPACITY
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_CAPACITY
-    return value if value >= 1 else DEFAULT_CAPACITY
+def _activate(kind: Activation, out: np.ndarray) -> None:
+    """Fused activation, in place on a plan's output scratch."""
+    if kind is Activation.RELU:
+        np.maximum(out, 0.0, out=out)
+    elif kind is not Activation.NONE:
+        out[...] = ACTIVATIONS[kind](out)
 
 
 # -- plan objects -------------------------------------------------------------
@@ -133,9 +126,9 @@ def _env_capacity() -> int:
 class ExecutionPlan:
     """One compiled layer: precomputed geometry + scratch + replay steps.
 
-    ``run`` / ``run_batch`` return arrays that may alias plan-owned
-    scratch (``returns_scratch``); the engine copies the final network
-    output before handing it to callers.
+    ``run_batch`` takes an ``(N, *in_shape)`` batch and may return an
+    array aliasing plan-owned scratch (``returns_scratch``); the engine
+    copies the final network output before handing it to callers.
     """
 
     kind = "plan"
@@ -148,15 +141,11 @@ class ExecutionPlan:
         self.dtype = dtype
         self.steps = steps
 
-    def _check(self, shape: tuple[int, ...], batched: bool) -> None:
-        got = shape[1:] if batched else shape
-        if got != self.in_shape:
+    def _check(self, shape: tuple[int, ...]) -> None:
+        if shape[1:] != self.in_shape:
             raise ShapeError(
                 f"plan for layer {self.layer_name!r} expects input shape"
-                f" {self.in_shape}, got {got}")
-
-    def run(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+                f" {self.in_shape}, got {shape[1:]}")
 
     def run_batch(self, xb: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -175,57 +164,39 @@ class _InputPlan(ExecutionPlan):
         super().__init__(layer, tuple(layer.shape.as_tuple()), dtype,
                          ("check",))
 
-    def run(self, x):
-        self._check(tuple(x.shape), batched=False)
-        return x
-
     def run_batch(self, xb):
-        self._check(tuple(xb.shape), batched=True)
+        self._check(tuple(xb.shape))
         return xb
 
 
 class _BatchScratch:
-    """Per-batch-size scratch buffers, bounded to MAX_BATCH_VARIANTS.
-
-    Always owned by exactly one thread (see :class:`_PerThread`), so the
-    LRU bookkeeping needs no lock.
-    """
-
-    def __init__(self, make: Callable[[int], tuple]):
-        self._make = make
-        self._bufs: OrderedDict[int, tuple] = OrderedDict()
-
-    def get(self, n: int) -> tuple:
-        bufs = self._bufs.get(n)
-        if bufs is None:
-            bufs = self._make(n)
-            self._bufs[n] = bufs
-            while len(self._bufs) > MAX_BATCH_VARIANTS:
-                self._bufs.popitem(last=False)
-        else:
-            self._bufs.move_to_end(n)
-        return bufs
-
-
-class _PerThread:
-    """Lazily-built per-thread value (one ``make()`` result per thread).
+    """Per-thread, per-batch-size scratch buffers.
 
     Replay scratch is write-hot, so a plan shared through a
-    :class:`PlanCache` gives every replaying thread its own buffers;
-    everything else on the plan is immutable after compilation.
+    :class:`PlanCache` gives every replaying thread its own buffers
+    (thread-local, so the LRU bookkeeping needs no lock), and each
+    thread keeps them for at most :data:`MAX_BATCH_VARIANTS` batch sizes.
+    Everything else on a plan is immutable after compilation.
     """
 
     __slots__ = ("_make", "_tls")
 
-    def __init__(self, make: Callable[[], object]):
+    def __init__(self, make: Callable[[int], tuple]):
         self._make = make
         self._tls = threading.local()
 
-    def get(self):
-        value = getattr(self._tls, "value", None)
-        if value is None:
-            value = self._tls.value = self._make()
-        return value
+    def get(self, n: int) -> tuple:
+        variants = getattr(self._tls, "variants", None)
+        if variants is None:
+            variants = self._tls.variants = OrderedDict()
+        bufs = variants.get(n)
+        if bufs is None:
+            bufs = variants[n] = self._make(n)
+            while len(variants) > MAX_BATCH_VARIANTS:
+                variants.popitem(last=False)
+        else:
+            variants.move_to_end(n)
+        return bufs
 
 
 class _ConvPlan(ExecutionPlan):
@@ -256,14 +227,12 @@ class _ConvPlan(ExecutionPlan):
         self._padded_shape = (c, hp, wp)
         self._needs_pad = (ph, pw) != (0, 0)
         if self._needs_pad:
-            self._interior = (slice(None), slice(ph, ph + h),
+            self._interior = (slice(None), slice(None), slice(ph, ph + h),
                               slice(pw, pw + w))
         self._out_shape = (f, oh * ow)
         self._out3_shape = (f, oh, ow)
         self._out_dtype = out_dtype
-        self._single = _PerThread(self._make_single)
-        self._batch = _PerThread(
-            lambda: _BatchScratch(self._make_batch))
+        self._scratch = _BatchScratch(self._make_scratch)
         steps = ["pad"] if self._needs_pad else []
         steps += ["gather", "gemm"]
         if self._bias_col is not None:
@@ -272,53 +241,20 @@ class _ConvPlan(ExecutionPlan):
             steps.append(self._activation.value)
         super().__init__(layer, tuple(in_shape), dtype, tuple(steps))
 
-    def _make_single(self) -> tuple:
-        pad_buf = pad_flat = None
-        if self._needs_pad:
-            pad_buf = np.zeros(self._padded_shape, self.dtype)
-            pad_flat = pad_buf.reshape(-1)
-        cols = np.empty(self._index_map.shape, self.dtype)
-        out = np.empty(self._out_shape, self._out_dtype)
-        return pad_buf, pad_flat, cols, out, out.reshape(self._out3_shape)
-
-    def _make_batch(self, n: int) -> tuple:
-        f, m = self._out_shape
+    def _make_scratch(self, n: int) -> tuple:
         pad_buf = None
         if self._needs_pad:
             pad_buf = np.zeros((n,) + self._padded_shape, self.dtype)
         cols = np.empty((n,) + self._index_map.shape, self.dtype)
-        out = np.empty((n, f, m), self._out_dtype)
+        out = np.empty((n,) + self._out_shape, self._out_dtype)
         return pad_buf, cols, out, out.reshape((n,) + self._out3_shape)
 
-    def _finish(self, out: np.ndarray) -> np.ndarray:
-        if self._activation is Activation.RELU:
-            return np.maximum(out, 0.0, out=out)
-        if self._activation is Activation.SIGMOID:
-            return F.sigmoid(out)
-        if self._activation is Activation.TANH:
-            return np.tanh(out)
-        return out
-
-    def run(self, x):
-        self._check(tuple(x.shape), batched=False)
-        pad_buf, pad_flat, cols, out, out3d = self._single.get()
-        if pad_buf is not None:
-            pad_buf[self._interior] = x
-            flat = pad_flat
-        else:
-            flat = x.reshape(-1)
-        flat.take(self._index_map, out=cols)
-        np.matmul(self._packed, cols, out=out)
-        if self._bias_col is not None:
-            np.add(out, self._bias_col, out=out)
-        return self._finish(out3d)
-
     def run_batch(self, xb):
-        self._check(tuple(xb.shape), batched=True)
+        self._check(tuple(xb.shape))
         n = xb.shape[0]
-        pad_buf, cols, out, out4d = self._batch.get().get(n)
+        pad_buf, cols, out, out4d = self._scratch.get(n)
         if pad_buf is not None:
-            pad_buf[(slice(None),) + self._interior] = xb
+            pad_buf[self._interior] = xb
             flat = pad_buf.reshape(n, -1)
         else:
             flat = xb.reshape(n, -1)
@@ -326,7 +262,8 @@ class _ConvPlan(ExecutionPlan):
         np.matmul(self._packed, cols, out=out)
         if self._bias_col is not None:
             np.add(out, self._bias_col, out=out)
-        return self._finish(out4d)
+        _activate(self._activation, out)
+        return out4d
 
 
 class _MaxPoolPlan(ExecutionPlan):
@@ -349,55 +286,30 @@ class _MaxPoolPlan(ExecutionPlan):
         ow = (wp - layer.kernel[1]) // stride[1] + 1
         self._needs_pad = (hp, wp) != (h, w)
         if self._needs_pad:
-            self._interior = (slice(None), slice(ph, ph + h),
+            self._interior = (slice(None), slice(None), slice(ph, ph + h),
                               slice(pw, pw + w))
         self._out_len = c * oh * ow
         self._out3_shape = (c, oh, ow)
-        self._single = _PerThread(self._make_single)
-        self._batch = _PerThread(
-            lambda: _BatchScratch(self._make_batch))
+        self._scratch = _BatchScratch(self._make_scratch)
         steps = ["pad"] if self._needs_pad else []
         super().__init__(layer, tuple(in_shape), np.dtype(dtype),
                          tuple(steps + ["gather", "max"]))
 
-    def _make_single(self) -> tuple:
-        pad_buf = pad_flat = None
-        if self._needs_pad:
-            pad_buf = np.full(self._padded_shape, -np.inf, self.dtype)
-            pad_flat = pad_buf.reshape(-1)
-        gathered = np.empty(self._index_map.shape, self.dtype)
-        out = np.empty(self._out_len, self.dtype)
-        return (pad_buf, pad_flat, gathered, out,
-                out.reshape(self._out3_shape))
-
-    def _make_batch(self, n: int) -> tuple:
+    def _make_scratch(self, n: int) -> tuple:
         pad_buf = None
         if self._needs_pad:
             pad_buf = np.full((n,) + self._padded_shape, -np.inf,
                               self.dtype)
         gathered = np.empty((n,) + self._index_map.shape, self.dtype)
         out = np.empty((n, self._out_len), self.dtype)
-        c, oh, ow = self._out3_shape
-        return pad_buf, gathered, out, out.reshape(n, c, oh, ow)
-
-    def run(self, x):
-        self._check(tuple(x.shape), batched=False)
-        pad_buf, pad_flat, gathered, out, out3d = self._single.get()
-        if pad_buf is not None:
-            pad_buf[self._interior] = x
-            flat = pad_flat
-        else:
-            flat = x.reshape(-1)
-        flat.take(self._index_map, out=gathered)
-        np.maximum.reduce(gathered, axis=0, out=out)
-        return out3d
+        return pad_buf, gathered, out, out.reshape((n,) + self._out3_shape)
 
     def run_batch(self, xb):
-        self._check(tuple(xb.shape), batched=True)
+        self._check(tuple(xb.shape))
         n = xb.shape[0]
-        pad_buf, gathered, out, out4d = self._batch.get().get(n)
+        pad_buf, gathered, out, out4d = self._scratch.get(n)
         if pad_buf is not None:
-            pad_buf[(slice(None),) + self._interior] = xb
+            pad_buf[self._interior] = xb
             flat = pad_buf.reshape(n, -1)
         else:
             flat = xb.reshape(n, -1)
@@ -418,18 +330,15 @@ class _FCPlan(ExecutionPlan):
         if weights.shape[1] != k:
             raise ShapeError(
                 f"fc weights must be (N, {k}), got {weights.shape}")
-        f = weights.shape[0]
         out_dtype = np.result_type(dtype, weights.dtype)
         self._weights = np.ascontiguousarray(
             weights.astype(out_dtype, copy=False))
         self._bias = None if bias is None else \
             np.ascontiguousarray(bias.astype(out_dtype, copy=False))
         self._activation = layer.activation
-        self._features = f
+        self._features = weights.shape[0]
         self._out_dtype = out_dtype
-        self._single = _PerThread(self._make_single)
-        self._batch = _PerThread(
-            lambda: _BatchScratch(self._make_batch))
+        self._scratch = _BatchScratch(self._make_scratch)
         steps = ["gemv"]
         if self._bias is not None:
             steps.append("bias")
@@ -438,41 +347,19 @@ class _FCPlan(ExecutionPlan):
         super().__init__(layer, tuple(in_shape), np.dtype(dtype),
                          tuple(steps))
 
-    def _make_single(self) -> tuple:
-        out = np.empty(self._features, self._out_dtype)
-        return out, out.reshape(self._features, 1, 1)
-
-    def _make_batch(self, n: int) -> tuple:
+    def _make_scratch(self, n: int) -> tuple:
         f = self._features
         out = np.empty((n, f, 1), self._out_dtype)
         return out, out.reshape(n, f), out.reshape(n, f, 1, 1)
 
-    def _finish(self, out: np.ndarray) -> np.ndarray:
-        if self._activation is Activation.RELU:
-            return np.maximum(out, 0.0, out=out)
-        if self._activation is Activation.SIGMOID:
-            return F.sigmoid(out)
-        if self._activation is Activation.TANH:
-            return np.tanh(out)
-        return out
-
-    def run(self, x):
-        self._check(tuple(x.shape), batched=False)
-        out, out3d = self._single.get()
-        np.matmul(self._weights, x.reshape(-1), out=out)
-        if self._bias is not None:
-            np.add(out, self._bias, out=out)
-        self._finish(out)
-        return out3d
-
     def run_batch(self, xb):
-        self._check(tuple(xb.shape), batched=True)
+        self._check(tuple(xb.shape))
         n = xb.shape[0]
-        out3, out2, out4 = self._batch.get().get(n)
+        out3, out2, out4 = self._scratch.get(n)
         np.matmul(self._weights, xb.reshape(n, -1)[:, :, None], out=out3)
         if self._bias is not None:
             np.add(out2, self._bias, out=out2)
-        self._finish(out2)
+        _activate(self._activation, out2)
         return out4
 
 
@@ -485,9 +372,6 @@ class _FlattenPlan(ExecutionPlan):
     def __init__(self, layer: FlattenLayer, in_shape, dtype):
         super().__init__(layer, tuple(in_shape), np.dtype(dtype),
                          ("reshape",))
-
-    def run(self, x):
-        return x.reshape(-1, 1, 1)
 
     def run_batch(self, xb):
         return xb.reshape(xb.shape[0], -1, 1, 1)
@@ -505,28 +389,16 @@ class _OraclePlan(ExecutionPlan):
     kind = "oracle"
 
     def __init__(self, layer: Layer, in_shape, dtype, step: str,
-                 fn: Callable[[np.ndarray], np.ndarray],
-                 fn_batch: Callable[[np.ndarray], np.ndarray]):
+                 fn: Callable[[np.ndarray], np.ndarray]):
         super().__init__(layer, tuple(in_shape), np.dtype(dtype),
                          (step,))
         self._fn = fn
-        self._fn_batch = fn_batch
-
-    def run(self, x):
-        return self._fn(x)
 
     def run_batch(self, xb):
-        return self._fn_batch(xb)
+        return self._fn(xb)
 
 
 # -- compilation --------------------------------------------------------------
-
-_ACTIVATION_FNS = {
-    Activation.RELU: F.relu,
-    Activation.SIGMOID: F.sigmoid,
-    Activation.TANH: F.tanh,
-}
-
 
 def _compile(layer: Layer, in_shape: tuple[int, ...], dtype: np.dtype,
              weights: "WeightStore") -> ExecutionPlan:
@@ -542,18 +414,14 @@ def _compile(layer: Layer, in_shape: tuple[int, ...], dtype: np.dtype,
         if layer.op is PoolOp.MAX and np.issubdtype(dtype, np.floating):
             return _MaxPoolPlan(layer, in_shape, dtype)
         pool = F.max_pool2d if layer.op is PoolOp.MAX else F.avg_pool2d
-        pool_b = F.max_pool2d_batch if layer.op is PoolOp.MAX \
-            else F.avg_pool2d_batch
         kernel, stride, pad = layer.kernel, layer.stride, layer.pad
         ceil = layer.ceil_mode
         return _OraclePlan(
             layer, in_shape, dtype, f"oracle-{layer.op.value}-pool",
-            lambda x: pool(x, kernel, stride, pad, ceil_mode=ceil),
-            lambda xb: pool_b(xb, kernel, stride, pad, ceil_mode=ceil))
+            lambda xb: pool(xb, kernel, stride, pad, ceil_mode=ceil))
     if isinstance(layer, ActivationLayer):
-        fn = _ACTIVATION_FNS[layer.kind]
         return _OraclePlan(layer, in_shape, dtype, layer.kind.value,
-                           fn, fn)
+                           ACTIVATIONS[layer.kind])
     if isinstance(layer, FlattenLayer):
         return _FlattenPlan(layer, in_shape, dtype)
     if isinstance(layer, FullyConnectedLayer):
@@ -564,9 +432,8 @@ def _compile(layer: Layer, in_shape: tuple[int, ...], dtype: np.dtype,
     if isinstance(layer, SoftmaxLayer):
         if layer.log:
             return _OraclePlan(layer, in_shape, dtype, "log-softmax",
-                               F.log_softmax, F.log_softmax_batch)
-        return _OraclePlan(layer, in_shape, dtype, "softmax",
-                           F.softmax, F.softmax_batch)
+                               F.log_softmax)
+        return _OraclePlan(layer, in_shape, dtype, "softmax", F.softmax)
     raise TypeError(f"unknown layer type {type(layer).__name__}")
 
 
@@ -596,9 +463,7 @@ class PlanCache:
     replaced; :meth:`invalidate` additionally drops them eagerly.
     """
 
-    def __init__(self, capacity: int | None = None):
-        if capacity is None:
-            capacity = _env_capacity()
+    def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
             raise ValueError(f"plan cache capacity must be >= 1,"
                              f" got {capacity}")

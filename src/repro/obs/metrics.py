@@ -21,9 +21,7 @@ that produced it — so a p99 outlier in a report points straight at its
 trace.
 
 The default :data:`REGISTRY` honours the ``REPRO_NO_OBS=1`` kill switch
-(updates become no-ops); explicitly constructed registries do not, the
-same way an explicit ``plan_cache=`` argument overrides
-``REPRO_NO_PLAN_CACHE``.
+(updates become no-ops); explicitly constructed registries do not.
 
 Everything is in-process and thread-safe; there is deliberately no
 dependency on ``prometheus_client`` — the exposition format is simple

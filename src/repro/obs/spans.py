@@ -55,8 +55,7 @@ __all__ = [
 #: ``recording()`` stops installing recorders (so ``span()`` takes its
 #: no-op fast path), default-registry metrics stop updating, and the
 #: sampler never starts.  Explicitly constructed private registries
-#: keep working, mirroring how ``REPRO_NO_PLAN_CACHE`` interacts with
-#: explicit constructor arguments.
+#: keep working.
 DISABLE_ENV = "REPRO_NO_OBS"
 
 

@@ -12,10 +12,10 @@ writes the results as ``BENCH_perf.json``::
 
 Per-op semantics:
 
-* ``engine`` — a batch-32 :meth:`ReferenceEngine.run_batch` against 32
-  single-sample ``forward`` calls.  ``speedup_vs_baseline`` is the
-  single/batched wall-clock ratio; the batched outputs are asserted
-  bit-identical to the per-sample path before any number is reported.
+* ``engine`` — one N=32 :meth:`ReferenceEngine.run_batch` pass against
+  32 N=1 passes (``forward``).  ``speedup_vs_baseline`` is the
+  N=1/N=32 wall-clock ratio; the N=32 outputs are asserted bit-identical
+  to the N=1 outputs before any number is reported.
 * ``engine-steady`` — warm-cache execution-plan replay
   (:mod:`repro.nn.plan`) against the unplanned kernels on the same
   batch, after a compile pass.  ``speedup_vs_baseline`` is the
@@ -141,11 +141,12 @@ class BenchResult:
 
 def bench_engine(name: str, *, batch: int = ENGINE_BATCH,
                  reps: int = 5, rng_seed: int = 0) -> BenchResult:
-    """Batched inference vs ``batch`` single-sample calls.
+    """One N=``batch`` pass vs ``batch`` N=1 passes.
 
-    Both sides run the unplanned kernels (``use_plans=False``) so this
-    row keeps measuring batch amortization alone; the plan-cache win is
-    the separate ``engine-steady`` row.
+    A single sample is a batch of one, so both sides run the same
+    kernels and the ratio measures batch amortization of the per-layer
+    dispatch.  Both run the unplanned kernels (``use_plans=False``); the
+    plan-cache win is the separate ``engine-steady`` row.
     """
     with span("bench.engine", model=name, batch=batch):
         model, weights = _build(name)
@@ -159,8 +160,8 @@ def bench_engine(name: str, *, batch: int = ENGINE_BATCH,
         batched = engine.run_batch(images)
         if not np.array_equal(singles, batched):
             raise BenchError(
-                f"batched engine output diverged from the per-sample"
-                f" path on {name!r} — refusing to report a speedup for"
+                f"N={batch} engine output diverged from the N=1 passes"
+                f" on {name!r} — refusing to report a speedup for"
                 " a wrong answer")
 
         # interleave the two paths and take the median per-pair ratio:

@@ -95,31 +95,23 @@ class QuantizedEngine(ReferenceEngine):
         super().__init__(net, quantized, **engine_kwargs)
         self.scheme = scheme
 
-    def run_layer(self, layer: Layer, x: np.ndarray) -> np.ndarray:
-        out = super().run_layer(layer, x)
-        if isinstance(layer, SoftmaxLayer):
-            return out
-        return fake_quantize(out, self.scheme)
-
     def _post_layer(self, layer: Layer, out: np.ndarray) -> np.ndarray:
-        """Planned-path twin of the :meth:`run_layer` wrapping: round
-        each layer output onto the activation grid.  The scale is
-        dynamic per tensor, so it stays *outside* the shape-keyed plans
-        — the plan replays the arithmetic, this hook quantizes."""
+        """Round each layer output onto the activation grid.  The scale
+        is dynamic per tensor, so it stays *outside* the shape-keyed
+        plans — the plan replays the arithmetic, this hook quantizes."""
         if isinstance(layer, SoftmaxLayer):
             return out
         return fake_quantize(out, self.scheme)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = fake_quantize(np.asarray(x, dtype=np.float32), self.scheme)
-        return super().forward(x)
 
     def run_batch(self, batch: np.ndarray) -> np.ndarray:
-        """Per-sample loop, deliberately: the activation grid uses a
-        dynamic per-tensor scale, so a whole-batch pass would calibrate
-        one scale across the batch and change every sample's rounding."""
+        """Per-sample loop of N=1 passes over the quantized input,
+        deliberately: the activation grid uses a dynamic per-tensor
+        scale, so a whole-batch pass would calibrate one scale across
+        the batch and change every sample's rounding."""
         batch = np.asarray(batch, dtype=np.float32)
-        return np.stack([self.forward(sample) for sample in batch])
+        run = super().run_batch
+        return np.stack([run(fake_quantize(sample[None], self.scheme))[0]
+                         for sample in batch])
 
 
 def top1_agreement(net: Network, weights: WeightStore,

@@ -32,7 +32,7 @@ from repro.errors import SimulationError
 from repro.frontend.weights import WeightStore
 from repro.hw.components import Accelerator, PEKind, ProcessingElement
 from repro.nn import functional as F
-from repro.nn.engine import ReferenceEngine
+from repro.nn.engine import run_layer
 from repro.sim.core import Channel, Delay, Get, Put, Simulator
 from repro.sim.window import SlidingWindowBuffer
 from repro.ir.layers import (
@@ -234,9 +234,9 @@ def _conv_ingest_and_compute(layer: ConvLayer, weights: WeightStore,
     # the rest of output group 0 is computed by the parallel lanes during
     # the same ingest pass (no extra cycles)
     for f in range(1, min(p_out, f_total)):
-        out = F.conv2d(x, wts[f:f + 1], None, stride=layer.stride)
+        out = F.conv2d(x[None], wts[f:f + 1], None, stride=layer.stride)
         y[f] = _ACT[layer.activation](
-            out[0] + (bias[f] if bias is not None else 0.0))
+            out[0, 0] + (bias[f] if bias is not None else 0.0))
     if out_ch is not None:
         yield from _emit_maps(out_ch, y[0:min(p_out, f_total)])
     # Replay the on-chip buffer for the remaining output groups: each
@@ -246,21 +246,13 @@ def _conv_ingest_and_compute(layer: ConvLayer, weights: WeightStore,
         yield Delay(in_groups * oh * ow)
         stop = min(start + p_out, f_total)
         for f in range(start, stop):
-            out = F.conv2d(x, wts[f:f + 1], None, stride=layer.stride)
+            out = F.conv2d(x[None], wts[f:f + 1], None,
+                           stride=layer.stride)
             y[f] = _ACT[layer.activation](
-                out[0] + (bias[f] if bias is not None else 0.0))
+                out[0, 0] + (bias[f] if bias is not None else 0.0))
         if out_ch is not None:
             yield from _emit_maps(out_ch, y[start:stop])
     return x, y
-
-
-def _apply_fused_layer(net, layer, x: np.ndarray, weights: WeightStore):
-    """Functional compute + analytic cycle charge for a non-ingesting
-    (fused) layer."""
-    engine = ReferenceEngine.__new__(ReferenceEngine)
-    engine.net = net
-    engine.weights = weights
-    return engine.run_layer(layer, x)
 
 
 def _ingest_vector(in_ch: Channel, size: int):
@@ -312,8 +304,7 @@ def _pe_process(acc: Accelerator, pe: ProcessingElement,
                     x[ci, r] = row
                     if paced:
                         yield Delay(w)
-                pooled = _apply_fused_layer(net, first, x[ci:ci + 1],
-                                            weights)
+                pooled = run_layer(first, weights, x[None, ci:ci + 1])[0]
                 if not fused:
                     yield from _emit_maps(out_ch, pooled)
                 maps.append(pooled)
@@ -339,8 +330,8 @@ def _pe_process(acc: Accelerator, pe: ProcessingElement,
         elif isinstance(first, FullyConnectedLayer):
             flat = in_shape.size
             x = yield from _ingest_vector(in_ch, flat)
-            y = _apply_fused_layer(net, first,
-                                   x.reshape(in_shape.as_tuple()), weights)
+            y = run_layer(first, weights,
+                          x.reshape((1,) + in_shape.as_tuple()))[0]
             if not fused:
                 # one MAC per cycle: each output chunk costs len * flat
                 out_flat = y.reshape(-1)
@@ -355,8 +346,8 @@ def _pe_process(acc: Accelerator, pe: ProcessingElement,
         elif isinstance(first, SoftmaxLayer):
             flat = in_shape.size
             x = yield from _ingest_vector(in_ch, flat)
-            y = _apply_fused_layer(net, first,
-                                   x.reshape(in_shape.as_tuple()), weights)
+            y = run_layer(first, weights,
+                          x.reshape((1,) + in_shape.as_tuple()))[0]
             emitted = False
         else:
             raise SimulationError(
@@ -367,7 +358,7 @@ def _pe_process(acc: Accelerator, pe: ProcessingElement,
             layer = net[name]
             yield Delay(layer_cycles(net, layer, pe.in_parallel,
                                      pe.out_parallel))
-            y = _apply_fused_layer(net, layer, y, weights)
+            y = run_layer(layer, weights, y[None])[0]
 
         if not emitted:
             out_shape = net.output_shape(pe.layer_names[-1])

@@ -71,7 +71,7 @@ def build_caffemodel(seed=0, scale_factor=0.999):
 
 def unfolded_reference(x, params, eps=0.001):
     w, mean, var, gamma, beta = params
-    y = F.conv2d(x, w, None)
+    y = F.conv2d(x[None], w, None)[0]
     y = (y - mean[:, None, None]) / np.sqrt(var + eps)[:, None, None]
     return y * gamma[:, None, None] + beta[:, None, None]
 
@@ -149,7 +149,7 @@ class TestNumericalFolding:
         x = np.random.default_rng(3).normal(size=(2, 8, 8)) \
             .astype(np.float32)
         w, mean, var, _, _ = params
-        y = F.conv2d(x, w, None)
+        y = F.conv2d(x[None], w, None)[0]
         expected = (y - mean[:, None, None]) / \
             np.sqrt(var + 0.001)[:, None, None]
         np.testing.assert_allclose(engine.forward(x), expected,

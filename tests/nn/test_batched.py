@@ -1,9 +1,9 @@
-"""The batched engine path must be bit-identical to per-sample inference.
+"""An N-sample batch must be bit-identical to N one-sample (N=1) passes.
 
-The batched kernels were chosen so each sample's arithmetic dispatches
-the exact same BLAS kernels as the single-sample path (stacked GEMMs,
-never a widened one), so equality here is ``np.array_equal`` — not
-allclose — on every zoo model.
+The kernels were chosen so each sample's arithmetic dispatches the
+exact same BLAS kernels whatever the batch size (stacked GEMMs, never a
+widened one), so equality here is ``np.array_equal`` — not allclose —
+on every zoo model.
 """
 
 import numpy as np

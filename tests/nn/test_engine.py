@@ -59,7 +59,7 @@ class TestForward:
         weights = WeightStore.initialize(small_net, 42)
         engine = ReferenceEngine(small_net, weights)
         x = np.random.default_rng(0).normal(size=(1, 8, 8)).astype(np.float32)
-        y = F.relu(F.conv2d(x, weights.get("c1", "weights"),
+        y = F.relu(F.conv2d(x[None], weights.get("c1", "weights"),
                             weights.get("c1", "bias")))
         y = F.max_pool2d(y, (2, 2))
         y = F.fully_connected(y, weights.get("fc", "weights"),

@@ -1,5 +1,6 @@
 """The execution-plan cache: bit-identical replay, LRU bounds,
-weight-mutation invalidation, dtype keying, and the escape hatch.
+weight-mutation invalidation, dtype keying, batch-size invariance, and
+parity with the unplanned oracle.
 
 Every equivalence assertion here is ``np.array_equal`` — plans replay
 the exact arithmetic of the unplanned kernels (gathers are pure data
@@ -16,12 +17,10 @@ from repro.frontend.weights import WeightStore
 from repro.ir.layers import ConvLayer
 from repro.nn.engine import ReferenceEngine
 from repro.nn.plan import (
-    DISABLE_ENV,
-    SIZE_ENV,
+    MAX_BATCH_VARIANTS,
     PlanCache,
     compile_plan,
     default_plan_cache,
-    plans_disabled,
 )
 from repro.quant.apply import QuantizedEngine
 from repro.quant.scheme import QuantScheme
@@ -87,7 +86,7 @@ def test_run_and_predict_share_batched_path(zoo_model, zoo_weights):
     planned, oracle = _engines(net, zoo_weights("lenet"))
     image = _images(net, 1, seed=3)[0]
     expected = oracle.forward(image)
-    assert np.array_equal(planned.run(image), expected)
+    assert np.array_equal(planned.forward(image), expected)
     assert planned.predict(image) == int(np.argmax(expected))
 
 
@@ -130,7 +129,8 @@ def test_im2col_index_map_matches_im2col():
         idx = F.im2col_index_map(in_shape, kernel, stride, pad)
         padded = np.pad(x, ((0, 0), (pad[0], pad[0]), (pad[1], pad[1])))
         got = padded.reshape(-1).take(idx)
-        assert np.array_equal(got, F.im2col(x, kernel, stride, pad))
+        assert np.array_equal(got, F.im2col(x[None], kernel, stride,
+                                            pad)[0])
 
 
 def test_pool_index_map_matches_max_pool():
@@ -139,7 +139,7 @@ def test_pool_index_map_matches_max_pool():
     idx = F.pool_index_map((3, 8, 8), (2, 2), (2, 2))
     gathered = x.reshape(-1).take(idx)
     got = np.maximum.reduce(gathered, axis=0).reshape(3, 4, 4)
-    assert np.array_equal(got, F.max_pool2d(x, (2, 2), (2, 2)))
+    assert np.array_equal(got, F.max_pool2d(x[None], (2, 2), (2, 2))[0])
 
 
 def test_index_map_rejects_oversized_window():
@@ -200,14 +200,14 @@ def test_lru_touch_on_hit():
 def test_weight_mutation_invalidates():
     layer, store, in_shape = _conv_setup()
     cache = PlanCache(capacity=8)
-    x = np.random.default_rng(6).normal(size=in_shape) \
+    x = np.random.default_rng(6).normal(size=(1,) + in_shape) \
         .astype(np.float32)
-    before = cache.lookup(layer, in_shape, store).run(x).copy()
+    before = cache.lookup(layer, in_shape, store).run_batch(x).copy()
     store.set("conv", "weights",
               2.0 * store.get("conv", "weights"))
     replanned = cache.lookup(layer, in_shape, store)
     assert cache.stats()["misses"] == 2  # version bump forced a recompile
-    after = replanned.run(x)
+    after = replanned.run_batch(x)
     expected = F.conv2d(x, store.get("conv", "weights"),
                         store.get("conv", "bias"))
     assert np.array_equal(after, expected)
@@ -238,10 +238,10 @@ def test_dtype_keys_separate_plans():
     p64 = cache.lookup(layer, in_shape, store, np.float64)
     assert p32 is not p64
     assert len(cache) == 2
-    x = np.random.default_rng(8).normal(size=in_shape)
-    out64 = p64.run(x.astype(np.float64))
+    x = np.random.default_rng(8).normal(size=(1,) + in_shape)
+    out64 = p64.run_batch(x.astype(np.float64))
     assert out64.dtype == np.float64
-    out32 = p32.run(x.astype(np.float32))
+    out32 = p32.run_batch(x.astype(np.float32))
     assert out32.dtype == np.float32
 
 
@@ -283,42 +283,73 @@ def test_engine_invalidate_plans(zoo_model, zoo_weights):
     assert engine.plan_stats()["resolved_layers"] == 0
 
 
-def test_capacity_env_and_validation(monkeypatch):
-    monkeypatch.setenv(SIZE_ENV, "3")
-    assert PlanCache().capacity == 3
-    monkeypatch.setenv(SIZE_ENV, "not-a-number")
+def test_capacity_validation():
     assert PlanCache().capacity == 256
+    assert PlanCache(capacity=3).capacity == 3
     with pytest.raises(ValueError):
         PlanCache(capacity=0)
 
 
-# -- the escape hatch ---------------------------------------------------------
+# -- the unplanned oracle -----------------------------------------------------
 
 
-def test_no_plan_cache_env_parity(monkeypatch, zoo_model, zoo_weights):
+def test_use_plans_false_parity(zoo_model, zoo_weights):
     net = zoo_model("lenet").network
     weights = zoo_weights("lenet")
     images = _images(net, 2, seed=10)
-    monkeypatch.setenv(DISABLE_ENV, "1")
-    assert plans_disabled()
-    disabled = ReferenceEngine(net, weights, plan_cache=PlanCache())
-    assert not disabled.plans_active()
+    disabled = ReferenceEngine(net, weights, plan_cache=PlanCache(),
+                               use_plans=False)
+    assert disabled.plan_stats()["plans_active"] is False
     expected = disabled.run_batch(images)
     assert len(disabled.plan_cache) == 0  # nothing was compiled
-    monkeypatch.delenv(DISABLE_ENV)
     planned = ReferenceEngine(net, weights, plan_cache=PlanCache())
-    assert planned.plans_active()
+    assert planned.plan_stats()["plans_active"] is True
     assert np.array_equal(planned.run_batch(images), expected)
 
 
-def test_use_plans_overrides_env(monkeypatch, zoo_model, zoo_weights):
-    net = zoo_model("tc1").network
-    monkeypatch.setenv(DISABLE_ENV, "1")
-    forced = ReferenceEngine(net, zoo_weights("tc1"),
-                             plan_cache=PlanCache(), use_plans=True)
-    assert forced.plans_active()
-    forced.forward(_images(net, 1)[0])
-    assert len(forced.plan_cache) > 0
+# -- batch-size invariance ----------------------------------------------------
+
+
+@pytest.mark.parametrize("use_plans", [True, False],
+                         ids=["planned", "oracle"])
+@pytest.mark.parametrize("name", ["tc1", "lenet"])
+def test_batch_size_invariance(name, use_plans, zoo_model, zoo_weights):
+    """Row i of an N-sample batch is bit-equal to sample i run alone.
+
+    The batch sizes outnumber the scratch variants a plan keeps, so the
+    per-batch-size scratch LRU rotates; the closing N=1 pass replays on
+    freshly rebuilt scratch after its first set was evicted.
+    """
+    net = zoo_model(name).network
+    engine = ReferenceEngine(net, zoo_weights(name), plan_cache=PlanCache(),
+                             use_plans=use_plans)
+    sizes = (1, 2, 3, 5, 8, 1)
+    assert len(set(sizes)) > MAX_BATCH_VARIANTS
+    images = _images(net, max(sizes), seed=13)
+    singles = np.concatenate([engine.run_batch(images[i:i + 1])
+                              for i in range(max(sizes))])
+    for n in sizes:
+        out = engine.run_batch(images[:n])
+        assert out.dtype == singles.dtype
+        assert np.array_equal(out, singles[:n]), f"N={n}"
+
+
+def test_planned_fc_applies_every_activation():
+    """The fused activation of a planned FC layer must reach its output
+    for every kind, not just the in-place ReLU."""
+    from repro.ir.layers import Activation, FlattenLayer, \
+        FullyConnectedLayer
+    from repro.ir.network import chain
+
+    for kind in (Activation.RELU, Activation.SIGMOID, Activation.TANH):
+        net = chain("fc", (1, 4, 4), [
+            FlattenLayer("flat"),
+            FullyConnectedLayer("fc", num_output=3, activation=kind),
+        ])
+        planned, oracle = _engines(net, WeightStore.initialize(net, 1))
+        images = _images(net, 2, seed=14)
+        assert np.array_equal(planned.run_batch(images),
+                              oracle.run_batch(images)), kind
 
 
 # -- stats & defaults ---------------------------------------------------------

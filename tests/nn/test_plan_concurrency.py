@@ -109,15 +109,15 @@ def test_single_plan_concurrent_replay_bit_identical():
               rng.normal(size=(3,)).astype(np.float32))
     cache = PlanCache()
     plan = cache.lookup(layer, (2, 10, 10), store)
-    inputs = rng.normal(size=(THREADS, 2, 10, 10)).astype(np.float32)
-    # plan.run returns the (per-thread) scratch output buffer, which the
-    # next run overwrites: copy anything kept across calls
-    expected = [plan.run(x).copy() for x in inputs]
+    inputs = rng.normal(size=(THREADS, 1, 2, 10, 10)).astype(np.float32)
+    # plan.run_batch returns the (per-thread) scratch output buffer,
+    # which the next run overwrites: copy anything kept across calls
+    expected = [plan.run_batch(x).copy() for x in inputs]
     results = [None] * THREADS
 
     def work(i):
         for _ in range(20):
-            results[i] = plan.run(inputs[i]).copy()
+            results[i] = plan.run_batch(inputs[i]).copy()
 
     _run_threads(THREADS, work)
     for got, want in zip(results, expected):

@@ -27,7 +27,8 @@ class TestWindows:
     def test_3x3_matches_stride_tricks(self):
         x = np.arange(64, dtype=np.float32).reshape(8, 8)
         got = collect_windows(x, (3, 3))
-        want = sliding_windows(x[None], (3, 3), (1, 1))[0].reshape(-1, 3, 3)
+        want = sliding_windows(x[None, None], (3, 3), (1, 1))[0, 0] \
+            .reshape(-1, 3, 3)
         assert got.shape == want.shape
         np.testing.assert_array_equal(got, want)
 
@@ -50,7 +51,7 @@ class TestWindows:
         x = np.random.default_rng(seed).normal(size=(h, w)) \
             .astype(np.float32)
         got = collect_windows(x, (kh, kw))
-        want = sliding_windows(x[None], (kh, kw), (1, 1))[0] \
+        want = sliding_windows(x[None, None], (kh, kw), (1, 1))[0, 0] \
             .reshape(-1, kh, kw)
         np.testing.assert_array_equal(got, want)
 
