@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 
@@ -91,7 +92,7 @@ _RELOADS = REGISTRY.counter(
     "AFI re-loads issued for repair or recovery")
 _HEALTHY_SLOTS = REGISTRY.gauge(
     "condor_fleet_healthy_slots_count",
-    "Slots currently not quarantined")
+    "Slots currently not quarantined (the most recently built fleet)")
 
 #: Failure types that trigger failover (everything else propagates —
 #: a shape error is the caller's bug, not slot weather).
@@ -192,7 +193,13 @@ class FleetManager:
         #: Monotonic instance ordinal for slot labels — never reused,
         #: so labels stay unique across add/drain cycles.
         self._next_ordinal = len(self.instances)
-        self._update_health_gauge()
+        # read at collect time, so no health transition (nor any
+        # successful submission) pays a gauge update; held weakly so
+        # the process-wide registry does not keep the fleet alive
+        fleet = weakref.ref(self)
+        _HEALTHY_SLOTS.set_function(
+            lambda: None if (f := fleet()) is None
+            else f.healthy_slot_count())
         _log.info("fleet attached: %d slot(s) across %d instance(s)",
                   len(self.slots), len(self.instances))
 
@@ -290,7 +297,6 @@ class FleetManager:
             finally:
                 self._release(managed)
             managed.breaker.record_success()
-            self._update_health_gauge()
             _SUBMISSIONS.inc(status="ok")
             with self._lock:
                 self._actions["submission"] += 1
@@ -362,7 +368,6 @@ class FleetManager:
             managed.failures += 1
             if quarantined:
                 self._actions["quarantine"] += 1
-        self._update_health_gauge()
 
     # -- recovery -----------------------------------------------------------
 
@@ -393,7 +398,6 @@ class FleetManager:
             self._record_failure(managed, exc)
             return
         managed.breaker.record_success()
-        self._update_health_gauge()
         _log.info("slot %s recovered", managed.label)
 
     def _probe(self, managed: ManagedSlot) -> None:
@@ -493,7 +497,6 @@ class FleetManager:
             self.instances.append(instance)
             self.slots.extend(attached)
         self._slot_freed.set()
-        self._update_health_gauge()
         _log.info("instance %s joined the fleet: %d new slot(s)",
                   instance.instance_id, len(attached))
         return [m.label for m in attached]
@@ -514,7 +517,6 @@ class FleetManager:
                 if managed.instance is instance:
                     managed.draining = True
             self._reap_drained_locked()
-        self._update_health_gauge()
         _log.info("instance %s draining out of the fleet",
                   instance.instance_id)
         return instance.instance_id
@@ -537,9 +539,6 @@ class FleetManager:
     def healthy_slot_count(self) -> int:
         return sum(1 for s in self._snapshot_slots()
                    if s.breaker.state != OPEN and not s.draining)
-
-    def _update_health_gauge(self) -> None:
-        _HEALTHY_SLOTS.set(self.healthy_slot_count())
 
     def health(self) -> dict[str, SlotState]:
         return {s.label: s.health for s in self._snapshot_slots()}

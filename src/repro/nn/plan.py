@@ -8,17 +8,24 @@ specialize each kernel per (shape, dtype) configuration and cache the
 compiled result — this module compiles each layer once into an
 :class:`ExecutionPlan`:
 
-* a flat gather-index map (:func:`~repro.nn.functional.im2col_index_map`
-  / :func:`~repro.nn.functional.pool_index_map`) over one sample,
-  replayed row-wise for any batch size;
+* a window gather, by one of two strategies chosen per layer from its
+  output width: rows at least :data:`STRIDED_MIN_OW` wide stage the
+  input in the padded scratch and fill the patch scratch with one
+  ``np.copyto`` from a window view
+  (:func:`~repro.nn.functional.sliding_windows`) built once over it;
+  narrower rows replay a flat index map
+  (:func:`~repro.nn.functional.im2col_index_map` /
+  :func:`~repro.nn.functional.pool_index_map`) with ``take``, whose
+  per-element cost wins over a copy loop with so short an inner run;
 * pre-packed weight matrices and pre-broadcast bias columns;
 * pre-allocated padded-input / patch-matrix / output scratch buffers,
   kept per batch size;
 * a fused conv+bias+ReLU step list replayed with in-place kernels.
 
-Replay is **bit-identical** to the unplanned kernels: gathers move the
-same values into the same logical order, the GEMMs see the same 2-D
-operands, and max is an exact (order-independent) reduction.  Average
+Replay is **bit-identical** to the unplanned kernels: both gather
+strategies move the same values into the same logical order, the GEMMs
+see the same 2-D operands, and max is an exact (order-independent)
+reduction.  Average
 pooling is the one windowed kernel whose accumulation order *would*
 change under a gathered copy (``mean`` pairs partial sums differently on
 contiguous data than on a strided view), so avg-pool plans replay the
@@ -77,6 +84,11 @@ __all__ = [
 ]
 
 DEFAULT_CAPACITY = 256
+
+#: Output width from which conv and max-pool plans gather windows by a
+#: strided copy instead of an index map (measured crossover on the zoo's
+#: layers; the two strategies fill the scratch with identical values).
+STRIDED_MIN_OW = 8
 
 #: Distinct batch sizes a plan keeps scratch for (serving traffic runs a
 #: few stable batch sizes; anything beyond rotates out LRU-style).
@@ -216,8 +228,12 @@ class _ConvPlan(ExecutionPlan):
         ow = (wp - kw) // layer.stride[1] + 1
         out_dtype = np.result_type(dtype, weights.dtype)
 
-        self._index_map = F.im2col_index_map(in_shape, layer.kernel,
-                                             layer.stride, layer.pad)
+        self._kernel, self._stride = layer.kernel, layer.stride
+        self._cols_shape = (c * kh * kw, oh * ow)
+        self._cols6_shape = (c, kh, kw, oh, ow)
+        self._index_map = None if ow >= STRIDED_MIN_OW else \
+            F.im2col_index_map(in_shape, layer.kernel, layer.stride,
+                               layer.pad)
         self._packed = np.ascontiguousarray(
             weights.reshape(f, -1).astype(out_dtype, copy=False))
         self._bias_col = None if bias is None else \
@@ -225,7 +241,10 @@ class _ConvPlan(ExecutionPlan):
                                                       copy=False))
         self._activation = layer.activation
         self._padded_shape = (c, hp, wp)
-        self._needs_pad = (ph, pw) != (0, 0)
+        padded = (ph, pw) != (0, 0)
+        # the strided copy reads a window view precomputed over the
+        # padded buffer, so it stages unpadded inputs there too
+        self._needs_pad = padded or self._index_map is None
         if self._needs_pad:
             self._interior = (slice(None), slice(None), slice(ph, ph + h),
                               slice(pw, pw + w))
@@ -233,8 +252,10 @@ class _ConvPlan(ExecutionPlan):
         self._out3_shape = (f, oh, ow)
         self._out_dtype = out_dtype
         self._scratch = _BatchScratch(self._make_scratch)
-        steps = ["pad"] if self._needs_pad else []
-        steps += ["gather", "gemm"]
+        steps = ["pad"] if padded else \
+            ["stage"] if self._needs_pad else []
+        steps += ["gather" if self._index_map is not None else "copy",
+                  "gemm"]
         if self._bias_col is not None:
             steps.append("bias")
         if self._activation is not Activation.NONE:
@@ -242,23 +263,32 @@ class _ConvPlan(ExecutionPlan):
         super().__init__(layer, tuple(in_shape), dtype, tuple(steps))
 
     def _make_scratch(self, n: int) -> tuple:
-        pad_buf = None
+        pad_buf = windows = None
         if self._needs_pad:
             pad_buf = np.zeros((n,) + self._padded_shape, self.dtype)
-        cols = np.empty((n,) + self._index_map.shape, self.dtype)
+            if self._index_map is None:
+                # (N, C, KH, KW, OH, OW): the layout of ``cols``
+                windows = F.sliding_windows(
+                    pad_buf, self._kernel, self._stride) \
+                    .transpose(0, 1, 4, 5, 2, 3)
+        cols = np.empty((n,) + self._cols_shape, self.dtype)
         out = np.empty((n,) + self._out_shape, self._out_dtype)
-        return pad_buf, cols, out, out.reshape((n,) + self._out3_shape)
+        return (pad_buf, windows, cols,
+                cols.reshape((n,) + self._cols6_shape), out,
+                out.reshape((n,) + self._out3_shape))
 
     def run_batch(self, xb):
         self._check(tuple(xb.shape))
         n = xb.shape[0]
-        pad_buf, cols, out, out4d = self._scratch.get(n)
+        pad_buf, windows, cols, cols6, out, out4d = self._scratch.get(n)
+        src = xb
         if pad_buf is not None:
             pad_buf[self._interior] = xb
-            flat = pad_buf.reshape(n, -1)
+            src = pad_buf
+        if windows is not None:
+            np.copyto(cols6, windows)
         else:
-            flat = xb.reshape(n, -1)
-        np.take(flat, self._index_map, axis=1, out=cols)
+            src.reshape(n, -1).take(self._index_map, axis=1, out=cols)
         np.matmul(self._packed, cols, out=out)
         if self._bias_col is not None:
             np.add(out, self._bias_col, out=out)
@@ -280,40 +310,57 @@ class _MaxPoolPlan(ExecutionPlan):
                                             layer.pad, layer.ceil_mode)
         hp, wp = h + 2 * ph + eh, w + 2 * pw + ew
         self._padded_shape = (c, hp, wp)
-        self._index_map = F.pool_index_map(self._padded_shape,
-                                           layer.kernel, stride)
         oh = (hp - layer.kernel[0]) // stride[0] + 1
         ow = (wp - layer.kernel[1]) // stride[1] + 1
-        self._needs_pad = (hp, wp) != (h, w)
+        kh, kw = layer.kernel
+        self._kernel, self._stride = layer.kernel, stride
+        self._gathered_shape = (kh * kw, c * oh * ow)
+        self._gathered6_shape = (kh, kw, c, oh, ow)
+        self._index_map = None if ow >= STRIDED_MIN_OW else \
+            F.pool_index_map(self._padded_shape, layer.kernel, stride)
+        padded = (hp, wp) != (h, w)
+        self._needs_pad = padded or self._index_map is None
         if self._needs_pad:
             self._interior = (slice(None), slice(None), slice(ph, ph + h),
                               slice(pw, pw + w))
         self._out_len = c * oh * ow
         self._out3_shape = (c, oh, ow)
         self._scratch = _BatchScratch(self._make_scratch)
-        steps = ["pad"] if self._needs_pad else []
+        steps = ["pad"] if padded else \
+            ["stage"] if self._needs_pad else []
+        gather = "gather" if self._index_map is not None else "copy"
         super().__init__(layer, tuple(in_shape), np.dtype(dtype),
-                         tuple(steps + ["gather", "max"]))
+                         tuple(steps + [gather, "max"]))
 
     def _make_scratch(self, n: int) -> tuple:
-        pad_buf = None
+        pad_buf = windows = None
         if self._needs_pad:
             pad_buf = np.full((n,) + self._padded_shape, -np.inf,
                               self.dtype)
-        gathered = np.empty((n,) + self._index_map.shape, self.dtype)
+            if self._index_map is None:
+                # (N, KH, KW, C, OH, OW): the layout of ``gathered``
+                windows = F.sliding_windows(
+                    pad_buf, self._kernel, self._stride) \
+                    .transpose(0, 4, 5, 1, 2, 3)
+        gathered = np.empty((n,) + self._gathered_shape, self.dtype)
         out = np.empty((n, self._out_len), self.dtype)
-        return pad_buf, gathered, out, out.reshape((n,) + self._out3_shape)
+        return (pad_buf, windows, gathered,
+                gathered.reshape((n,) + self._gathered6_shape), out,
+                out.reshape((n,) + self._out3_shape))
 
     def run_batch(self, xb):
         self._check(tuple(xb.shape))
         n = xb.shape[0]
-        pad_buf, gathered, out, out4d = self._scratch.get(n)
+        pad_buf, windows, gathered, gathered6, out, out4d = \
+            self._scratch.get(n)
+        src = xb
         if pad_buf is not None:
             pad_buf[self._interior] = xb
-            flat = pad_buf.reshape(n, -1)
+            src = pad_buf
+        if windows is not None:
+            np.copyto(gathered6, windows)
         else:
-            flat = xb.reshape(n, -1)
-        np.take(flat, self._index_map, axis=1, out=gathered)
+            src.reshape(n, -1).take(self._index_map, axis=1, out=gathered)
         np.maximum.reduce(gathered, axis=1, out=out)
         return out4d
 

@@ -12,6 +12,14 @@ Labels are passed as keyword arguments at update time::
         "condor_cloud_api_calls_total", "AWS API calls issued by the flow")
     CLOUD_CALLS.inc(verb="create-fpga-image")
 
+:class:`Summary` also takes a whole batch at once
+(``observe_many``): one kill-switch read, one label key and one lock
+per call, however many values it carries.  A :class:`Gauge` series may
+be *collect-time* (``set_function``): instead of being pushed on every
+change, its value is read from a callable whenever the gauge is read or
+exported, so a hot path that only changes the underlying state makes no
+metric update at all.
+
 :class:`Summary` and :class:`Histogram` additionally stream every
 observation through a :class:`~repro.obs.quantiles.QuantileSketch`, so
 accurate p50/p95/p99 are available with O(1) memory (``.quantile()``,
@@ -33,7 +41,7 @@ from __future__ import annotations
 import bisect
 import math
 import time
-from typing import Any
+from typing import Any, Callable, Iterable
 
 from repro.obs.quantiles import (
     DEFAULT_QUANTILES,
@@ -163,54 +171,98 @@ class Counter(_Metric):
         with self._lock:
             return sum(self._values.values())
 
-    def scalar_samples(self) -> dict[str, float]:
+    def _series(self) -> dict[_LabelKey, float]:
+        """A copy of every series' value, taken under this metric's lock."""
         with self._lock:
-            return {self.name: sum(self._values.values())}
+            return dict(self._values)
+
+    def scalar_samples(self) -> dict[str, float]:
+        return {self.name: sum(self._series().values())}
 
     def expose(self) -> list[str]:
         lines = self.header()
-        with self._lock:
-            for key in sorted(self._values):
-                lines.append(f"{self.name}{_render_labels(key)}"
-                             f" {_fmt(self._values[key])}")
+        series = self._series()
+        for key in sorted(series):
+            lines.append(f"{self.name}{_render_labels(key)}"
+                         f" {_fmt(series[key])}")
         return lines
 
     def snapshot(self) -> dict[str, Any]:
-        with self._lock:
-            return {"type": self.kind, "help": self.help,
-                    "values": [{"labels": dict(k), "value": v}
-                               for k, v in sorted(self._values.items())]}
+        return {"type": self.kind, "help": self.help,
+                "values": [{"labels": dict(k), "value": v}
+                           for k, v in sorted(self._series().items())]}
 
 
 class Gauge(_Metric):
-    """A value that can go up and down (set-only semantics plus inc/dec)."""
+    """A value that can go up and down (set-only semantics plus inc/dec).
+
+    A series may instead be *collect-time* (:meth:`set_function`): its
+    value is whatever a callable returns when the gauge is read or
+    exported.  The callable runs outside this metric's lock, so it may
+    take its owner's locks; returning ``None`` (say, a weakly held owner
+    was collected) omits the series.  A later ``set``/``inc`` on the
+    same labels replaces the callable with a pushed value.
+    """
 
     kind = "gauge"
+    #: function series are wiring, not recorded samples: ``clear_values``
+    #: (and so ``MetricsRegistry.reset``) keeps them, like declarations
     _store_attrs = ("_values",)
 
     def __init__(self, name: str, help: str = ""):
         super().__init__(name, help)
         self._values: dict[_LabelKey, float] = {}
+        self._functions: dict[_LabelKey, Callable[[], float | None]] = {}
 
     def set(self, value: float, **labels: Any) -> None:
         if self._off():
             return
+        key = _label_key(labels)
         with self._lock:
-            self._values[_label_key(labels)] = float(value)
+            self._functions.pop(key, None)
+            self._values[key] = float(value)
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         if self._off():
             return
         key = _label_key(labels)
         with self._lock:
+            self._functions.pop(key, None)
             self._values[key] = self._values.get(key, 0.0) + amount
 
     def dec(self, amount: float = 1.0, **labels: Any) -> None:
         self.inc(-amount, **labels)
 
-    def value(self, **labels: Any) -> float:
+    def set_function(self, fn: Callable[[], float | None],
+                     **labels: Any) -> None:
+        """Read this series from ``fn()`` at collect time.
+
+        Registration is a declaration, not an update, so it is not
+        gated by the kill switch (reads never are).
+        """
+        key = _label_key(labels)
         with self._lock:
-            return self._values.get(_label_key(labels), 0.0)
+            self._values.pop(key, None)
+            self._functions[key] = fn
+
+    def value(self, **labels: Any) -> float:
+        key = _label_key(labels)
+        with self._lock:
+            fn = self._functions.get(key)
+            if fn is None:
+                return self._values.get(key, 0.0)
+        value = fn()
+        return 0.0 if value is None else float(value)
+
+    def _series(self) -> dict[_LabelKey, float]:
+        with self._lock:
+            series = dict(self._values)
+            functions = list(self._functions.items())
+        for key, fn in functions:
+            value = fn()
+            if value is not None:
+                series[key] = float(value)
+        return series
 
     expose = Counter.expose
     snapshot = Counter.snapshot
@@ -377,6 +429,34 @@ class Summary(_Metric):
             prev = self._exemplars.get(key)
             if prev is None or value >= prev["value"]:
                 ex = _exemplar(value)
+                if ex is not None:
+                    self._exemplars[key] = ex
+
+    def observe_many(self, values: Iterable[float], **labels: Any) -> None:
+        """``observe`` every value of ``values`` under one label set.
+
+        Leaves the same count, sum, quantiles and exemplar value as the
+        equivalent ``observe`` loop (NaNs dropped, the exemplar taken for
+        the largest value) for one kill-switch read, one label key and
+        one lock acquisition.
+        """
+        if self._off():
+            return
+        batch = [v for v in map(float, values) if not math.isnan(v)]
+        if not batch:
+            return
+        top = max(batch)
+        key = _label_key(labels)
+        with self._lock:
+            sketch = self._sketches.get(key)
+            if sketch is None:
+                sketch = self._sketches[key] = \
+                    QuantileSketch(self._sketch_k)
+            for value in batch:
+                sketch.observe(value)
+            prev = self._exemplars.get(key)
+            if prev is None or top >= prev["value"]:
+                ex = _exemplar(top)
                 if ex is not None:
                     self._exemplars[key] = ex
 

@@ -12,7 +12,14 @@ exact and replayable.
 
 from __future__ import annotations
 
-__all__ = ["VirtualClock", "DEFAULT_CLOCK"]
+from collections import deque
+
+__all__ = ["VirtualClock", "DEFAULT_CLOCK", "SLEEP_WINDOW"]
+
+#: Recent sleep intervals a clock keeps for diagnostics.  Serving sleeps
+#: once per arrival on a process-wide clock, so the history is a bounded
+#: window; the running total and count stay exact.
+SLEEP_WINDOW = 256
 
 
 class VirtualClock:
@@ -20,8 +27,11 @@ class VirtualClock:
 
     def __init__(self, start: float = 0.0):
         self._now = float(start)
-        #: Every interval slept, in order (diagnostics / tests).
-        self.sleeps: list[float] = []
+        #: The most recent :data:`SLEEP_WINDOW` intervals slept, oldest
+        #: first (diagnostics / tests).
+        self.sleeps: deque[float] = deque(maxlen=SLEEP_WINDOW)
+        self._total_slept = 0.0
+        self._sleep_count = 0
 
     @property
     def now(self) -> float:
@@ -34,13 +44,22 @@ class VirtualClock:
             raise ValueError(f"cannot sleep {seconds!r} seconds")
         self._now += seconds
         self.sleeps.append(seconds)
+        self._total_slept += seconds
+        self._sleep_count += 1
 
     @property
     def total_slept(self) -> float:
-        return sum(self.sleeps)
+        """Every interval ever slept, summed in order."""
+        return self._total_slept
+
+    @property
+    def sleep_count(self) -> int:
+        """How many times ``sleep`` was called."""
+        return self._sleep_count
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"VirtualClock(now={self._now:.3f}, sleeps={len(self.sleeps)})"
+        return (f"VirtualClock(now={self._now:.3f},"
+                f" sleeps={self._sleep_count})")
 
 
 #: The process-wide default timeline.  Boundaries that are not handed an

@@ -28,6 +28,7 @@ from repro.hw.accelerator import build_accelerator
 from repro.hw.perf import estimate_performance
 from repro.hw.resources import Device, device_for_board
 from repro.nn.engine import ReferenceEngine
+from repro.resilience.faults import active_plan
 from repro.toolchain.xclbin import Xclbin, read_xclbin
 from repro.util.logging import get_logger
 
@@ -233,7 +234,6 @@ class CommandQueue:
                 f"device {device.name} is not available (crashed or"
                 " lost); reprogram it to recover")
         if self.clock is not None:
-            from repro.resilience.faults import active_plan
             plan = active_plan()
             if plan is not None:
                 if plan.corrupt_device_weights(device.fault_boundary,

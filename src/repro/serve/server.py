@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +118,12 @@ class InferenceServer:
         self._padded = 0
         self.latency_sketch = QuantileSketch()
         _SLOTS.set(len(fleet.slots), server=self.config.name)
+        # read at collect time: the request path makes no gauge update,
+        # and the registry holds the batcher only weakly
+        batcher = weakref.ref(self.batcher)
+        _QUEUE_DEPTH.set_function(
+            lambda: None if (b := batcher()) is None else b.depth,
+            server=self.config.name)
 
     # -- the request path ---------------------------------------------------
 
@@ -145,7 +152,6 @@ class InferenceServer:
         flush = self.batcher.offer(request)
         if flush is not None:
             self._execute(flush, now)
-        _QUEUE_DEPTH.set(self.batcher.depth, server=self.config.name)
         return request
 
     def pump(self, now: float | None = None) -> int:
@@ -158,9 +164,6 @@ class InferenceServer:
                 break
             self._execute(flush, now)
             executed += 1
-        if executed:
-            _QUEUE_DEPTH.set(self.batcher.depth,
-                             server=self.config.name)
         return executed
 
     def drain(self, now: float | None = None) -> int:
@@ -169,7 +172,6 @@ class InferenceServer:
         flushes = self.batcher.drain()
         for flush in flushes:
             self._execute(flush, now)
-        _QUEUE_DEPTH.set(self.batcher.depth, server=self.config.name)
         return len(flushes)
 
     # -- execution ----------------------------------------------------------
@@ -203,16 +205,16 @@ class InferenceServer:
                 self._batch_sizes.get(flush.bucket, 0) + 1
             self._triggers[flush.trigger] = \
                 self._triggers.get(flush.trigger, 0) + 1
-            for request in requests:
-                self.latency_sketch.observe(completion - request.arrival_s)
+            latencies = [completion - r.arrival_s for r in requests]
+            for latency in latencies:
+                self.latency_sketch.observe(latency)
         for index, request in enumerate(requests):
             request.output = receipt.outputs[index]
             request.completion_s = completion
             request.bucket = flush.bucket
             request.trigger = flush.trigger
             request.extra["slot"] = receipt.slot
-            _LATENCY.observe(completion - request.arrival_s,
-                             server=self.config.name)
+        _LATENCY.observe_many(latencies, server=self.config.name)
         # one counter update per tenant per flush, not per request
         per_tenant = collections.Counter(r.tenant for r in requests)
         for tenant, count in per_tenant.items():

@@ -185,6 +185,57 @@ class TestFaultHandling:
                 ["i0.slot0", "i0.slot1"]
 
 
+class TestHealthyGauge:
+    def test_gauge_tracks_every_health_step(self, image, weights):
+        from repro.obs import REGISTRY
+
+        gauge = REGISTRY.gauge("condor_fleet_healthy_slots_count")
+        clock = VirtualClock()
+        config = FleetConfig(scrub_every=0, failure_threshold=1,
+                             recovery_s=100.0)
+        plan = FaultPlan([FaultSpec(DEVICE_PATTERN,
+                                    FaultKind.SLOT_CRASH)], seed=5)
+        rng = np.random.default_rng(5)
+        seen = []
+
+        def step(fleet):
+            assert gauge.value() == fleet.healthy_slot_count()
+            seen.append(gauge.value())
+
+        with inject_faults(plan):
+            fleet = make_fleet(image, weights, clock=clock,
+                               config=config)
+            step(fleet)
+            fleet.run(batch_for(fleet, rng))  # slot0 crashes
+            step(fleet)
+            clock.sleep(config.recovery_s + 1)  # half-open counts
+            step(fleet)
+            fleet.run(batch_for(fleet, rng))  # recovery probe
+            step(fleet)
+        service, _, _ = image
+        fleet.add_instance(F1Instance("f1.4xlarge", service))
+        step(fleet)
+        fleet.drain_instance()
+        step(fleet)
+        assert seen == [2, 1, 2, 2, 4, 2]
+
+    def test_gauge_holds_the_fleet_weakly(self, image, weights):
+        import gc
+        import weakref
+
+        from repro.obs import REGISTRY
+
+        gauge = REGISTRY.gauge("condor_fleet_healthy_slots_count")
+        fleet = make_fleet(image, weights, clock=VirtualClock())
+        assert gauge.value() == 2
+        ref = weakref.ref(fleet)
+        del fleet
+        gc.collect()
+        assert ref() is None
+        assert gauge.value() == 0.0
+        assert gauge.snapshot()["values"] == []
+
+
 class TestHealthStateMachine:
     def test_ok_suspect_quarantined_halfopen(self, image, weights):
         clock = VirtualClock()

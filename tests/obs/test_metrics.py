@@ -1,11 +1,13 @@
 """Metrics registry tests."""
 
+import contextlib
 import json
 import math
 import re
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs import REGISTRY, MetricsRegistry, recording, span
 
@@ -75,6 +77,70 @@ class TestGauge:
         g = registry.gauge("occupancy")
         g.set(7, fifo="c1")
         assert g.value(fifo="c1") == 7
+
+
+class TestGaugeFunction:
+    """Collect-time series: read from a callable at every read."""
+
+    def test_every_read_path_sees_the_live_value(self, registry):
+        g = registry.gauge("live_depth", "Live depth")
+        state = {"depth": 3}
+        g.set_function(lambda: state["depth"], server="a")
+        g.set(9, server="b")
+        assert g.value(server="a") == 3
+        state["depth"] = 5
+        assert g.value(server="a") == 5
+        assert 'live_depth{server="a"} 5' in registry.to_prometheus()
+        assert 'live_depth{server="b"} 9' in g.expose()
+        values = {v["labels"]["server"]: v["value"]
+                  for v in registry.to_dict()["live_depth"]["values"]}
+        assert values == {"a": 5.0, "b": 9.0}
+        state["depth"] = 1
+        assert registry.scalars()["live_depth"] == 10.0
+
+    def test_none_omits_the_series(self, registry):
+        g = registry.gauge("gone_depth")
+        g.set_function(lambda: None, server="dead")
+        assert g.value(server="dead") == 0.0
+        assert g.snapshot()["values"] == []
+        assert registry.scalars()["gone_depth"] == 0.0
+
+    def test_set_replaces_the_function_and_vice_versa(self, registry):
+        g = registry.gauge("swap_depth")
+        g.set_function(lambda: 4)
+        g.set(2)
+        assert g.value() == 2
+        g.set_function(lambda: 6)
+        assert g.value() == 6
+        assert g.snapshot()["values"] == [{"labels": {}, "value": 6.0}]
+
+    def test_reset_keeps_function_series(self, registry):
+        # a function series is wiring, not a recorded sample: reset
+        # drops pushed values but the live series keeps reading
+        g = registry.gauge("kept_depth")
+        g.set(7, server="pushed")
+        g.set_function(lambda: 3, server="live")
+        registry.reset()
+        assert g.value(server="pushed") == 0.0
+        assert g.value(server="live") == 3
+        assert [v["labels"] for v in g.snapshot()["values"]] == \
+            [{"server": "live"}]
+
+    def test_function_runs_outside_the_metric_lock(self, registry):
+        g = registry.gauge("reentrant_depth")
+        # a callable that reads the gauge itself would deadlock if the
+        # gauge held its (non-reentrant) lock while calling it
+        g.set(1, server="other")
+        g.set_function(lambda: g.value(server="other") + 1,
+                       server="self")
+        assert g.value(server="self") == 2
+        assert registry.scalars()["reentrant_depth"] == 3
+
+    def test_registration_ignores_kill_switch(self, monkeypatch):
+        g = REGISTRY.gauge("condor_probe_live_depth")
+        monkeypatch.setenv("REPRO_NO_OBS", "1")
+        g.set_function(lambda: 4, probe="x")
+        assert g.value(probe="x") == 4
 
 
 class TestHistogram:
@@ -155,6 +221,55 @@ class TestSummary:
         registry.histogram("mixed_seconds")
         with pytest.raises(ValueError, match="already registered"):
             registry.summary("mixed_seconds")
+
+
+_FLOATS = st.floats(allow_infinity=False, width=64)
+
+
+def _summary_state(summary):
+    entry = summary.snapshot()["values"]
+    if not entry:
+        return None
+    entry = entry[0]
+    exemplar = entry.get("exemplar")
+    return (entry["count"], entry["sum"], entry["quantiles"],
+            None if exemplar is None else
+            (exemplar["value"], exemplar["span_id"]))
+
+
+class TestObserveMany:
+    @settings(max_examples=60, deadline=None)
+    @given(prefix=st.lists(_FLOATS, max_size=20),
+           batch=st.lists(_FLOATS, max_size=300),
+           in_span=st.booleans())
+    def test_same_state_as_repeated_observe(self, prefix, batch, in_span):
+        registry = MetricsRegistry()
+        one = registry.summary("one_seconds")
+        many = registry.summary("many_seconds")
+        with recording():
+            with span("flush") if in_span else contextlib.nullcontext():
+                for value in prefix:
+                    one.observe(value, server="s")
+                    many.observe(value, server="s")
+                for value in batch:
+                    one.observe(value, server="s")
+                many.observe_many(batch, server="s")
+        state = _summary_state(one)
+        assert _summary_state(many) == state
+        kept = [v for v in prefix + batch if not math.isnan(v)]
+        assert many.count(server="s") == len(kept)
+        if state is not None:
+            assert (state[3] is not None) == in_span
+
+    def test_noop_under_kill_switch(self, monkeypatch):
+        s = REGISTRY.summary("condor_probe_many_seconds")
+        before = s.count()
+        monkeypatch.setenv("REPRO_NO_OBS", "1")
+        s.observe_many([1.0, 2.0, 3.0])
+        assert s.count() == before
+        monkeypatch.delenv("REPRO_NO_OBS")
+        s.observe_many([1.0, float("nan"), 3.0])
+        assert s.count() == before + 2
 
 
 class TestExemplars:

@@ -67,7 +67,7 @@ class TestCall:
         policy = RetryPolicy(max_attempts=3, jitter=0.0)
         assert policy.call(flaky, boundary="b", clock=clock) == "done"
         assert len(calls) == 3
-        assert clock.sleeps == [1.0, 2.0]
+        assert list(clock.sleeps) == [1.0, 2.0]
 
     def test_exhaustion_reraises_unchanged(self):
         clock = VirtualClock()
@@ -80,7 +80,7 @@ class TestCall:
         with pytest.raises(TransientError) as info:
             policy.call(always, boundary="b", clock=clock)
         assert info.value is original
-        assert clock.sleeps == [1.0]  # one retry, then give up
+        assert list(clock.sleeps) == [1.0]  # one retry, then give up
 
     def test_deterministic_errors_not_retried(self):
         clock = VirtualClock()
@@ -93,7 +93,7 @@ class TestCall:
         with pytest.raises(LinkError):
             RetryPolicy().call(broken, boundary="b", clock=clock)
         assert len(calls) == 1
-        assert clock.sleeps == []
+        assert list(clock.sleeps) == []
 
     def test_transient_attribute_flag(self):
         exc = LinkError("flaky license server")

@@ -161,6 +161,57 @@ class TestFailureAndLanes:
             "Requests waiting in the batcher, per server")
         assert depth.value(server=server_name) == 0.0
 
+    def test_queue_depth_gauge_reads_the_live_depth(self, server_name):
+        fleet = StubFleet("tc1")
+        server = make_server(fleet, server_name, buckets=(4,))
+        depth = REGISTRY.gauge(
+            "condor_serve_queue_depth_count",
+            "Requests waiting in the batcher, per server")
+        pool = images_for(fleet, np.random.default_rng(18), 5)
+        assert depth.value(server=server_name) == 0.0
+        for i in range(3):  # below the bucket: nothing flushes
+            server.submit("alpha", pool[i], now=0.0)
+            assert depth.value(server=server_name) == i + 1
+        server.submit("alpha", pool[3], now=0.0)  # fills the bucket
+        assert depth.value(server=server_name) == 0.0
+        server.submit("alpha", pool[4], now=0.0)
+        assert depth.value(server=server_name) == 1.0
+        assert server.drain(0.0) == 1
+        assert depth.value(server=server_name) == 0.0
+
+    def test_non_flushing_submit_makes_no_registry_update(
+            self, server_name, monkeypatch):
+        from repro.obs import metrics
+
+        updates = []
+
+        def counting(cls, name):
+            original = getattr(cls, name)
+
+            def wrapper(self, *args, **kwargs):
+                updates.append((self.name, name))
+                return original(self, *args, **kwargs)
+            monkeypatch.setattr(cls, name, wrapper)
+
+        for cls, name in [(metrics.Counter, "inc"),
+                          (metrics.Gauge, "set"),
+                          (metrics.Gauge, "inc"),
+                          (metrics.Gauge, "set_function"),
+                          (metrics.Histogram, "observe"),
+                          (metrics.Summary, "observe"),
+                          (metrics.Summary, "observe_many")]:
+            counting(cls, name)
+        fleet = StubFleet("tc1")
+        server = make_server(fleet, server_name, buckets=(8,))
+        pool = images_for(fleet, np.random.default_rng(19), 8)
+        updates.clear()  # construction registers its gauges
+        for i in range(7):
+            server.submit("alpha", pool[i], now=0.0)
+        assert updates == []
+        server.submit("alpha", pool[7], now=0.0)  # flushes
+        assert ("condor_serve_latency_seconds", "observe_many") in updates
+        assert ("condor_serve_latency_seconds", "observe") not in updates
+
     def test_request_counters_per_tenant_per_flush(self, server_name):
         # a mixed-tenant flush counts each tenant's ok requests; shed
         # and failed requests are still counted one per request
