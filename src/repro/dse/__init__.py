@@ -9,7 +9,6 @@ work on top of :mod:`repro.hw.estimate` and :mod:`repro.hw.perf`.
 from repro.dse.evaluator import (
     CachedEvaluator,
     EvaluationCache,
-    ParallelEvaluator,
     mapping_fingerprint,
 )
 from repro.dse.explorer import DSEResult, explore
@@ -17,6 +16,5 @@ from repro.dse.frontier import ParetoFrontier, brute_force_frontier
 from repro.dse.space import fusion_candidates, parallelism_moves
 
 __all__ = ["CachedEvaluator", "DSEResult", "EvaluationCache",
-           "ParallelEvaluator", "ParetoFrontier", "brute_force_frontier",
-           "explore", "fusion_candidates", "mapping_fingerprint",
-           "parallelism_moves"]
+           "ParetoFrontier", "brute_force_frontier", "explore",
+           "fusion_candidates", "mapping_fingerprint", "parallelism_moves"]

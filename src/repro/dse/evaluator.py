@@ -1,4 +1,4 @@
-"""Memoized, optionally parallel evaluation of DSE design points.
+"""Memoized evaluation of DSE design points.
 
 The greedy explorer evaluates hundreds of neighbouring configurations, and
 each evaluation used to rebuild and re-estimate every PE from scratch.  Two
@@ -14,16 +14,12 @@ observations make that cheap:
   failed validation raises the same typed error again without re-running
   the builder.
 
-:class:`ParallelEvaluator` fans the candidate evaluations of one explorer
-step out over a :mod:`concurrent.futures` thread pool and degrades to the
-serial path when the pool is unavailable or ``jobs <= 1``.  Results are
-returned in submission order, so the explorer's first-minimum-wins tie
-breaking is identical in serial and parallel runs.
+Evaluation is serial: it is pure Python, so a thread pool only adds
+hand-off cost (a warm-cache evaluation is a few dict lookups).
 """
 
 from __future__ import annotations
 
-import contextvars
 from dataclasses import dataclass, field
 
 from repro.errors import CondorError
@@ -34,11 +30,7 @@ from repro.hw.estimate import estimate_accelerator
 from repro.hw.mapping import MappingConfig
 from repro.hw.perf import AcceleratorPerformance, estimate_performance
 from repro.hw.resources import ResourceVector
-from repro.obs import REGISTRY, span
-from repro.util.logging import get_logger
-from repro.util.sync import new_lock
-
-_log = get_logger("dse.evaluator")
+from repro.obs import REGISTRY
 
 _POINTS = REGISTRY.counter(
     "condor_dse_points_evaluated_total",
@@ -75,14 +67,10 @@ class EvaluationCache:
 
     ``errors`` holds negative entries: evaluating an infeasible mapping
     caches the typed :class:`~repro.errors.CondorError` so the explorer's
-    feasibility filtering costs one dict lookup on revisit.
-
-    Shared by every worker of a :class:`ParallelEvaluator`, so the
-    result/error tables and the hit/miss statistics mutate only through
-    the locked methods below.  The ``pe_*`` sub-caches are deliberately
-    *not* locked: they are filled content-keyed by the hw builders
-    (identical key -> identical value), so the worst concurrent outcome
-    is a redundant recomputation, never a wrong entry.
+    feasibility filtering costs one dict lookup on revisit.  ``hits`` and
+    ``misses`` are running totals over every evaluation that used the
+    cache; :func:`~repro.dse.explore` reports the counts of one call.
+    Not locked: the explorer evaluates serially.
     """
 
     results: dict = field(default_factory=dict)
@@ -95,52 +83,6 @@ class EvaluationCache:
     pe_perf: dict = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
-
-    def __post_init__(self) -> None:
-        self._lock = new_lock("dse.EvaluationCache")
-
-    def lookup(self, key) -> "EvaluatedPoint | CondorError | None":
-        """The cached outcome for a fingerprint (counts a hit), or
-        ``None`` (counts a miss).  One locked read-modify-write, so
-        parallel workers never tear the statistics."""
-        with self._lock:
-            cached = self.results.get(key)
-            if cached is None:
-                cached = self.errors.get(key)
-            if cached is not None:
-                self.hits += 1
-            else:
-                self.misses += 1
-            return cached
-
-    def store(self, key, point: "EvaluatedPoint") -> None:
-        with self._lock:
-            self.results[key] = point
-
-    def store_error(self, key, error: CondorError) -> None:
-        with self._lock:
-            self.errors[key] = error
-
-    def count_miss(self) -> None:
-        """Statistics-only miss (the ``memoize=False`` bench path)."""
-        with self._lock:
-            self.misses += 1
-
-    def stats(self) -> dict[str, int]:
-        with self._lock:
-            return {"hits": self.hits, "misses": self.misses,
-                    "results": len(self.results),
-                    "errors": len(self.errors)}
-
-    def clear(self) -> None:
-        with self._lock:
-            self.results.clear()
-            self.errors.clear()
-            self.pe_build.clear()
-            self.pe_resources.clear()
-            self.pe_perf.clear()
-            self.hits = 0
-            self.misses = 0
 
 
 class CachedEvaluator:
@@ -161,22 +103,26 @@ class CachedEvaluator:
     def evaluate(self, mapping: MappingConfig) -> EvaluatedPoint:
         """Perf + resources for ``mapping``; raises the (possibly cached)
         :class:`~repro.errors.CondorError` for infeasible mappings."""
+        cache = self.cache
         if not self.memoize:
             _POINTS.inc()
-            self.cache.count_miss()
+            cache.misses += 1
             acc = build_accelerator(self.model, mapping)
             perf = estimate_performance(acc, self.cal)
             estimate = estimate_accelerator(acc, self.cal)
             return EvaluatedPoint(mapping=mapping, performance=perf,
                                   resources=estimate.total)
-        cache = self.cache
         key = mapping_fingerprint(self.model, mapping, self.cal)
-        cached = cache.lookup(key)
+        cached = cache.results.get(key)
+        if cached is None:
+            cached = cache.errors.get(key)
         if cached is not None:
+            cache.hits += 1
             _CACHE_HITS.inc()
             if isinstance(cached, CondorError):
                 raise cached
             return cached
+        cache.misses += 1
         _POINTS.inc()
         try:
             acc = build_accelerator(self.model, mapping,
@@ -186,77 +132,9 @@ class CachedEvaluator:
             estimate = estimate_accelerator(acc, self.cal,
                                             pe_cache=cache.pe_resources)
         except CondorError as exc:
-            cache.store_error(key, exc)
+            cache.errors[key] = exc
             raise
         point = EvaluatedPoint(mapping=mapping, performance=perf,
                                resources=estimate.total)
-        cache.store(key, point)
+        cache.results[key] = point
         return point
-
-
-class ParallelEvaluator:
-    """Evaluate batches of mappings concurrently, in submission order.
-
-    Thread-based: the evaluation is pure Python, so the speedup is bounded
-    by the interpreter, but the shared :class:`EvaluationCache` is filled
-    cooperatively and the API is identical either way.  Any failure to
-    stand up the pool degrades to the serial path rather than failing the
-    exploration.
-    """
-
-    def __init__(self, evaluator: CachedEvaluator, jobs: int = 1):
-        self.evaluator = evaluator
-        self.jobs = max(1, int(jobs))
-        self._pool = None
-        if self.jobs > 1:
-            try:
-                from concurrent.futures import ThreadPoolExecutor
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.jobs,
-                    thread_name_prefix="condor-dse")
-            except (ImportError, OSError) as exc:
-                _log.warning("thread pool unavailable (%s); evaluating"
-                             " serially", exc)
-                self._pool = None
-
-    @property
-    def parallel(self) -> bool:
-        return self._pool is not None
-
-    def evaluate_many(self, mappings: list[MappingConfig]) \
-            -> list[EvaluatedPoint | CondorError]:
-        """Evaluate every mapping; infeasible ones yield their error
-        object instead of raising, and order matches the input.
-
-        Each submission runs in a copy of the submitting thread's
-        context (``contextvars.copy_context``), so the worker inherits
-        the active span/recorder and its ``dse.evaluate`` spans nest
-        under the caller (e.g. ``dse.explore``) instead of becoming
-        orphan roots — Python thread pools do *not* propagate context
-        on their own.
-        """
-        if self._pool is None:
-            return [self._evaluate_caught(m) for m in mappings]
-        futures = [self._pool.submit(contextvars.copy_context().run,
-                                     self._evaluate_caught, m)
-                   for m in mappings]
-        return [f.result() for f in futures]
-
-    def _evaluate_caught(self, mapping: MappingConfig) \
-            -> EvaluatedPoint | CondorError:
-        with span("dse.evaluate"):
-            try:
-                return self.evaluator.evaluate(mapping)
-            except CondorError as exc:
-                return exc
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
-            self._pool = None
-
-    def __enter__(self) -> "ParallelEvaluator":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

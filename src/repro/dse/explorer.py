@@ -10,11 +10,8 @@ explored to find the optimal tradeoff between resource consumption and
 performance") and converges to a balanced pipeline.
 
 Evaluation goes through :class:`repro.dse.evaluator.CachedEvaluator`
-(content-keyed memoization — a move re-estimates only the PE it changed)
-and, with ``jobs > 1``, a :class:`~repro.dse.evaluator.ParallelEvaluator`
-that fans one step's candidate moves out over a thread pool.  Candidate
-results are consumed in submission order, so the chosen trajectory is
-identical for any job count.
+(content-keyed memoization — a move re-estimates only the PE it changed),
+one candidate move at a time, each under its own ``dse.evaluate`` span.
 """
 
 from __future__ import annotations
@@ -27,11 +24,7 @@ from repro.hw.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.hw.mapping import MappingConfig, default_mapping
 from repro.hw.perf import AcceleratorPerformance
 from repro.hw.resources import ResourceVector, device_for_board
-from repro.dse.evaluator import (
-    CachedEvaluator,
-    EvaluationCache,
-    ParallelEvaluator,
-)
+from repro.dse.evaluator import CachedEvaluator, EvaluationCache
 from repro.dse.frontier import ParetoFrontier
 from repro.dse.space import parallelism_moves
 from repro.obs import span
@@ -64,8 +57,8 @@ class DSEResult:
     resources: ResourceVector
     explored: list[DSEPoint] = field(default_factory=list)
     steps: int = 0
-    #: Evaluation-cache hits/misses of the run (0/0 when the caller
-    #: supplied no evaluator and caching found nothing to reuse).
+    #: Evaluation-cache hits/misses of this call only, also when the
+    #: caller shares one cache across calls.
     cache_hits: int = 0
     cache_misses: int = 0
 
@@ -78,33 +71,33 @@ def explore(model: CondorModel, *,
             mapping: MappingConfig | None = None,
             cal: Calibration = DEFAULT_CALIBRATION,
             max_steps: int = 64,
-            jobs: int = 1,
             cache: EvaluationCache | None = None,
             memoize: bool = True) -> DSEResult:
     """Run the greedy explorer for ``model``; returns the best mapping
     found under the calibration's DSP/BRAM budget fractions.
 
-    ``jobs`` evaluates each step's candidate moves concurrently (identical
-    result for any value); ``cache`` shares memoized evaluations across
-    calls for the same model and calibration.  ``memoize=False`` restores
-    the evaluate-from-scratch behaviour — the baseline ``condor bench``
+    ``cache`` shares memoized evaluations across calls for the same
+    model and calibration.  ``memoize=False`` restores the
+    evaluate-from-scratch behaviour — the baseline ``condor bench``
     reports DSE speedup against.
     """
-    with span("dse.explore", network=model.network.name, jobs=jobs):
+    with span("dse.explore", network=model.network.name):
         evaluator = CachedEvaluator(model, cal, cache=cache,
                                     memoize=memoize)
-        with ParallelEvaluator(evaluator, jobs=jobs) as pool:
-            return _explore(model, mapping=mapping, cal=cal,
-                            max_steps=max_steps, pool=pool)
+        hits, misses = evaluator.cache.hits, evaluator.cache.misses
+        result = _explore(model, mapping=mapping, cal=cal,
+                          max_steps=max_steps, evaluator=evaluator)
+        result.cache_hits = evaluator.cache.hits - hits
+        result.cache_misses = evaluator.cache.misses - misses
+        return result
 
 
 def _explore(model: CondorModel, *,
              mapping: MappingConfig | None,
              cal: Calibration,
              max_steps: int,
-             pool: ParallelEvaluator) -> DSEResult:
+             evaluator: CachedEvaluator) -> DSEResult:
     net = model.network
-    evaluator = pool.evaluator
     device = device_for_board(model.board)
     budget = ResourceVector(
         lut=device.capacity.lut,
@@ -138,11 +131,14 @@ def _explore(model: CondorModel, *,
             moves.extend(parallelism_moves(net, current, current.pes[index],
                                            cal.max_ports))
         best = None  # (objective, dsp, mapping, perf, resources)
-        for move, outcome in zip(moves, pool.evaluate_many(moves)):
-            if isinstance(outcome, CondorError):
-                # infeasible move (mapping/resource violation) — not a
-                # candidate
-                continue
+        for move in moves:
+            with span("dse.evaluate"):
+                try:
+                    outcome = evaluator.evaluate(move)
+                except CondorError:
+                    # infeasible move (mapping/resource violation) —
+                    # not a candidate
+                    continue
             move_perf, move_res = outcome.performance, outcome.resources
             if not move_res.fits_in(budget):
                 continue
@@ -159,8 +155,6 @@ def _explore(model: CondorModel, *,
                    resources.dsp)
 
     final = evaluator.evaluate(current)
-    cache = evaluator.cache
     return DSEResult(mapping=current, performance=final.performance,
                      resources=final.resources, explored=explored,
-                     steps=steps, cache_hits=cache.hits,
-                     cache_misses=cache.misses)
+                     steps=steps)

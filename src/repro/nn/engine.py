@@ -174,10 +174,8 @@ class ReferenceEngine:
         """The layer loop: run every layer's plan (or, unplanned, the
         oracle :func:`run_layer`), then the :meth:`_post_layer` hook.
 
-        Spans are opened only while a recorder is active (the worker
-        thread running this batch inherits it via
-        ``contextvars.copy_context``, so they nest under the submitting
-        request's span).  ``outputs``, when given, collects every
+        Spans are opened only while a recorder is active, and nest under
+        the caller's open span.  ``outputs``, when given, collects every
         layer's output by name.
         """
         traced = current_recorder() is not None

@@ -8,8 +8,9 @@ front door for that:
 
 * :mod:`repro.obs.spans` — hierarchical timed spans with contextvar
   parent tracking (``span(...)`` context manager, ``@traced()``
-  decorator, ``recording()`` to activate a collector); worker threads
-  inherit the submitting span via ``contextvars.copy_context``;
+  decorator, ``recording()`` to activate a collector); a thread starts
+  with an empty context, so it sees the caller's span only when run in
+  ``contextvars.copy_context()``;
 * :mod:`repro.obs.metrics` — process-wide counters / gauges /
   histograms / summaries with Prometheus text exposition, JSON
   snapshots, streaming p50/p95/p99 and span-linked exemplars;

@@ -1,7 +1,7 @@
 """The ``condor bench`` performance-regression harness.
 
 Times the three hot paths this codebase optimises — the batched
-reference engine, the memoized+parallel design-space explorer, and the
+reference engine, the memoized design-space explorer, and the
 discrete-event simulator — on zoo models, under the telemetry spans, and
 writes the results as ``BENCH_perf.json``::
 
@@ -21,11 +21,11 @@ Per-op semantics:
   batch, after a compile pass.  ``speedup_vs_baseline`` is the
   unplanned/planned ratio, ``cache_hits`` the plan-cache hits of the
   timed replays; outputs are asserted bit-identical first.
-* ``dse`` — a memoized (and, with ``jobs > 1``, parallel)
-  :func:`repro.dse.explore` against the evaluate-from-scratch baseline
-  (``memoize=False``).  ``cycles`` is the best initiation interval,
-  ``cache_hits`` the evaluation-cache hits of the final (warm) run.
-  Both runs must choose the same mapping or the bench aborts.
+* ``dse`` — a memoized :func:`repro.dse.explore` against the
+  evaluate-from-scratch baseline (``memoize=False``).  ``cycles`` is the
+  best initiation interval, ``cache_hits`` the evaluation-cache hits of
+  the final (warm) run.  Both runs must choose the same mapping or the
+  bench aborts.
 * ``sim`` — :func:`repro.sim.dataflow.simulate_accelerator` on a small
   batch.  ``cycles`` is the simulated total — fully deterministic, so
   the regression gate can hold it to zero drift across machines.
@@ -41,12 +41,6 @@ Per-op semantics:
   instrumented/plain wall ratio, gated *absolutely* at
   :data:`OBS_OVERHEAD_LIMIT` — telemetry must stay under 5% whatever
   the committed baseline says.
-* ``tsan-overhead`` — an uncontended acquire/release loop on an
-  instrumented sanitizer lock against the same loop on a raw
-  ``threading.RLock``.  ``speedup_vs_baseline`` holds the
-  instrumented/plain ratio; the row is informational only (never
-  gated), since the sanitizer is an opt-in ``REPRO_TSAN=1`` debugging
-  tool, not a serving-path cost.
 
 Timings take the best of a few repetitions after a warmup pass: the
 minimum is the least noisy location statistic for a cold-cache-free
@@ -225,20 +219,20 @@ def bench_engine_steady(name: str, *, batch: int = ENGINE_BATCH,
                        speedup_vs_baseline=float(np.median(ratios)))
 
 
-def bench_dse(name: str, *, jobs: int = 4, reps: int = 9) -> BenchResult:
-    """Memoized+parallel explorer vs the evaluate-from-scratch baseline.
+def bench_dse(name: str, *, reps: int = 9) -> BenchResult:
+    """Memoized explorer vs the evaluate-from-scratch baseline.
 
     Baseline and memoized reps are interleaved and the per-rep ratios
     medianed (the ``bench_engine`` idiom) — the warm explorer finishes
     in ~100us on the small models, so ratioing two independently-taken
     minima is noise-dominated.
     """
-    with span("bench.dse", model=name, jobs=jobs):
+    with span("bench.dse", model=name):
         model, _ = _build(name)
         baseline = explore(model, memoize=False)
 
         cache = EvaluationCache()
-        result = explore(model, jobs=jobs, cache=cache)
+        result = explore(model, cache=cache)
         if result.mapping != baseline.mapping:
             raise BenchError(
                 f"memoized DSE chose a different mapping than the"
@@ -246,7 +240,7 @@ def bench_dse(name: str, *, jobs: int = 4, reps: int = 9) -> BenchResult:
         holder: list = [result]
 
         def run() -> None:
-            holder[0] = explore(model, jobs=jobs, cache=cache)
+            holder[0] = explore(model, cache=cache)
 
         ratios = []
         fast_times = []
@@ -354,56 +348,6 @@ def bench_obs_overhead(name: str, *, batch: int = ENGINE_BATCH,
                        speedup_vs_baseline=float(np.median(ratios)))
 
 
-def bench_tsan_overhead(name: str, *, iters: int = 20_000,
-                        reps: int = 9) -> BenchResult:
-    """Cost of the runtime lock sanitizer on a bare acquire/release loop.
-
-    Times ``iters`` uncontended ``with lock:`` round-trips on an
-    :class:`~repro.sanitizer.InstrumentedRLock` (private
-    :class:`~repro.sanitizer.SanitizerState`, so the process realm stays
-    untouched) against the same loop on a raw ``threading.RLock``, using
-    the adjacent-pair/median-ratio idiom of :func:`bench_obs_overhead`.
-    ``speedup_vs_baseline`` holds the instrumented/plain ratio.
-
-    This row is *informational only*: ``compare_benchmarks`` never gates
-    it.  The sanitizer is a debugging tool enabled by ``REPRO_TSAN=1``
-    (CI's sanitizer job, local deadlock hunts) — its cost budget is
-    "cheap enough to leave on in CI", not a serving-path guarantee, and
-    per-acquire Python bookkeeping is far too machine- and
-    interpreter-sensitive to hold to a committed trend line.
-    """
-    import threading
-
-    from repro.sanitizer.lockcheck import InstrumentedRLock, SanitizerState
-
-    # conc: allow CONC006 -- the raw lock IS the measured baseline
-    plain_lock = threading.RLock()
-    checked_lock = InstrumentedRLock("perf.bench.tsan", SanitizerState())
-
-    def spin(lock) -> Callable[[], None]:
-        def run() -> None:
-            for _ in range(iters):
-                with lock:
-                    pass
-        return run
-
-    plain, checked = spin(plain_lock), spin(checked_lock)
-    plain()
-    checked()  # warmup both sides
-    ratios, checked_times = [], []
-    for rep in range(max(1, reps)):
-        if rep % 2 == 0:
-            checked_s, plain_s = _best_of(checked, 1), _best_of(plain, 1)
-        else:
-            plain_s, checked_s = _best_of(plain, 1), _best_of(checked, 1)
-        ratios.append(checked_s / plain_s)
-        checked_times.append(checked_s)
-    return BenchResult(op="tsan-overhead", model=name,
-                       wall_s=float(np.median(checked_times)),
-                       cycles=None, cache_hits=None,
-                       speedup_vs_baseline=float(np.median(ratios)))
-
-
 def bench_serve(name: str, *, requests: int = 2048,
                 rate_rps: float = 100_000.0,
                 seed: int = 0) -> BenchResult:
@@ -488,7 +432,7 @@ def bench_serve(name: str, *, requests: int = 2048,
 
 #: (op, model, kwargs) rows of the two suites.  The quick suite is the
 #: CI gate; the full suite adds the slow rows (VGG-16 DSE carries the
-#: headline cache+parallel speedup) and produces the committed baseline.
+#: headline memoization speedup) and produces the committed baseline.
 QUICK_SUITE: tuple[tuple[str, str, dict], ...] = (
     ("engine", "tc1", {}),
     ("engine-steady", "tc1", {}),
@@ -498,7 +442,6 @@ QUICK_SUITE: tuple[tuple[str, str, dict], ...] = (
     ("sim", "tc1", {"batch": 4}),
     ("serve", "tc1", {}),
     ("obs-overhead", "lenet", {"batch": 64}),
-    ("tsan-overhead", "locks", {}),
 )
 
 FULL_SUITE: tuple[tuple[str, str, dict], ...] = QUICK_SUITE + (
@@ -515,11 +458,10 @@ _OPS: dict[str, Callable[..., BenchResult]] = {
     "sim": bench_sim,
     "serve": bench_serve,
     "obs-overhead": bench_obs_overhead,
-    "tsan-overhead": bench_tsan_overhead,
 }
 
 
-def run_bench(*, quick: bool = False, jobs: int = 4,
+def run_bench(*, quick: bool = False,
               ops: "set[str] | None" = None,
               progress: Callable[[str], None] | None = None) \
         -> list[BenchResult]:
@@ -535,14 +477,12 @@ def run_bench(*, quick: bool = False, jobs: int = 4,
                              f" known: {sorted(_OPS)}")
     suite = QUICK_SUITE if quick else FULL_SUITE
     results = []
-    with span("bench.suite", quick=quick, jobs=jobs):
+    with span("bench.suite", quick=quick):
         for op, model, kwargs in suite:
             if ops is not None and op not in ops:
                 continue
             if progress is not None:
                 progress(f"bench {op}:{model} ...")
-            if op == "dse":
-                kwargs = {"jobs": jobs, **kwargs}
             results.append(_OPS[op](model, **kwargs))
     return results
 
@@ -609,9 +549,7 @@ def compare_benchmarks(current: list[BenchResult],
     lacks, so new-op runs are visible in CI logs instead of silently
     skipped.  ``obs-overhead`` is gated *absolutely* at
     :data:`OBS_OVERHEAD_LIMIT` whether or not the baseline has the row —
-    telemetry overhead is a budget, not a trend.  ``tsan-overhead`` is
-    never gated at all: the row exists to make the sanitizer's cost
-    visible, not to hold it to one.
+    telemetry overhead is a budget, not a trend.
     """
     base = {b.key(): b for b in baseline}
     violations = []
@@ -627,11 +565,6 @@ def compare_benchmarks(current: list[BenchResult],
                     f" {(cur.speedup_vs_baseline - 1.0) * 100:.1f}%"
                     f" exceeds the"
                     f" {(OBS_OVERHEAD_LIMIT - 1.0) * 100:.0f}% budget")
-            continue
-        if cur.op == "tsan-overhead":
-            # informational only: the sanitizer is an opt-in debugging
-            # tool, and per-acquire Python bookkeeping is too
-            # interpreter-sensitive to gate as a trend
             continue
         ref = base.get(cur.key())
         if ref is None:

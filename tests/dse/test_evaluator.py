@@ -1,8 +1,8 @@
-"""Memoized + parallel DSE evaluation must change nothing but the cost.
+"""Memoized DSE evaluation must change nothing but the cost.
 
 The explorer's result — best mapping, explored-point count, step count —
-must be identical across serial, parallel, memoized and from-scratch
-runs; the cache and thread pool are pure accelerations.
+must be identical across memoized and from-scratch runs; the cache is a
+pure acceleration.
 """
 
 import dataclasses
@@ -12,7 +12,6 @@ import pytest
 from repro.dse import (
     CachedEvaluator,
     EvaluationCache,
-    ParallelEvaluator,
     explore,
     mapping_fingerprint,
 )
@@ -29,17 +28,28 @@ def _bad_mapping(net):
 
 
 @pytest.mark.parametrize("name", ["tc1", "lenet", "vgg16"])
-def test_parallel_memoized_explore_matches_serial(name, zoo_model):
+def test_memoized_explore_matches_from_scratch(name, zoo_model):
     model = zoo_model(name)
-    serial = explore(model, memoize=False)
-    fast = explore(model, jobs=4, cache=EvaluationCache())
-    assert fast.mapping == serial.mapping
-    assert fast.performance.ii_cycles == serial.performance.ii_cycles
-    assert fast.steps == serial.steps
-    assert len(fast.explored) == len(serial.explored)
+    scratch = explore(model, memoize=False)
+    fast = explore(model, cache=EvaluationCache())
+    assert fast.mapping == scratch.mapping
+    assert fast.performance.ii_cycles == scratch.performance.ii_cycles
+    assert fast.steps == scratch.steps
+    assert len(fast.explored) == len(scratch.explored)
     assert [p.mapping for p in fast.explored] == \
-        [p.mapping for p in serial.explored]
-    assert fast.cache_misses <= serial.cache_misses
+        [p.mapping for p in scratch.explored]
+    assert fast.cache_misses <= scratch.cache_misses
+
+
+def test_cache_counts_are_per_call(zoo_model):
+    """A shared cache keeps running totals; each result reports only the
+    hits and misses of its own call."""
+    model = zoo_model("tc1")
+    cache = EvaluationCache()
+    counts = [(r.cache_hits, r.cache_misses)
+              for r in (explore(model, cache=cache) for _ in range(3))]
+    assert counts == [(1, 20), (21, 0), (21, 0)]
+    assert (cache.hits, cache.misses) == (43, 20)
 
 
 def test_result_cache_hits(zoo_model):
@@ -94,74 +104,51 @@ def test_fingerprint_is_content_keyed(zoo_model):
         mapping_fingerprint(model, mapping, cal)
 
 
-class TestParallelEvaluator:
-    def test_jobs_one_is_serial(self, zoo_model):
-        evaluator = CachedEvaluator(zoo_model("tc1"))
-        with ParallelEvaluator(evaluator, jobs=1) as pool:
-            assert not pool.parallel
+def test_shared_cache_replays_feasible_and_infeasible(zoo_model):
+    """Feasible and infeasible candidates through one shared cache: a
+    second evaluator over the same cache answers every candidate from
+    it, with the same outcome as a cache of its own."""
+    model = zoo_model("tc1")
+    base = default_mapping(model.network)
+    candidates = [base]
+    for i in range(len(base.pes)):
+        for factor in (2, 4):
+            pes = list(base.pes)
+            pes[i] = dataclasses.replace(
+                pes[i], out_parallel=pes[i].out_parallel * factor)
+            candidates.append(dataclasses.replace(base, pes=pes))
+    candidates.append(_bad_mapping(model.network))
 
-    def test_evaluate_many_order_and_errors(self, zoo_model):
-        model = zoo_model("tc1")
-        evaluator = CachedEvaluator(model)
-        good = default_mapping(model.network)
-        bad = _bad_mapping(model.network)
-        warm = evaluator.evaluate(good)  # fill the shared cache first
-        with ParallelEvaluator(evaluator, jobs=4) as pool:
-            assert pool.parallel
-            outcomes = pool.evaluate_many([good, bad, good])
-        assert outcomes[0] is warm  # answered from the shared cache
-        assert isinstance(outcomes[1], MappingError)
-        assert outcomes[2] is warm
+    def outcomes(evaluator):
+        out = []
+        for mapping in candidates:
+            try:
+                out.append(evaluator.evaluate(mapping).performance)
+            except MappingError as exc:
+                out.append(exc)
+        return out
 
-    @pytest.mark.parametrize("jobs", [1, 2, 4])
-    def test_worker_spans_nest_under_submitting_span(self, zoo_model,
-                                                     jobs):
-        """Tentpole acceptance: trace context crosses the thread pool,
-        so per-candidate ``dse.evaluate`` spans parent under the span
-        open at submit time — for any ``--jobs``."""
-        from repro.obs import recording, span
+    expected = outcomes(CachedEvaluator(model))
+    cache = EvaluationCache()
+    first = outcomes(CachedEvaluator(model, cache=cache))
+    misses = cache.misses
+    again = outcomes(CachedEvaluator(model, cache=cache))
+    assert [type(o) for o in first] == [type(o) for o in expected]
+    assert [o for o in first if not isinstance(o, MappingError)] == \
+        [o for o in expected if not isinstance(o, MappingError)]
+    assert any(isinstance(o, MappingError) for o in first)
+    assert all(a is b for a, b in zip(again, first))
+    assert cache.misses == misses  # the second pass is all hits
+    assert cache.hits + cache.misses == 2 * len(candidates)
 
-        model = zoo_model("tc1")
-        evaluator = CachedEvaluator(model, memoize=False)
-        mappings = [default_mapping(model.network) for _ in range(3)]
-        with recording() as rec:
-            with span("dse.explore") as root:
-                with ParallelEvaluator(evaluator, jobs=jobs) as pool:
-                    pool.evaluate_many(mappings)
-        evals = rec.find("dse.evaluate")
-        assert len(evals) == 3
-        assert all(sp.parent_id == root.span_id for sp in evals)
-        assert all(sp.depth == root.depth + 1 for sp in evals)
-        if jobs > 1:
-            # at least one span really ran off the main thread
-            main = rec.find("dse.explore")[0].thread_id
-            assert any(sp.thread_id != main for sp in evals)
 
-    def test_explore_span_tree(self, zoo_model):
-        from repro.obs import recording
+def test_explore_span_tree(zoo_model):
+    from repro.obs import recording
 
-        with recording() as rec:
-            explore(zoo_model("tc1"), jobs=2, cache=EvaluationCache())
-        (root,) = rec.find("dse.explore")
-        assert root.attrs["network"] == "tc1"
-        assert root.attrs["jobs"] == 2
-        evals = rec.find("dse.evaluate")
-        assert evals
-        assert all(sp.parent_id == root.span_id for sp in evals)
-
-    def test_degrades_to_serial_when_pool_unavailable(self, zoo_model,
-                                                      monkeypatch):
-        import concurrent.futures
-
-        def refuse(*args, **kwargs):
-            raise OSError("no threads for you")
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                            refuse)
-        model = zoo_model("tc1")
-        evaluator = CachedEvaluator(model)
-        with ParallelEvaluator(evaluator, jobs=4) as pool:
-            assert not pool.parallel
-            outcomes = pool.evaluate_many(
-                [default_mapping(model.network)])
-        assert outcomes[0].mapping == default_mapping(model.network)
+    with recording() as rec:
+        explore(zoo_model("tc1"), cache=EvaluationCache())
+    (root,) = rec.find("dse.explore")
+    assert root.attrs["network"] == "tc1"
+    evals = rec.find("dse.evaluate")
+    assert evals
+    assert all(sp.parent_id == root.span_id for sp in evals)

@@ -169,6 +169,14 @@ class TestDseSimulateFigure5:
         assert "best II" in out
         assert "in=" in out
 
+    @pytest.mark.parametrize("argv", [["dse", "model.json", "--jobs", "2"],
+                                      ["bench", "--jobs", "2"],
+                                      ["bench", "--op", "tsan-overhead"]])
+    def test_removed_options_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
     def test_simulate(self, tc1_json, tmp_path, capsys):
         assert main(["--workdir", str(tmp_path / "w"), "simulate",
                      tc1_json, "--batch", "2"]) == 0

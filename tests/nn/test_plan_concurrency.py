@@ -1,6 +1,6 @@
 """Concurrency guarantees of the plan layer: double-checked default
-cache init, shared-cache replay from many threads (bit-identical to
-serial), and parallel DSE hammering the shared evaluation cache.
+cache init and shared-cache replay from many threads (bit-identical to
+serial).
 
 Runs meaningfully both ways: plain (plain locks) and under
 ``REPRO_TSAN=1`` (CI), where every lock below is instrumented and the
@@ -10,7 +10,6 @@ autouse conftest fixture fails the test on any sanitizer error.
 import threading
 
 import numpy as np
-import pytest
 
 import repro.nn.plan as plan_mod
 from repro.frontend.weights import WeightStore
@@ -122,76 +121,3 @@ def test_single_plan_concurrent_replay_bit_identical():
     _run_threads(THREADS, work)
     for got, want in zip(results, expected):
         assert np.array_equal(got, want)
-
-
-def test_parallel_dse_shared_caches_deterministic(zoo_model):
-    """Parallel candidate evaluation over the shared evaluation cache
-    must match the serial explorer point-for-point."""
-    import dataclasses
-
-    from repro.dse.evaluator import (
-        CachedEvaluator,
-        EvaluationCache,
-        ParallelEvaluator,
-    )
-    from repro.hw.mapping import default_mapping
-
-    model = zoo_model("tc1")
-    base = default_mapping(model.network)
-    candidates = [base]
-    for i in range(len(base.pes)):
-        for factor in (2, 4):
-            pes = list(base.pes)
-            pes[i] = dataclasses.replace(
-                pes[i], out_parallel=pes[i].out_parallel * factor)
-            candidates.append(dataclasses.replace(base, pes=pes))
-    # one infeasible candidate exercises the negative-cache path
-    bad = list(base.pes)
-    bad[0] = dataclasses.replace(bad[0], in_parallel=10_000)
-    candidates.append(dataclasses.replace(base, pes=bad))
-    serial = CachedEvaluator(model)
-    expected = []
-    for mapping in candidates:
-        try:
-            expected.append(serial.evaluate(mapping).performance)
-        except Exception as exc:  # infeasible: compare the error type
-            expected.append(type(exc))
-
-    shared = CachedEvaluator(model, cache=EvaluationCache())
-    with ParallelEvaluator(shared, jobs=4) as pool:
-        assert pool.parallel
-        outcomes = pool.evaluate_many(candidates)
-        again = pool.evaluate_many(candidates)  # all cache hits
-    for got, want in zip(outcomes, expected):
-        if isinstance(want, type):
-            assert isinstance(got, want)
-        else:
-            assert got.performance == want
-    assert [type(a) for a in again] == [type(o) for o in outcomes]
-    stats = shared.cache.stats()
-    assert stats["hits"] > 0
-    assert stats["hits"] + stats["misses"] == 2 * len(candidates)
-
-
-@pytest.mark.parametrize("workers", [4])
-def test_evaluation_cache_counters_exact_under_contention(zoo_model,
-                                                          workers):
-    """hits + misses must equal total lookups even when hammered —
-    the locked read-modify-write cannot tear."""
-    from repro.dse.evaluator import CachedEvaluator, EvaluationCache
-    from repro.hw.mapping import default_mapping
-
-    model = zoo_model("tc1")
-    mapping = default_mapping(model.network)
-    cache = EvaluationCache()
-    per_thread = 25
-
-    def work(i):
-        evaluator = CachedEvaluator(model, cache=cache)
-        for _ in range(per_thread):
-            evaluator.evaluate(mapping)
-
-    _run_threads(workers, work)
-    stats = cache.stats()
-    assert stats["hits"] + stats["misses"] == workers * per_thread
-    assert stats["misses"] >= 1  # at least the first compile

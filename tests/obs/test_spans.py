@@ -161,7 +161,7 @@ class TestThreads:
                     pass
 
             # threads start with an empty context: propagate the
-            # recorder the same way ParallelEvaluator does
+            # recorder by running the worker in a copy of this one
             ctx = contextvars.copy_context()
             t = threading.Thread(target=ctx.run, args=(work,),
                                  name="obs-test-worker")

@@ -40,7 +40,7 @@ class TestOps:
         assert result.cycles is None and result.cache_hits is None
 
     def test_dse_reports_cycles_and_hits(self):
-        result = bench_dse("tc1", jobs=2, reps=1)
+        result = bench_dse("tc1", reps=1)
         assert (result.op, result.model) == ("dse", "tc1")
         assert result.cycles > 0
         assert result.cache_hits > 0  # the warm rerun hits the cache
@@ -83,16 +83,6 @@ class TestOps:
         assert result.speedup_vs_baseline >= 2.0
         assert result.cycles is None and result.cache_hits is None
 
-    def test_tsan_overhead_reports_ratio(self):
-        from repro.perf.bench import bench_tsan_overhead
-
-        result = bench_tsan_overhead("locks", iters=200, reps=3)
-        assert (result.op, result.model) == ("tsan-overhead", "locks")
-        assert result.wall_s > 0
-        # instrumented/plain acquire ratio: positive by nature
-        assert result.speedup_vs_baseline > 0
-        assert result.cycles is None and result.cache_hits is None
-
 
 def test_suites_are_subset():
     quick = {(op, model) for op, model, _ in QUICK_SUITE}
@@ -100,7 +90,7 @@ def test_suites_are_subset():
     assert quick <= full
     assert {op for op, _ in full} == \
         {"engine", "engine-steady", "dse", "sim", "serve",
-         "obs-overhead", "tsan-overhead"}
+         "obs-overhead"}
     # the serving path rides the CI regression gate
     assert ("serve", "tc1") in quick
     # the steady-state rows are part of the CI regression gate
@@ -122,21 +112,20 @@ def test_run_bench_quick(monkeypatch):
         return run
 
     for op in ("engine", "engine-steady", "dse", "sim", "serve",
-               "obs-overhead", "tsan-overhead"):
+               "obs-overhead"):
         monkeypatch.setitem(bench_mod._OPS, op, fake(op))
-    results = run_bench(quick=True, jobs=3)
+    results = run_bench(quick=True)
     assert [(r.op, r.model) for r in results] == \
         [(op, model) for op, model, _ in QUICK_SUITE]
-    # --jobs reaches every dse row
-    assert all(kwargs["jobs"] == 3 for op, _, kwargs in calls
-               if op == "dse")
+    # each row runs with exactly its suite kwargs
+    assert calls == list(QUICK_SUITE)
 
 
 def test_run_bench_op_filter(monkeypatch):
     import repro.perf.bench as bench_mod
 
     for op in ("engine", "engine-steady", "dse", "sim", "serve",
-               "obs-overhead", "tsan-overhead"):
+               "obs-overhead"):
         monkeypatch.setitem(
             bench_mod._OPS, op,
             lambda model, _op=op, **kw: _result(op=_op, model=model))
@@ -266,15 +255,6 @@ class TestCompare:
         # when a (better) baseline row exists
         base = [_result(op="obs-overhead", model="lenet", speedup=1.00)]
         assert compare_benchmarks(ok, base) == []
-
-    def test_tsan_overhead_never_gated(self):
-        # informational row: neither the relative-decay rule nor any
-        # absolute budget applies, however bad the ratio looks
-        slow = [_result(op="tsan-overhead", model="locks",
-                        speedup=50.0)]
-        assert compare_benchmarks(slow, []) == []
-        base = [_result(op="tsan-overhead", model="locks", speedup=1.5)]
-        assert compare_benchmarks(slow, base) == []
 
     def test_improvements_pass(self):
         base = [_result(op="sim", cycles=100),
