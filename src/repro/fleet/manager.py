@@ -51,6 +51,7 @@ from repro.errors import (
 from repro.frontend.condor_format import model_from_json
 from repro.nn.engine import ReferenceEngine
 from repro.obs import REGISTRY
+from repro.obs.metrics import ledger_source
 from repro.resilience.boundary import breaker_for
 from repro.resilience.breaker import HALF_OPEN, OPEN
 from repro.resilience.clock import DEFAULT_CLOCK, VirtualClock
@@ -93,6 +94,15 @@ _RELOADS = REGISTRY.counter(
 _HEALTHY_SLOTS = REGISTRY.gauge(
     "condor_fleet_healthy_slots_count",
     "Slots currently not quarantined (the most recently built fleet)")
+#: Each counter's action in the ledger, and its label name.
+_LEDGER_METRICS = (
+    (_SUBMISSIONS, "submission", "status"),
+    (_FAILOVERS, "failover", "reason"),
+    (_WATCHDOG_TRIPS, "watchdog_trip"),
+    (_SCRUB_CATCHES, "scrub_catch", "check"),
+    (_QUARANTINES, "quarantine", "slot"),
+    (_RELOADS, "reload"),
+)
 
 #: Failure types that trigger failover (everything else propagates —
 #: a shape error is the caller's bug, not slot weather).
@@ -174,8 +184,7 @@ class FleetManager:
             .reshape(1, self._out_size)
 
         #: Guards the round-robin cursor, slot busy flags and counters,
-        #: and the action tally.  Never held across device work or
-        #: metric increments.
+        #: and the action ledger.  Never held across device work.
         self._lock = new_lock("fleet.manager.FleetManager")
         #: Pulsed (outside the lock) whenever a slot goes idle or joins
         #: the rotation, so ``submit(..., wait=True)`` callers blocked
@@ -183,7 +192,11 @@ class FleetManager:
         #: so a missed pulse costs latency, never liveness.
         self._slot_freed = threading.Event()
         self._cursor = 0
-        self._actions: Counter[str] = Counter()
+        #: ``(action, label)`` counts, e.g. ``("failover", "DeviceLostError")``
+        self._actions: Counter[tuple[str, str]] = Counter()
+        for metric, action, *label in _LEDGER_METRICS:
+            metric.add_source(
+                ledger_source(self._actions, self._lock, action, *label))
         self.slots: list[ManagedSlot] = []
         for j, instance in enumerate(self.instances):
             for slot in instance.slots:
@@ -236,10 +249,9 @@ class FleetManager:
         """Re-load the AFI and rewrite golden weights on a held slot."""
         managed.instance.load_afi(managed.slot.index, self.agfi_id)
         managed.queue.enqueue_write_buffer(managed.w_buf, self._packed)
-        _RELOADS.inc()
         with self._lock:
             managed.reloads += 1
-            self._actions["reload"] += 1
+            self._actions["reload", ""] += 1
         _log.info("slot %s: AFI re-loaded, weights rewritten",
                   managed.label)
 
@@ -290,20 +302,19 @@ class FleetManager:
                 last_error = exc
                 failures += 1
                 self._record_failure(managed, exc)
-                _FAILOVERS.inc(reason=type(exc).__name__)
                 with self._lock:
-                    self._actions["failover"] += 1
+                    self._actions["failover", type(exc).__name__] += 1
                 continue
             finally:
                 self._release(managed)
             managed.breaker.record_success()
-            _SUBMISSIONS.inc(status="ok")
             with self._lock:
-                self._actions["submission"] += 1
+                self._actions["submission", "ok"] += 1
             return Submission(outputs=outputs,
                               device_seconds=device_seconds,
                               slot=managed.label, attempts=attempts)
-        _SUBMISSIONS.inc(status="failed")
+        with self._lock:
+            self._actions["submission", "failed"] += 1
         detail = f" (last error: {last_error})" if last_error else ""
         raise FleetError(
             f"submission failed after {failures} attempt(s);"
@@ -359,7 +370,6 @@ class FleetManager:
         managed.breaker.record_failure()
         quarantined = managed.breaker.opened_count > opened_before
         if quarantined:
-            _QUARANTINES.inc(slot=managed.label)
             _log.warning("slot %s quarantined: %s", managed.label, exc)
         else:
             _log.info("slot %s failure (%s): %s", managed.label,
@@ -367,7 +377,7 @@ class FleetManager:
         with self._lock:
             managed.failures += 1
             if quarantined:
-                self._actions["quarantine"] += 1
+                self._actions["quarantine", managed.label] += 1
 
     # -- recovery -----------------------------------------------------------
 
@@ -390,7 +400,7 @@ class FleetManager:
         """Half-open recovery probe: re-load, rewrite, verify golden."""
         managed.breaker.allow()  # materialize the half-open probe
         with self._lock:
-            self._actions["recovery"] += 1
+            self._actions["recovery", ""] += 1
         try:
             self._repair(managed)
             self._probe(managed)
@@ -424,9 +434,8 @@ class FleetManager:
         event = managed.queue.enqueue_task(managed.kernel)
         elapsed = (self.clock.now - start) + event.device_seconds
         if elapsed > self.config.watchdog_s:
-            _WATCHDOG_TRIPS.inc()
             with self._lock:
-                self._actions["watchdog_trip"] += 1
+                self._actions["watchdog_trip", ""] += 1
             raise WatchdogTimeoutError(
                 f"slot {managed.label}: invocation took {elapsed:.1f}s"
                 f" (virtual), watchdog deadline is"
@@ -459,9 +468,8 @@ class FleetManager:
         digest = hashlib.sha256(
             managed.w_buf.data[:self._packed.size].tobytes()).hexdigest()
         if digest != self._golden_digest:
-            _SCRUB_CATCHES.inc(check="digest")
             with self._lock:
-                self._actions["scrub_catch"] += 1
+                self._actions["scrub_catch", "digest"] += 1
             self._repair(managed)
             raise ScrubMismatchError(
                 f"slot {managed.label}: weight buffer digest mismatch"
@@ -469,9 +477,8 @@ class FleetManager:
         golden = self.golden.forward_batch(batch) \
             .reshape(outputs.shape)
         if not np.array_equal(golden, outputs):
-            _SCRUB_CATCHES.inc(check="golden")
             with self._lock:
-                self._actions["scrub_catch"] += 1
+                self._actions["scrub_catch", "golden"] += 1
             self._repair(managed)
             raise ScrubMismatchError(
                 f"slot {managed.label}: outputs diverge from the golden"
@@ -546,13 +553,18 @@ class FleetManager:
     def stats(self) -> dict:
         """Deterministic snapshot for reports and manifests."""
         with self._lock:
-            actions = dict(sorted(self._actions.items()))
+            ledger = dict(self._actions)
             snapshot = list(self.slots)
             instances = len(self.instances)
+        actions: Counter[str] = Counter()
+        for (action, label), count in ledger.items():
+            # a failed submission is a registry series, not an action
+            if (action, label) != ("submission", "failed"):
+                actions[action] += count
         return {
             "instances": instances,
             "slots": {s.label: s.snapshot() for s in snapshot},
-            "actions": actions,
+            "actions": dict(sorted(actions.items())),
             "healthy_slots": sum(
                 1 for s in snapshot
                 if s.breaker.state != OPEN and not s.draining),

@@ -35,7 +35,8 @@ stride-trick kernel unchanged.
 per-layer weight version, layer config, input shape, dtype).  Mutating a
 layer's blobs through :meth:`~repro.frontend.weights.WeightStore.set`
 bumps its version, so stale plans can never be replayed; they age out of
-the LRU.
+the LRU.  The ``condor_plan_cache_*`` series read its counts at collect
+time.
 
 Plans are safe to replay from multiple threads at once: the compiled
 geometry (index maps, packed weights, bias columns) is immutable and
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable
 
@@ -520,6 +522,8 @@ class PlanCache:
         self._stats = {"hits": 0, "misses": 0, "compiles": 0,
                        "evictions": 0, "invalidations": 0}
         self._compile_seconds = 0.0
+        with _CACHES_LOCK:
+            _CACHES.append((self._stats, self._lock, weakref.ref(self)))
 
     @staticmethod
     def _key(layer: Layer, in_shape: tuple[int, ...],
@@ -533,7 +537,6 @@ class PlanCache:
         and reports one forward pass's memo hits in a single call)."""
         with self._lock:
             self._stats["hits"] += count
-        PLAN_HITS.inc(count)
 
     def lookup(self, layer: Layer, in_shape: tuple[int, ...],
                store: "WeightStore",
@@ -547,10 +550,8 @@ class PlanCache:
             if plan is not None:
                 self._plans.move_to_end(key)
                 self._stats["hits"] += 1
-                PLAN_HITS.inc()
                 return plan
             self._stats["misses"] += 1
-            PLAN_MISSES.inc()
         start = time.perf_counter()
         plan = compile_plan(layer, in_shape, store, dtype)
         elapsed = time.perf_counter() - start
@@ -559,12 +560,9 @@ class PlanCache:
             self._compile_seconds += elapsed
             if key not in self._plans:
                 self._plans[key] = plan
-                PLAN_ENTRIES.inc()
             while len(self._plans) > self.capacity:
                 self._plans.popitem(last=False)
                 self._stats["evictions"] += 1
-                PLAN_EVICTIONS.inc()
-                PLAN_ENTRIES.dec()
         return plan
 
     def invalidate(self, store: "WeightStore | None" = None,
@@ -579,11 +577,7 @@ class PlanCache:
             ]
             for key in doomed:
                 del self._plans[key]
-        if doomed:
-            PLAN_INVALIDATIONS.inc(len(doomed))
-            PLAN_ENTRIES.dec(len(doomed))
-            with self._lock:
-                self._stats["invalidations"] += len(doomed)
+            self._stats["invalidations"] += len(doomed)
         return len(doomed)
 
     def clear(self) -> None:
@@ -603,8 +597,36 @@ class PlanCache:
         return out
 
 
+#: ``(_stats, _lock, weakref)`` of every cache ever built: the counters
+#: sum all stats (staying monotonic), the entries gauge live sizes.  The
+#: (reentrant) lock also serializes creating the default cache.
+_CACHES: list[tuple[dict, object, weakref.ref]] = []
+_CACHES_LOCK = new_rlock("nn.plan.caches")
+
+
+def _caches() -> list[tuple[dict, object, weakref.ref]]:
+    with _CACHES_LOCK:
+        return list(_CACHES)
+
+
+def _stat_source(stat: str):
+    def read() -> dict:
+        total = 0
+        for stats, lock, _ in _caches():
+            with lock:
+                total += stats[stat]
+        return {(): total}
+    return read
+
+
+PLAN_HITS.add_source(_stat_source("hits"))
+PLAN_MISSES.add_source(_stat_source("misses"))
+PLAN_EVICTIONS.add_source(_stat_source("evictions"))
+PLAN_INVALIDATIONS.add_source(_stat_source("invalidations"))
+PLAN_ENTRIES.set_function(lambda: sum(
+    len(cache) for *_, ref in _caches() if (cache := ref()) is not None))
+
 _DEFAULT_CACHE: PlanCache | None = None
-_DEFAULT_LOCK = new_lock("nn.plan.default-cache")
 
 
 def default_plan_cache() -> PlanCache:
@@ -620,7 +642,7 @@ def default_plan_cache() -> PlanCache:
     cache = _DEFAULT_CACHE
     if cache is not None:
         return cache
-    with _DEFAULT_LOCK:
+    with _CACHES_LOCK:
         if _DEFAULT_CACHE is None:
             _DEFAULT_CACHE = PlanCache()
         return _DEFAULT_CACHE

@@ -12,13 +12,10 @@ Labels are passed as keyword arguments at update time::
         "condor_cloud_api_calls_total", "AWS API calls issued by the flow")
     CLOUD_CALLS.inc(verb="create-fpga-image")
 
-:class:`Summary` also takes a whole batch at once
-(``observe_many``): one kill-switch read, one label key and one lock
-per call, however many values it carries.  A :class:`Gauge` series may
-be *collect-time* (``set_function``): instead of being pushed on every
-change, its value is read from a callable whenever the gauge is read or
-exported, so a hot path that only changes the underlying state makes no
-metric update at all.
+A subsystem that counts its own events lets the registry read those
+counts at collect time instead of pushing each event twice: counters
+and summaries take *sources* (``add_source``), gauges take functions
+(``set_function``), so the hot path makes no metric update at all.
 
 :class:`Summary` and :class:`Histogram` additionally stream every
 observation through a :class:`~repro.obs.quantiles.QuantileSketch`, so
@@ -30,6 +27,8 @@ trace.
 
 The default :data:`REGISTRY` honours the ``REPRO_NO_OBS=1`` kill switch
 (updates become no-ops); explicitly constructed registries do not.
+Reads are never gated, so a collect-time series keeps reporting its
+owner's counts while the switch is on.
 
 Everything is in-process and thread-safe; there is deliberately no
 dependency on ``prometheus_client`` — the exposition format is simple
@@ -39,9 +38,10 @@ enough to emit directly, and the registry stays importable everywhere.
 from __future__ import annotations
 
 import bisect
+import copy
 import math
 import time
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.obs.quantiles import (
     DEFAULT_QUANTILES,
@@ -58,6 +58,7 @@ __all__ = [
     "Summary",
     "MetricsRegistry",
     "REGISTRY",
+    "ledger_source",
 ]
 
 #: Default histogram buckets (seconds-flavoured, like Prometheus').
@@ -143,14 +144,16 @@ class _Metric:
 
 
 class Counter(_Metric):
-    """Monotonically increasing value."""
+    """Monotonically increasing value: pushed increments plus sources."""
 
     kind = "counter"
+    #: sources are wiring, not samples: ``clear_values`` keeps them
     _store_attrs = ("_values",)
 
     def __init__(self, name: str, help: str = ""):
         super().__init__(name, help)
         self._values: dict[_LabelKey, float] = {}
+        self._sources: list[Callable[[], Mapping[tuple, Any]]] = []
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         if amount < 0:
@@ -162,19 +165,40 @@ class Counter(_Metric):
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
-    def value(self, **labels: Any) -> float:
+    def add_source(self, fn: Callable[[], Mapping[tuple, Any]]) -> None:
+        """Add ``fn()``, ``{label pairs: value}``, to every read.
+
+        ``fn`` runs outside this metric's lock, so it may take its
+        owner's lock (but must not read this metric).  It should hold
+        the owner's ledger, not the owner, so a collected owner's counts
+        stay in the totals and they stay monotonic.  Registering is not
+        an update: the kill switch does not gate it.
+        """
         with self._lock:
-            return self._values.get(_label_key(labels), 0.0)
+            self._sources.append(fn)
+
+    def _sourced(self) -> Iterator[tuple[_LabelKey, Any]]:
+        with self._lock:
+            sources = list(self._sources)
+        for fn in sources:
+            for labels, value in fn().items():
+                yield _label_key(dict(labels)), value
+
+    def value(self, **labels: Any) -> float:
+        return self._series().get(_label_key(labels), 0.0)
 
     def total(self) -> float:
         """Sum over every label combination."""
-        with self._lock:
-            return sum(self._values.values())
+        return sum(self._series().values())
 
     def _series(self) -> dict[_LabelKey, float]:
-        """A copy of every series' value, taken under this metric's lock."""
+        """Pushed values plus the sources' nonzero counts."""
         with self._lock:
-            return dict(self._values)
+            series = dict(self._values)
+        for key, count in self._sourced():
+            if count:
+                series[key] = series.get(key, 0.0) + count
+        return series
 
     def scalar_samples(self) -> dict[str, float]:
         return {self.name: sum(self._series().values())}
@@ -191,6 +215,18 @@ class Counter(_Metric):
         return {"type": self.kind, "help": self.help,
                 "values": [{"labels": dict(k), "value": v}
                            for k, v in sorted(self._series().items())]}
+
+
+def ledger_source(ledger: Mapping[tuple, float], lock, kind: str,
+                  *labels: str) -> Callable[[], dict[tuple, float]]:
+    """A :meth:`Counter.add_source` over the ``kind`` entries of a
+    ledger ``{(kind, *label values): count}`` guarded by ``lock``."""
+    def read() -> dict[tuple, float]:
+        with lock:
+            entries = [(key[1:], n) for key, n in ledger.items()
+                       if key[0] == kind]
+        return {tuple(zip(labels, values)): n for values, n in entries}
+    return read
 
 
 class Gauge(_Metric):
@@ -412,6 +448,7 @@ class Summary(_Metric):
         self._sketch_k = int(sketch_k)
         self._sketches: dict[_LabelKey, QuantileSketch] = {}
         self._exemplars: dict[_LabelKey, dict[str, Any]] = {}
+        self._sources: list[Callable[[], Mapping[tuple, Any]]] = []
 
     def observe(self, value: float, **labels: Any) -> None:
         if self._off():
@@ -432,83 +469,69 @@ class Summary(_Metric):
                 if ex is not None:
                     self._exemplars[key] = ex
 
-    def observe_many(self, values: Iterable[float], **labels: Any) -> None:
-        """``observe`` every value of ``values`` under one label set.
+    #: sources return ``{label pairs: sketch copy}`` (no exemplars)
+    add_source = Counter.add_source
+    _sourced = Counter._sourced
 
-        Leaves the same count, sum, quantiles and exemplar value as the
-        equivalent ``observe`` loop (NaNs dropped, the exemplar taken for
-        the largest value) for one kill-switch read, one label key and
-        one lock acquisition.
-        """
-        if self._off():
-            return
-        batch = [v for v in map(float, values) if not math.isnan(v)]
-        if not batch:
-            return
-        top = max(batch)
-        key = _label_key(labels)
+    def _collect(self) -> dict[_LabelKey, QuantileSketch]:
+        """Pushed sketches copied under the lock, sources merged in."""
         with self._lock:
-            sketch = self._sketches.get(key)
-            if sketch is None:
-                sketch = self._sketches[key] = \
-                    QuantileSketch(self._sketch_k)
-            for value in batch:
-                sketch.observe(value)
-            prev = self._exemplars.get(key)
-            if prev is None or top >= prev["value"]:
-                ex = _exemplar(top)
-                if ex is not None:
-                    self._exemplars[key] = ex
+            sketches = copy.deepcopy(self._sketches)
+        for key, sketch in self._sourced():
+            if key in sketches:
+                sketches[key].merge(sketch)
+            elif sketch.count:
+                sketches[key] = sketch
+        return sketches
+
+    def _sketch(self, labels: dict[str, Any]) -> QuantileSketch:
+        """One label set's sketch (empty before any observation)."""
+        return self._collect().get(_label_key(labels)) or \
+            QuantileSketch(self._sketch_k)
 
     def count(self, **labels: Any) -> int:
-        with self._lock:
-            sketch = self._sketches.get(_label_key(labels))
-            return sketch.count if sketch else 0
+        return self._sketch(labels).count
 
     def sum(self, **labels: Any) -> float:
-        with self._lock:
-            sketch = self._sketches.get(_label_key(labels))
-            return sketch.sum if sketch else 0.0
+        return self._sketch(labels).sum
 
     def quantile(self, q: float, **labels: Any) -> float | None:
-        with self._lock:
-            sketch = self._sketches.get(_label_key(labels))
-            return None if sketch is None else sketch.quantile(q)
+        return self._sketch(labels).quantile(q)
 
     def scalar_samples(self) -> dict[str, float]:
-        with self._lock:
-            sketches = self._sketches.values()
-            return {
-                f"{self.name}_count": float(
-                    sum(s.count for s in sketches)),
-                f"{self.name}_sum": sum(s.sum for s in sketches),
-            }
+        sketches = self._collect().values()
+        return {
+            f"{self.name}_count": float(sum(s.count for s in sketches)),
+            f"{self.name}_sum": sum(s.sum for s in sketches),
+        }
 
     def expose(self) -> list[str]:
         lines = self.header()
-        with self._lock:
-            for key in sorted(self._sketches):
-                sketch = self._sketches[key]
-                estimates = sketch.quantiles(self.quantiles)
-                for q in self.quantiles:
-                    ql = (("quantile", _fmt(q)),)
-                    lines.append(f"{self.name}{_render_labels(key, ql)}"
-                                 f" {_fmt(estimates[q])}")
-                lines.append(f"{self.name}_sum{_render_labels(key)}"
-                             f" {_fmt(sketch.sum)}")
-                lines.append(f"{self.name}_count{_render_labels(key)}"
-                             f" {sketch.count}")
+        sketches = self._collect()
+        for key in sorted(sketches):
+            sketch = sketches[key]
+            estimates = sketch.quantiles(self.quantiles)
+            for q in self.quantiles:
+                ql = (("quantile", _fmt(q)),)
+                lines.append(f"{self.name}{_render_labels(key, ql)}"
+                             f" {_fmt(estimates[q])}")
+            lines.append(f"{self.name}_sum{_render_labels(key)}"
+                         f" {_fmt(sketch.sum)}")
+            lines.append(f"{self.name}_count{_render_labels(key)}"
+                         f" {sketch.count}")
         return lines
 
     def snapshot(self) -> dict[str, Any]:
-        values = []
+        sketches = self._collect()
         with self._lock:
-            for k in sorted(self._sketches):
-                entry: dict[str, Any] = {"labels": dict(k)}
-                entry.update(self._sketches[k].snapshot(self.quantiles))
-                if k in self._exemplars:
-                    entry["exemplar"] = dict(self._exemplars[k])
-                values.append(entry)
+            exemplars = dict(self._exemplars)
+        values = []
+        for k in sorted(sketches):
+            entry: dict[str, Any] = {"labels": dict(k)}
+            entry.update(sketches[k].snapshot(self.quantiles))
+            if k in exemplars:
+                entry["exemplar"] = dict(exemplars[k])
+            values.append(entry)
         return {"type": self.kind, "help": self.help,
                 "quantiles": list(self.quantiles), "values": values}
 

@@ -147,7 +147,7 @@ def _arrivals(spec: LoadSpec, start_s: float, rng) \
 
 def run_load(server, spec: LoadSpec, *, autoscaler=None,
              keep_requests: bool = False) -> LoadReport:
-    """Drive ``server`` through ``spec`` on its virtual clock."""
+    """Drive a fresh ``server`` through ``spec`` on its virtual clock."""
     clock = server.clock
     start = clock.now
     rng = np.random.default_rng(spec.seed)
@@ -158,9 +158,7 @@ def run_load(server, spec: LoadSpec, *, autoscaler=None,
     interval = autoscaler.config.interval_s if autoscaler else None
     next_tick = start + interval if interval is not None else None
     requests = []
-    shed: dict[str, int] = {}
-    tenants = {t.name: {"offered": 0, "completed": 0, "shed": 0}
-               for t in spec.tenants}
+    offered = dict.fromkeys((t.name for t in spec.tenants), 0)
 
     def fire_until(limit: float) -> None:
         """Run every deadline/tick event at or before ``limit``."""
@@ -187,12 +185,11 @@ def run_load(server, spec: LoadSpec, *, autoscaler=None,
         fire_until(when)
         if when > clock.now:
             clock.sleep(when - clock.now)
-        tenants[tenant]["offered"] += 1
+        offered[tenant] += 1
         try:
             requests.append(server.submit(tenant, pool[index], now=when))
-        except ShedError as exc:
-            shed[exc.reason] = shed.get(exc.reason, 0) + 1
-            tenants[tenant]["shed"] += 1
+        except ShedError:
+            pass  # the server counts it
     # Tail: the last partial batches flush at their SLO deadlines.
     while True:
         deadline = server.batcher.next_deadline()
@@ -200,8 +197,6 @@ def run_load(server, spec: LoadSpec, *, autoscaler=None,
             break
         fire_until(deadline)
     completed = [r for r in requests if r.ok]
-    for request in completed:
-        tenants[request.tenant]["completed"] += 1
     last = max((r.completion_s for r in completed), default=clock.now)
     if last > clock.now:
         clock.sleep(last - clock.now)
@@ -216,13 +211,18 @@ def run_load(server, spec: LoadSpec, *, autoscaler=None,
         "max_s": sketch.max,
     }
     stats = server.stats()
+    served = stats["tenants"]
+    tenants = {name: {"offered": count,
+                      "completed": served[name]["completed"],
+                      "shed": served[name]["shed"]}
+               for name, count in offered.items()}
     report = LoadReport(
         model=server.fleet.net.name,
         server=server.config.name,
         offered=len(schedule),
         completed=len(completed),
         failed=stats["failed"],
-        shed=dict(sorted(shed.items())),
+        shed=stats["shed"],
         duration_s=spec.duration_s,
         makespan_s=makespan,
         throughput_rps=len(completed) / makespan if makespan else 0.0,

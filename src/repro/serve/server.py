@@ -13,10 +13,10 @@ Time is entirely virtual.  The server models its fleet as a set of
 starts on the earliest-free lane at ``max(now, lane_free)`` and
 completes ``device_seconds`` (the fleet receipt's modeled execution
 time) later.  Request latency is completion minus arrival — queueing
-delay, batching delay and device time all included — and feeds both the
-``condor_serve_latency_seconds`` summary in the metrics registry (the
-autoscaler's p99 signal) and a local
-:class:`~repro.obs.QuantileSketch` for load reports.
+delay, batching delay and device time all included — and feeds the
+server's :class:`~repro.obs.QuantileSketch`.  That sketch and one ledger
+of counts feed ``stats()`` and, at collect time, the ``condor_serve_*``
+registry series (the autoscaler's signals).
 
 The server owns no thread: callers drive it (``submit`` on arrivals,
 ``pump`` at batcher deadlines, ``drain`` at shutdown), which keeps
@@ -27,6 +27,7 @@ every flush decision deterministic under the
 from __future__ import annotations
 
 import collections
+import copy
 import itertools
 import weakref
 from dataclasses import dataclass
@@ -35,6 +36,7 @@ import numpy as np
 
 from repro.errors import FleetError, ServeError, ShedError
 from repro.obs import REGISTRY, QuantileSketch
+from repro.obs.metrics import ledger_source
 from repro.util.logging import get_logger
 from repro.util.sync import new_lock
 
@@ -73,6 +75,15 @@ _SLOTS = REGISTRY.gauge(
     "Fleet slots (serving lanes) attached to the server")
 
 
+def _tally(ledger: dict, kind: str, field: int) -> dict:
+    """The ``kind`` entries of a ledger, summed per ``key[field]``."""
+    out: dict = {}
+    for key, count in ledger.items():
+        if key[0] == kind:
+            out[key[field]] = out.get(key[field], 0) + count
+    return dict(sorted(out.items()))
+
+
 @dataclass(frozen=True)
 class ServeConfig:
     """Serving policy knobs (all times in virtual seconds)."""
@@ -105,25 +116,38 @@ class InferenceServer:
         self.admission = AdmissionController(
             tenants, max_queue_depth=self.config.max_queue_depth,
             start_s=self.clock.now)
-        #: Guards the lane model, tallies and the latency sketch.
-        #: Never held across fleet submissions or metric updates.
+        #: Guards the lane model, the ledger and the latency sketch.
+        #: Never held across fleet submissions.
         self._lock = new_lock("serve.server.InferenceServer")
         self._lanes: list[float] = [self.clock.now] * len(fleet.slots)
         self._ids = itertools.count(0)
-        self._completed = 0
-        self._failed = 0
-        self._shed: dict[str, int] = {}
-        self._batch_sizes: dict[int, int] = {}
-        self._triggers: dict[str, int] = {}
-        self._padded = 0
+        #: ``("done", tenant, ok|failed)``, ``("shed", tenant, reason)``,
+        #: ``("batch", trigger, bucket)``, ``("padded",)`` counts
+        self._ledger: collections.Counter[tuple] = collections.Counter()
         self.latency_sketch = QuantileSketch()
-        _SLOTS.set(len(fleet.slots), server=self.config.name)
-        # read at collect time: the request path makes no gauge update,
-        # and the registry holds the batcher only weakly
-        batcher = weakref.ref(self.batcher)
+        # read at collect time; the server itself is held only weakly
+        name = self.config.name
+        ledger, lock, sketch = self._ledger, self._lock, \
+            self.latency_sketch
+        _REQUESTS.add_source(
+            ledger_source(ledger, lock, "done", "tenant", "status"))
+        _SHED.add_source(
+            ledger_source(ledger, lock, "shed", "tenant", "reason"))
+        _BATCHES.add_source(
+            ledger_source(ledger, lock, "batch", "trigger", "size"))
+        _PADDED.add_source(ledger_source(ledger, lock, "padded"))
+
+        def latency() -> dict:
+            with lock:
+                return {(("server", name),): copy.deepcopy(sketch)}
+        _LATENCY.add_source(latency)
+        server = weakref.ref(self)
         _QUEUE_DEPTH.set_function(
-            lambda: None if (b := batcher()) is None else b.depth,
-            server=self.config.name)
+            lambda: None if (s := server()) is None else s.batcher.depth,
+            server=name)
+        _SLOTS.set_function(
+            lambda: None if (s := server()) is None else s.stats()["lanes"],
+            server=name)
 
     # -- the request path ---------------------------------------------------
 
@@ -132,7 +156,7 @@ class InferenceServer:
         """Admit one request at virtual time ``now``.
 
         Sheds with :class:`~repro.errors.ShedError` (also counted in
-        ``condor_serve_shed_total``).  An admitted request that fills
+        the ledger, by tenant and reason).  An admitted request that fills
         the largest bucket executes its batch before returning; check
         ``request.ok`` / ``request.completion_s`` for the outcome.
         """
@@ -141,9 +165,7 @@ class InferenceServer:
             self.admission.admit(tenant, now, self.batcher.depth)
         except ShedError as exc:
             with self._lock:
-                self._shed[exc.reason] = \
-                    self._shed.get(exc.reason, 0) + 1
-            _SHED.inc(tenant=tenant, reason=exc.reason)
+                self._ledger["shed", tenant, exc.reason] += 1
             raise
         request = ServeRequest(
             tenant=tenant,
@@ -186,10 +208,10 @@ class InferenceServer:
             receipt = self.fleet.submit(batch, wait=True)
         except FleetError as exc:
             with self._lock:
-                self._failed += len(requests)
+                for request in requests:
+                    self._ledger["done", request.tenant, "failed"] += 1
             for request in requests:
                 request.error = str(exc)
-                _REQUESTS.inc(tenant=request.tenant, status="failed")
             _log.warning("flush of %d request(s) failed: %s",
                          len(requests), exc)
             return
@@ -199,29 +221,19 @@ class InferenceServer:
             start = max(now, self._lanes[lane])
             completion = start + receipt.device_seconds
             self._lanes[lane] = completion
-            self._completed += len(requests)
-            self._padded += flush.padding
-            self._batch_sizes[flush.bucket] = \
-                self._batch_sizes.get(flush.bucket, 0) + 1
-            self._triggers[flush.trigger] = \
-                self._triggers.get(flush.trigger, 0) + 1
-            latencies = [completion - r.arrival_s for r in requests]
-            for latency in latencies:
-                self.latency_sketch.observe(latency)
+            ledger = self._ledger
+            for request in requests:
+                ledger["done", request.tenant, "ok"] += 1
+                self.latency_sketch.observe(completion - request.arrival_s)
+            ledger["batch", flush.trigger, flush.bucket] += 1
+            if flush.padding:
+                ledger[("padded",)] += flush.padding
         for index, request in enumerate(requests):
             request.output = receipt.outputs[index]
             request.completion_s = completion
             request.bucket = flush.bucket
             request.trigger = flush.trigger
             request.extra["slot"] = receipt.slot
-        _LATENCY.observe_many(latencies, server=self.config.name)
-        # one counter update per tenant per flush, not per request
-        per_tenant = collections.Counter(r.tenant for r in requests)
-        for tenant, count in per_tenant.items():
-            _REQUESTS.inc(count, tenant=tenant, status="ok")
-        _BATCHES.inc(trigger=flush.trigger, size=str(flush.bucket))
-        if flush.padding:
-            _PADDED.inc(flush.padding)
 
     # -- autoscaler plumbing ------------------------------------------------
 
@@ -234,7 +246,6 @@ class InferenceServer:
                 self._lanes.append(now)
             if len(self._lanes) > current:
                 del self._lanes[current:]
-        _SLOTS.set(current, server=self.config.name)
         return current
 
     def backlog_s(self, now: float | None = None) -> float:
@@ -251,16 +262,25 @@ class InferenceServer:
         """Deterministic snapshot for reports and manifests."""
         depth = self.batcher.depth
         with self._lock:
-            return {
-                "server": self.config.name,
-                "completed": self._completed,
-                "failed": self._failed,
-                "shed": dict(sorted(self._shed.items())),
-                "batches": dict(sorted(self._batch_sizes.items())),
-                "triggers": dict(sorted(self._triggers.items())),
-                "padded_samples": self._padded,
-                "queue_depth": depth,
-                "lanes": len(self._lanes),
-                "buckets": list(self.batcher.buckets),
-                "slo_s": self.config.slo_s,
-            }
+            ledger = dict(self._ledger)
+            lanes = len(self._lanes)
+        status = _tally(ledger, "done", 2)
+        shed = _tally(ledger, "shed", 1)
+        tenants = {t: {"completed": ledger.get(("done", t, "ok"), 0),
+                       "failed": ledger.get(("done", t, "failed"), 0),
+                       "shed": shed.get(t, 0)}
+                   for t in self.admission.tenants}
+        return {
+            "server": self.config.name,
+            "completed": status.get("ok", 0),
+            "failed": status.get("failed", 0),
+            "shed": _tally(ledger, "shed", 2),
+            "batches": _tally(ledger, "batch", 2),
+            "triggers": _tally(ledger, "batch", 1),
+            "padded_samples": ledger.get(("padded",), 0),
+            "tenants": tenants,
+            "queue_depth": depth,
+            "lanes": lanes,
+            "buckets": list(self.batcher.buckets),
+            "slo_s": self.config.slo_s,
+        }

@@ -44,23 +44,37 @@ def _conv_setup(hw=6):
 
 
 def test_plan_cache_edge_observed_and_static(static_edges, monkeypatch):
+    # the cache's counts are read by the registry at collect time, so
+    # no metric lock is ever taken under the cache lock; the exports
+    # take the cache lock only after releasing the metric's
     from repro.nn import plan as plan_mod
 
     state = SanitizerState()
+    monkeypatch.setattr(plan_mod, "new_rlock",
+                        lambda name: InstrumentedRLock(name, state))
     cache = plan_mod.PlanCache(capacity=2)
-    cache._lock = InstrumentedRLock("nn.plan.PlanCache", state)
     for metric in (plan_mod.PLAN_HITS, plan_mod.PLAN_MISSES,
-                   plan_mod.PLAN_ENTRIES, plan_mod.PLAN_EVICTIONS):
+                   plan_mod.PLAN_ENTRIES, plan_mod.PLAN_EVICTIONS,
+                   plan_mod.PLAN_INVALIDATIONS):
         monkeypatch.setattr(metric, "_lock",
                             InstrumentedLock(METRIC, state))
     layer, store, in_shape = _conv_setup()
-    cache.lookup(layer, in_shape, store)   # miss: inc under cache lock
-    cache.lookup(layer, in_shape, store)   # hit: inc under cache lock
+    cache.lookup(layer, in_shape, store)   # miss
+    cache.lookup(layer, in_shape, store)   # hit
     cache.lookup(layer, (1, 8, 8), store)
     cache.lookup(layer, (1, 10, 10), store)  # eviction path
-    observed = state.order_edges()
-    assert ("nn.plan.PlanCache", METRIC) in observed
-    assert observed <= static_edges
+    cache.invalidate(store)
+    assert ("nn.plan.PlanCache", METRIC) not in state.order_edges()
+    assert plan_mod.PLAN_EVICTIONS.total() >= 1
+    before = state.acquire_count()
+    for metric in (plan_mod.PLAN_HITS, plan_mod.PLAN_ENTRIES):
+        metric.snapshot()
+        metric.expose()
+        metric.scalar_samples()
+    assert state.acquire_count() > before
+    assert "nn.plan.PlanCache" in state.lock_names()
+    assert state.order_edges() == set()
+    assert ("nn.plan.PlanCache", METRIC) not in static_edges
     assert state.error_count() == 0
 
 

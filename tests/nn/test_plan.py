@@ -412,6 +412,29 @@ def test_warm_passes_count_one_hit_per_layer(mode, zoo_model, zoo_weights):
     assert PLAN_HITS.total() - metric_before == expected
 
 
+def test_entries_gauge_counts_only_live_caches(zoo_model, zoo_weights):
+    # the gauge sums the live caches' sizes when read, so the plans of a
+    # collected cache stop counting
+    import gc
+
+    from repro.nn.plan import PLAN_ENTRIES
+
+    net = zoo_model("tc1").network
+    gc.collect()
+    before = PLAN_ENTRIES.value()
+    engines = [ReferenceEngine(net, zoo_weights("tc1"),
+                               plan_cache=PlanCache(), use_plans=True)
+               for _ in range(3)]
+    for engine in engines:
+        engine.run_batch(_images(net, 2))
+    compiled = sum(len(e.plan_cache) for e in engines)
+    assert compiled > 0
+    assert PLAN_ENTRIES.value() == before + compiled
+    del engines, engine
+    gc.collect()
+    assert PLAN_ENTRIES.value() == before
+
+
 def test_default_cache_is_shared():
     assert default_plan_cache() is default_plan_cache()
 

@@ -1,6 +1,6 @@
 """Metrics registry tests."""
 
-import contextlib
+import copy
 import json
 import math
 import re
@@ -223,7 +223,68 @@ class TestSummary:
             registry.summary("mixed_seconds")
 
 
-_FLOATS = st.floats(allow_infinity=False, width=64)
+class TestCounterSource:
+    """Collect-time counter sources: an owner's ledger, read at export."""
+
+    def test_every_read_path_sums_sources_and_pushes(self, registry):
+        c = registry.counter("served_total")
+        ledger = {"ok": 2, "failed": 0}
+        c.add_source(lambda: {(("status", "ok"),): ledger["ok"],
+                              (("status", "failed"),): ledger["failed"]})
+        c.add_source(lambda: {(("status", "ok"),): 3})
+        c.inc(status="ok")
+        assert c.value(status="ok") == 6
+        assert c.value(status="failed") == 0
+        ledger["failed"] = 4
+        assert c.value(status="failed") == 4
+        assert c.total() == 10
+        assert 'served_total{status="ok"} 6' in registry.to_prometheus()
+        assert c.snapshot()["values"] == [
+            {"labels": {"status": "failed"}, "value": 4.0},
+            {"labels": {"status": "ok"}, "value": 6.0}]
+        assert registry.scalars()["served_total"] == 10.0
+
+    def test_zero_counts_are_omitted(self, registry):
+        c = registry.counter("idle_total")
+        c.add_source(lambda: {(): 0})
+        assert c.snapshot()["values"] == []
+        assert c.expose() == ["# TYPE idle_total counter"]
+
+    def test_label_pairs_are_normalized(self, registry):
+        c = registry.counter("batches_total")
+        c.add_source(lambda: {(("trigger", "size"), ("size", 8)): 2})
+        c.inc(size="8", trigger="size")
+        assert c.value(trigger="size", size=8) == 3
+
+    def test_reset_keeps_sources(self, registry):
+        c = registry.counter("kept_total")
+        c.inc(5)
+        c.add_source(lambda: {(): 2})
+        registry.reset()
+        assert c.value() == 2
+
+    def test_source_runs_outside_the_metric_lock(self, registry):
+        c = registry.counter("unlocked_total")
+        held = []
+
+        def source():
+            held.append(c._lock.locked())
+            return {(): 1}
+        c.add_source(source)
+        c.inc()
+        assert c.value() == 2
+        assert registry.scalars()["unlocked_total"] == 2
+        assert held == [False, False]
+
+    def test_sources_ignore_kill_switch(self, monkeypatch):
+        c = REGISTRY.counter("condor_probe_sourced_total")
+        monkeypatch.setenv("REPRO_NO_OBS", "1")
+        c.add_source(lambda: {(("probe", "x"),): 4})
+        c.inc(probe="x")  # a push is still gated
+        assert c.value(probe="x") == 4
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 
 def _summary_state(summary):
@@ -231,45 +292,52 @@ def _summary_state(summary):
     if not entry:
         return None
     entry = entry[0]
-    exemplar = entry.get("exemplar")
-    return (entry["count"], entry["sum"], entry["quantiles"],
-            None if exemplar is None else
-            (exemplar["value"], exemplar["span_id"]))
+    return (entry["labels"], entry["count"], entry["sum"], entry["min"],
+            entry["max"], entry["quantiles"])
 
 
-class TestObserveMany:
+class TestSummarySource:
+    """A summary showing a sketch its owner keeps."""
+
     @settings(max_examples=60, deadline=None)
-    @given(prefix=st.lists(_FLOATS, max_size=20),
-           batch=st.lists(_FLOATS, max_size=300),
-           in_span=st.booleans())
-    def test_same_state_as_repeated_observe(self, prefix, batch, in_span):
-        registry = MetricsRegistry()
-        one = registry.summary("one_seconds")
-        many = registry.summary("many_seconds")
-        with recording():
-            with span("flush") if in_span else contextlib.nullcontext():
-                for value in prefix:
-                    one.observe(value, server="s")
-                    many.observe(value, server="s")
-                for value in batch:
-                    one.observe(value, server="s")
-                many.observe_many(batch, server="s")
-        state = _summary_state(one)
-        assert _summary_state(many) == state
-        kept = [v for v in prefix + batch if not math.isnan(v)]
-        assert many.count(server="s") == len(kept)
-        if state is not None:
-            assert (state[3] is not None) == in_span
+    @given(values=st.lists(_FLOATS, max_size=600))
+    def test_same_state_as_observing(self, values):
+        from repro.obs import QuantileSketch
 
-    def test_noop_under_kill_switch(self, monkeypatch):
-        s = REGISTRY.summary("condor_probe_many_seconds")
-        before = s.count()
-        monkeypatch.setenv("REPRO_NO_OBS", "1")
-        s.observe_many([1.0, 2.0, 3.0])
-        assert s.count() == before
-        monkeypatch.delenv("REPRO_NO_OBS")
-        s.observe_many([1.0, float("nan"), 3.0])
-        assert s.count() == before + 2
+        registry = MetricsRegistry()
+        pushed = registry.summary("pushed_seconds")
+        sourced = registry.summary("sourced_seconds")
+        sketch = QuantileSketch()
+        for value in values:
+            pushed.observe(value, server="s")
+            sketch.observe(value)
+        sourced.add_source(lambda: {(("server", "s"),):
+                                    copy.deepcopy(sketch)})
+        assert _summary_state(sourced) == _summary_state(pushed)
+        assert sourced.count(server="s") == len(values)
+        if values:
+            assert sourced.quantile(0.99, server="s") == \
+                pushed.quantile(0.99, server="s")
+
+    def test_shared_label_set_merges(self, registry):
+        from repro.obs import QuantileSketch
+
+        s = registry.summary("merged_seconds")
+        first, second = QuantileSketch(), QuantileSketch()
+        first.observe(1.0)
+        second.observe(3.0)
+        s.add_source(lambda: {(("server", "a"),): copy.deepcopy(first)})
+        s.add_source(lambda: {(("server", "a"),): copy.deepcopy(second),
+                              (("server", "empty"),): QuantileSketch()})
+        s.observe(2.0, server="a")
+        assert s.count(server="a") == 3
+        assert s.sum(server="a") == 6.0
+        assert [v["labels"] for v in s.snapshot()["values"]] == \
+            [{"server": "a"}]
+        assert registry.scalars()["merged_seconds_count"] == 3.0
+        assert 'merged_seconds_count{server="a"} 3' in s.expose()
+        # a read never folds a source into the pushed sketch
+        assert s.count(server="a") == 3
 
 
 class TestExemplars:

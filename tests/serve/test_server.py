@@ -181,6 +181,8 @@ class TestFailureAndLanes:
 
     def test_non_flushing_submit_makes_no_registry_update(
             self, server_name, monkeypatch):
+        # nor does a flushing one: the registry reads the server's
+        # ledger at collect time, and the kill switch is never read
         from repro.obs import metrics
 
         updates = []
@@ -198,19 +200,33 @@ class TestFailureAndLanes:
                           (metrics.Gauge, "inc"),
                           (metrics.Gauge, "set_function"),
                           (metrics.Histogram, "observe"),
-                          (metrics.Summary, "observe"),
-                          (metrics.Summary, "observe_many")]:
+                          (metrics.Summary, "observe")]:
             counting(cls, name)
+        switch_reads = []
+        obs_disabled = metrics.obs_disabled
+
+        def counting_switch():
+            switch_reads.append(1)
+            return obs_disabled()
+        monkeypatch.setattr(metrics, "obs_disabled", counting_switch)
         fleet = StubFleet("tc1")
         server = make_server(fleet, server_name, buckets=(8,))
         pool = images_for(fleet, np.random.default_rng(19), 8)
+        fleet.golden.forward_batch(pool)  # plan compiles are not serving
+        fleet.batch_sizes.clear()
         updates.clear()  # construction registers its gauges
+        switch_reads.clear()
         for i in range(7):
             server.submit("alpha", pool[i], now=0.0)
         assert updates == []
         server.submit("alpha", pool[7], now=0.0)  # flushes
-        assert ("condor_serve_latency_seconds", "observe_many") in updates
-        assert ("condor_serve_latency_seconds", "observe") not in updates
+        assert fleet.batch_sizes == [8]
+        assert updates == []
+        assert switch_reads == []
+        requests_total = REGISTRY.get("condor_serve_requests_total")
+        assert requests_total.value(tenant="alpha", status="ok") >= 8
+        latency = REGISTRY.get("condor_serve_latency_seconds")
+        assert latency.count(server=server_name) == 8
 
     def test_request_counters_per_tenant_per_flush(self, server_name):
         # a mixed-tenant flush counts each tenant's ok requests; shed
