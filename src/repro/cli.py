@@ -1064,7 +1064,7 @@ def build_parser() -> argparse.ArgumentParser:
                       " baseline")
     bench.add_argument("--quick", action="store_true",
                        help="run the small CI suite (TC1/LeNet rows"
-                            " only)")
+                            " and the CIFAR10 engine-steady row)")
     bench.add_argument("--op", action="append", metavar="OP",
                        choices=["engine", "engine-steady", "dse", "sim",
                                 "serve", "obs-overhead"],

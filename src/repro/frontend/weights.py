@@ -28,18 +28,21 @@ _STORE_TOKENS = itertools.count()
 class WeightStore:
     """Blobs for the learnable layers of a network.
 
-    Every store carries a process-unique :attr:`token` and a per-layer
-    mutation counter (:meth:`version_of`, bumped by :meth:`set`), so the
+    Every store carries a process-unique :attr:`token`, a per-layer
+    mutation counter (:meth:`version_of`) and a store-wide one
+    (:attr:`generation`), both bumped by :meth:`set`, so the
     execution-plan cache (:mod:`repro.nn.plan`) — which bakes packed
     weight views into compiled plans — can key plans on
     ``(token, layer, version)`` and recompile automatically when a
-    layer's blobs are replaced.
+    layer's blobs are replaced, and an engine can tell with one compare
+    that none were.
     """
 
     def __init__(self, blobs: dict[str, dict[str, np.ndarray]] | None = None):
         self._blobs: dict[str, dict[str, np.ndarray]] = {}
         self._token = next(_STORE_TOKENS)
         self._versions: dict[str, int] = {}
+        self._generation = 0
         if blobs:
             for layer, named in blobs.items():
                 for blob, array in named.items():
@@ -52,6 +55,11 @@ class WeightStore:
         """Process-unique identity of this store (stable for its lifetime)."""
         return self._token
 
+    @property
+    def generation(self) -> int:
+        """Store-wide mutation counter: bumped by every :meth:`set`."""
+        return self._generation
+
     def version_of(self, layer: str) -> int:
         """Mutation counter for ``layer`` (0 until its first :meth:`set`)."""
         return self._versions.get(layer, 0)
@@ -60,6 +68,7 @@ class WeightStore:
         array = np.asarray(array, dtype=np.float32)
         self._blobs.setdefault(layer, {})[blob] = array
         self._versions[layer] = self._versions.get(layer, 0) + 1
+        self._generation += 1
 
     def get(self, layer: str, blob: str) -> np.ndarray:
         try:

@@ -4,24 +4,25 @@ This is the functional oracle for the generated accelerator and the software
 baseline for the evaluation harness.
 
 Every pass runs an ``(N, C, H, W)`` batch; one sample is a batch of one.
-Each layer executes one of two ways, with bit-identical outputs:
+A pass executes one of two ways, with bit-identical outputs:
 
-* the **oracle** — :func:`run_layer`, stride-trick kernels from
-  :mod:`repro.nn.functional` that re-derive geometry on every call;
-* the **planned** path — each (layer, input shape, dtype) configuration
-  is compiled once into an :class:`repro.nn.plan.ExecutionPlan`
-  (precomputed gather-index maps, packed weights, scratch buffers) and
-  replayed from a process-wide LRU cache on every subsequent call.
+* the **oracle** — :func:`run_layer` per layer, stride-trick kernels
+  from :mod:`repro.nn.functional` that re-derive geometry on every call;
+* the **planned** path — the network is compiled once per (input shape,
+  dtype, weight generation) into a :class:`repro.nn.plan.CompiledPass`
+  (per-layer plans from a process-wide LRU cache, fused conv→max-pool
+  stages) that binds its scratch once per thread and batch size and
+  replays a flat list of numpy calls.
 
 Plans are on by default; ``ReferenceEngine(..., use_plans=False)`` runs
-the oracle.  The engine loop deliberately allocates nothing
-shape-derived — all scratch lives inside plans (enforced by the
-``engine-plan-alloc`` lint rule).
+the oracle.  The engine allocates nothing shape-derived — all scratch
+lives in bound passes (enforced by the ``engine-plan-alloc`` lint rule).
 """
 
 from __future__ import annotations
 
 import contextlib
+from functools import partial
 
 import numpy as np
 
@@ -43,8 +44,9 @@ from repro.ir.network import Network
 from repro.nn import functional as F
 from repro.nn.plan import (
     ACTIVATIONS,
-    ExecutionPlan,
+    CompiledPass,
     PlanCache,
+    compile_pass,
     default_plan_cache,
 )
 from repro.obs import current_recorder, span
@@ -102,7 +104,7 @@ class ReferenceEngine:
     """Forward inference over a network with a weight store.
 
     ``plan_cache`` defaults to the process-wide cache, which is safe to
-    share across threads — compiled plans keep their replay scratch in
+    share across threads — compiled passes keep their bound scratch in
     per-thread storage; pass a private
     :class:`~repro.nn.plan.PlanCache` only to isolate cache statistics
     or eviction behaviour.  ``use_plans=False`` runs the oracle kernels
@@ -118,39 +120,42 @@ class ReferenceEngine:
         self.plan_cache = plan_cache if plan_cache is not None \
             else default_plan_cache()
         self._use_plans = use_plans
-        #: layer name -> (weight version, in_shape, dtype, plan) — the
+        #: ((weight generation, input shape, dtype), pass) — the
         #: steady-state fast path that skips the cache dict entirely.
-        self._resolved: dict[str, tuple[int, tuple[int, ...], np.dtype,
-                                        ExecutionPlan]] = {}
+        self._memo: tuple[tuple, CompiledPass] | None = None
 
     # -- execution plans ------------------------------------------------------
 
-    def _plan_for(self, layer: Layer, in_shape: tuple[int, ...],
-                  dtype: np.dtype) -> tuple[ExecutionPlan, int]:
-        """Resolve the plan for one layer configuration.
+    def _compiled(self, x: np.ndarray) -> CompiledPass:
+        """The compiled pass for ``x``'s per-sample shape and dtype.
 
-        The per-engine memo makes the steady-state path a dict probe and
-        a version compare; the shared LRU cache is only consulted when
-        the memo misses (first call, weight mutation, shape change).
-        Returns the plan and 1 on a memo hit, else 0; a pass sums these
-        in a local (engines are shared across threads) and reports once.
+        A warm pass is one tuple compare against the memo; it reports
+        one plan-cache hit per layer.  A new shape, dtype or weight
+        generation recompiles from the shared LRU cache, which itself
+        recompiles only the layers whose weights changed.
         """
-        version = self.weights.version_of(layer.name)
-        memo = self._resolved.get(layer.name)
-        if memo is not None:
-            if memo[0] == version and memo[1] == in_shape \
-                    and memo[2] == dtype:
-                return memo[3], 1
-        plan = self.plan_cache.lookup(layer, in_shape, self.weights, dtype)
-        self._resolved[layer.name] = (version, in_shape, dtype, plan)
-        return plan, 0
+        key = (self.weights.generation, x.shape[1:], x.dtype)
+        memo = self._memo
+        if memo is not None and memo[0] == key:
+            self.plan_cache.record_hit(len(memo[1].plans))
+            return memo[1]
+        post = None
+        if type(self)._post_layer is not ReferenceEngine._post_layer:
+            post = [partial(self._post_layer, layer)
+                    for layer in self.net.layers]
+        compiled = compile_pass(self.net.layers, key[1], x.dtype,
+                                self.weights, self.plan_cache, post)
+        self._memo = (key, compiled)
+        return compiled
 
     def _post_layer(self, layer: Layer, out: np.ndarray) -> np.ndarray:
         """Hook applied to every layer's output, planned or oracle.
 
         The base engine is the identity; :class:`~repro.quant.apply.
         QuantizedEngine` rounds activations here so its dynamic
-        per-tensor scales stay outside the shape-keyed plans.
+        per-tensor scales stay outside the shape-keyed plans.  An
+        override runs as a bound step after every layer of a compiled
+        pass, and turns conv→pool fusion off.
         """
         return out
 
@@ -158,12 +163,15 @@ class ReferenceEngine:
         """Plan-cache counters + this engine's resolution state."""
         stats = self.plan_cache.stats()
         stats["plans_active"] = self._use_plans
-        stats["resolved_layers"] = len(self._resolved)
+        memo = self._memo
+        stats["resolved_layers"] = 0 if memo is None \
+            else len(memo[1].plans)
         return stats
 
     def invalidate_plans(self) -> int:
-        """Drop this engine's memo and its store's cached plans."""
-        self._resolved.clear()
+        """Drop this engine's compiled pass and its store's cached
+        plans."""
+        self._memo = None
         return self.plan_cache.invalidate(store=self.weights)
 
     # -- network-level API ----------------------------------------------------
@@ -171,38 +179,26 @@ class ReferenceEngine:
     def _execute(self, x: np.ndarray, planned: bool,
                  outputs: dict[str, np.ndarray] | None = None) \
             -> np.ndarray:
-        """The layer loop: run every layer's plan (or, unplanned, the
-        oracle :func:`run_layer`), then the :meth:`_post_layer` hook.
+        """One pass: the compiled pass, or (unplanned) the oracle
+        :func:`run_layer` then the :meth:`_post_layer` hook per layer.
 
         Spans are opened only while a recorder is active, and nest under
         the caller's open span.  ``outputs``, when given, collects every
-        layer's output by name.
+        layer's output by name (oracle only).
         """
         traced = current_recorder() is not None
-        owns_output = True
-        hits = 0
         with span("engine.run_batch", batch=int(x.shape[0]),
                   layers=len(self.net.layers)) if traced else _NO_SPAN:
+            if planned:
+                return self._compiled(x).run(x, traced)
             for layer in self.net.layers:
                 with span("engine.layer", layer=layer.name) \
                         if traced else _NO_SPAN:
-                    if planned:
-                        plan, hit = self._plan_for(
-                            layer, tuple(x.shape[1:]), x.dtype)
-                        hits += hit
-                        out = plan.run_batch(x)
-                    else:
-                        out = run_layer(layer, self.weights, x)
-                    x = self._post_layer(layer, out)
-                    owns_output = x is not out or not (
-                        planned and plan.returns_scratch)
+                    x = self._post_layer(
+                        layer, run_layer(layer, self.weights, x))
                 if outputs is not None:
                     outputs[layer.name] = x
-        if planned:
-            self.plan_cache.record_hit(hits)
-        # never hand plan-owned scratch to the caller — the next pass
-        # would overwrite it in place
-        return x if owns_output else x.copy()
+        return x
 
     def run_batch(self, batch: np.ndarray) -> np.ndarray:
         """Run an (N, C, H, W) batch through the network.

@@ -73,9 +73,13 @@ def im2col(x: np.ndarray, kernel: tuple[int, int],
     windows = sliding_windows(x, kernel, stride)
     n, c, oh, ow, kh, kw = windows.shape
     # (N, C, KH, KW, OH, OW) -> (N, C*KH*KW, OH*OW); the transpose is a
-    # view, the reshape makes the single necessary copy.
-    return windows.transpose(0, 1, 4, 5, 2, 3).reshape(
-        n, c * kh * kw, oh * ow)
+    # view, the reshape makes the single necessary copy.  Some windows
+    # (KW=1 at stride 1, 1x1 at stride 2) reshape to a strided view
+    # instead, which matmul would hand to its own loop rather than BLAS:
+    # the patch matrix is always contiguous, so every conv GEMM runs
+    # the same BLAS routine.
+    return np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3)
+                                .reshape(n, c * kh * kw, oh * ow))
 
 
 def conv2d(x: np.ndarray, weights: np.ndarray,
@@ -245,15 +249,11 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
 # call.  When the same (shape, dtype) configuration recurs — steady-state
 # serving runs identical layer shapes millions of times — the geometry can
 # be compiled once into a flat gather-index map and replayed with a single
-# ``take``.  The maps below index into one *flattened padded* sample, so
-# a batch replays them row-wise (``np.take(flat2d, map, axis=1)``) for any
-# N.  Output values are
-# bit-identical to the stride-trick kernels: a gather is a pure data
-# movement, and the downstream GEMM / max reduction sees the same operand
-# values in the same logical order.  (Average pooling is the exception:
-# ``mean`` over a gathered contiguous copy pairs partial sums differently
-# than over the strided window view, so avg-pool plans replay the
-# stride-trick kernel — see :mod:`repro.nn.plan`.)
+# ``take``.  The map indexes into one *flattened padded* sample, so a
+# batch replays it row-wise (``np.take(flat2d, map, axis=1)``) for any N.
+# Output values are bit-identical to the stride-trick kernels: a gather is
+# a pure data movement, and the downstream GEMM sees the same operand
+# values in the same logical order.
 
 
 def im2col_index_map(in_shape: tuple[int, int, int],
@@ -282,32 +282,3 @@ def im2col_index_map(in_shape: tuple[int, int, int],
     owi = np.arange(ow).reshape(1, 1, 1, 1, ow)
     flat = ci * (hp * wp) + (ohi * sh + khi) * wp + (owi * sw + kwi)
     return np.ascontiguousarray(flat.reshape(c * kh * kw, oh * ow))
-
-
-def pool_index_map(padded_shape: tuple[int, int, int],
-                   kernel: tuple[int, int],
-                   stride: tuple[int, int]) -> np.ndarray:
-    """Gather map for windowed reductions: ``(KH*KW, C*OH*OW)`` indices.
-
-    Transposed relative to :func:`im2col_index_map` so the reduction runs
-    over the window axis — ``np.maximum.reduce(gathered, axis=1)`` on the
-    ``(N, KH*KW, C*OH*OW)`` gather reduces KH·KW contiguous rows with one
-    vectorized pass per row, which is what makes the planned max-pool
-    several times faster than the strided-view reduction.  Sound for max (order-independent, exact);
-    not used for mean (accumulation order differs).
-    """
-    c, hp, wp = padded_shape
-    kh, kw = kernel
-    sh, sw = stride
-    if kh > hp or kw > wp:
-        raise ShapeError(
-            f"window {kernel} does not fit input of shape {padded_shape}")
-    oh = (hp - kh) // sh + 1
-    ow = (wp - kw) // sw + 1
-    khi = np.arange(kh).reshape(kh, 1, 1, 1, 1)
-    kwi = np.arange(kw).reshape(1, kw, 1, 1, 1)
-    ci = np.arange(c).reshape(1, 1, c, 1, 1)
-    ohi = np.arange(oh).reshape(1, 1, 1, oh, 1)
-    owi = np.arange(ow).reshape(1, 1, 1, 1, ow)
-    flat = ci * (hp * wp) + (ohi * sh + khi) * wp + (owi * sw + kwi)
-    return np.ascontiguousarray(flat.reshape(kh * kw, c * oh * ow))

@@ -1,35 +1,46 @@
 """Shape-specialized execution plans for the reference engine.
 
 Steady-state serving (the AFI's whole reason to exist) runs the *same*
-layer shapes millions of times, yet the stride-trick kernels in
+network shapes millions of times, yet the stride-trick kernels in
 :mod:`repro.nn.functional` re-derive im2col geometry, padding and weight
 layout on every call.  Following the sejits_caffe idea — lazily
 specialize each kernel per (shape, dtype) configuration and cache the
-compiled result — this module compiles each layer once into an
-:class:`ExecutionPlan`:
+compiled result — this module compiles in two levels:
 
-* a window gather, by one of two strategies chosen per layer from its
-  output width: rows at least :data:`STRIDED_MIN_OW` wide stage the
-  input in the padded scratch and fill the patch scratch with one
-  ``np.copyto`` from a window view
-  (:func:`~repro.nn.functional.sliding_windows`) built once over it;
-  narrower rows replay a flat index map
-  (:func:`~repro.nn.functional.im2col_index_map` /
-  :func:`~repro.nn.functional.pool_index_map`) with ``take``, whose
-  per-element cost wins over a copy loop with so short an inner run;
-* pre-packed weight matrices and pre-broadcast bias columns;
-* pre-allocated padded-input / patch-matrix / output scratch buffers,
-  kept per batch size;
-* a fused conv+bias+ReLU step list replayed with in-place kernels.
+* each layer once into an :class:`ExecutionPlan`: the window-gather
+  geometry, pre-packed weight matrices and pre-broadcast bias columns.
+  Plans are immutable and live in the shared :class:`PlanCache`;
+* each network once into a :class:`CompiledPass`, which **binds** its
+  plans per (thread, batch size): :meth:`ExecutionPlan.bind` allocates
+  the plan's scratch for ``N`` rows reading a fixed source buffer (the
+  producer's scratch) and returns a flat list of numpy calls whose
+  operands are all fixed.  A warm pass copies its input once into the
+  bound input buffer and runs that list; nothing else is looked up,
+  checked or allocated.
 
-Replay is **bit-identical** to the unplanned kernels: both gather
-strategies move the same values into the same logical order, the GEMMs
-see the same 2-D operands, and max is an exact (order-independent)
-reduction.  Average
-pooling is the one windowed kernel whose accumulation order *would*
-change under a gathered copy (``mean`` pairs partial sums differently on
-contiguous data than on a strided view), so avg-pool plans replay the
-stride-trick kernel unchanged.
+Conv plans fill their patch scratch by one of three strategies, chosen
+per layer from the output width: rows at least :data:`STRIDED_MIN_OW`
+wide copy windows out of a strided view of the source
+(:func:`~repro.nn.functional.sliding_windows`), and stride-1 (vertical)
+convs do so in two stages that each copy contiguous runs; narrower rows
+replay a flat index map (:func:`~repro.nn.functional.im2col_index_map`)
+with ``take``, whose per-element cost wins over a copy loop with so
+short an inner run.  Max-pool plans fold ``np.maximum`` over window
+views of their source, rows first, with no gather at all.
+
+A conv(+bias+activation) followed by a max-pool that needs no padding
+becomes one bound *stage*: the pool reads the GEMM output in place and,
+when every bias is finite and the activation is ReLU or none, bias and
+activation run on the pooled tensor.  That is exact: round-to-nearest
+``x + b`` and ReLU are both monotone, so they commute with ``max``.
+
+Replay is **bit-identical** to the unplanned kernels: every gather
+moves the same values into the same logical order, the GEMMs see the
+same 2-D operands, max is exact and associative, and softmax runs the
+oracle's ufunc sequence.  Average pooling is the one windowed kernel
+whose accumulation order *would* change under a gathered copy (``mean``
+pairs partial sums differently on contiguous data than on a strided
+view), so avg-pool plans replay the stride-trick kernel unchanged.
 
 :class:`PlanCache` is a bounded LRU keyed by (weight-store token,
 per-layer weight version, layer config, input shape, dtype).  Mutating a
@@ -38,13 +49,11 @@ bumps its version, so stale plans can never be replayed; they age out of
 the LRU.  The ``condor_plan_cache_*`` series read its counts at collect
 time.
 
-Plans are safe to replay from multiple threads at once: the compiled
-geometry (index maps, packed weights, bias columns) is immutable and
-shared, while the mutable scratch buffers live in per-thread storage
-(:class:`_BatchScratch`), allocated lazily on each thread's first replay.
-Engines on different threads may therefore share one :class:`PlanCache`
-— including the process-wide :func:`default_plan_cache` — at the cost
-of one scratch set per (plan, thread, batch size).
+Plans hold no mutable state, so engines on different threads may share
+one :class:`PlanCache` — including the process-wide
+:func:`default_plan_cache`.  A :class:`CompiledPass` keeps its bound
+scratch in per-thread storage, for at most :data:`MAX_BATCH_VARIANTS`
+batch sizes per thread.
 """
 
 from __future__ import annotations
@@ -53,9 +62,11 @@ import threading
 import time
 import weakref
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Callable
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.errors import ShapeError
 from repro.ir.layers import (
@@ -79,21 +90,24 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "ACTIVATIONS",
+    "CompiledPass",
     "ExecutionPlan",
     "PlanCache",
+    "compile_pass",
     "compile_plan",
     "default_plan_cache",
 ]
 
 DEFAULT_CAPACITY = 256
 
-#: Output width from which conv and max-pool plans gather windows by a
-#: strided copy instead of an index map (measured crossover on the zoo's
-#: layers; the two strategies fill the scratch with identical values).
+#: Output width from which conv plans gather windows by a strided copy
+#: instead of an index map (measured crossover on the zoo's layers; the
+#: strategies fill the scratch with identical values).
 STRIDED_MIN_OW = 8
 
-#: Distinct batch sizes a plan keeps scratch for (serving traffic runs a
-#: few stable batch sizes; anything beyond rotates out LRU-style).
+#: Distinct batch sizes a compiled pass keeps bound per thread (serving
+#: traffic runs a few stable batch sizes; anything beyond rotates out
+#: LRU-style).
 MAX_BATCH_VARIANTS = 4
 
 #: Point-wise activation kernels, shared by the plans and the oracle.
@@ -125,34 +139,57 @@ PLAN_COMPILE_SECONDS = REGISTRY.histogram(
     "condor_plan_compile_seconds",
     "Wall seconds spent compiling execution plans")
 
+#: A bound step: one numpy call whose operands were fixed at bind time.
+Step = Callable[[], object]
 
-def _activate(kind: Activation, out: np.ndarray) -> None:
-    """Fused activation, in place on a plan's output scratch."""
+
+def _activation_steps(kind: Activation, buf: np.ndarray) -> list[Step]:
+    """Bound activation, in place on ``buf``."""
     if kind is Activation.RELU:
-        np.maximum(out, 0.0, out=out)
-    elif kind is not Activation.NONE:
-        out[...] = ACTIVATIONS[kind](out)
+        return [partial(np.maximum, buf, 0.0, out=buf)]
+    if kind is Activation.TANH:
+        return [partial(np.tanh, buf, out=buf)]
+    if kind is Activation.SIGMOID:
+        return [partial(_into, buf, F.sigmoid, buf)]
+    return []
+
+
+def _into(out: np.ndarray, fn: Callable[[np.ndarray], np.ndarray],
+          src: np.ndarray) -> None:
+    """Run an allocating kernel and copy its result into scratch."""
+    np.copyto(out, fn(src))
+
+
+def _interior(buf: np.ndarray, pad: tuple[int, int],
+              hw: tuple[int, int]) -> np.ndarray:
+    """The unpadded ``(H, W)`` window of a padded ``(N, C, HP, WP)``
+    staging buffer."""
+    (ph, pw), (h, w) = pad, hw
+    return buf[:, :, ph:ph + h, pw:pw + w]
 
 
 # -- plan objects -------------------------------------------------------------
 
 
 class ExecutionPlan:
-    """One compiled layer: precomputed geometry + scratch + replay steps.
+    """One compiled layer: precomputed, immutable geometry.
 
-    ``run_batch`` takes an ``(N, *in_shape)`` batch and may return an
-    array aliasing plan-owned scratch (``returns_scratch``); the engine
-    copies the final network output before handing it to callers.
+    :meth:`bind` allocates scratch for an ``(N, *in_shape)`` source
+    buffer and returns ``(steps, out)``: the numpy calls that compute
+    the layer from whatever the source holds when they run, and the
+    array they leave the result in (plan scratch, or a view of the
+    source).  ``out_shape`` is the per-sample output shape.
     """
 
     kind = "plan"
-    returns_scratch = False
 
     def __init__(self, layer: Layer, in_shape: tuple[int, ...],
-                 dtype: np.dtype, steps: tuple[str, ...]):
+                 dtype: np.dtype, out_shape: tuple[int, ...],
+                 steps: tuple[str, ...]):
         self.layer_name = layer.name
         self.in_shape = in_shape
         self.dtype = dtype
+        self.out_shape = out_shape
         self.steps = steps
 
     def _check(self, shape: tuple[int, ...]) -> None:
@@ -161,8 +198,18 @@ class ExecutionPlan:
                 f"plan for layer {self.layer_name!r} expects input shape"
                 f" {self.in_shape}, got {shape[1:]}")
 
-    def run_batch(self, xb: np.ndarray) -> np.ndarray:
+    def bind(self, n: int, src: np.ndarray) \
+            -> tuple[list[Step], np.ndarray]:
         raise NotImplementedError
+
+    def run_batch(self, xb: np.ndarray) -> np.ndarray:
+        """Bind to ``xb`` and run once (a convenience for tests; the
+        engine binds a whole :class:`CompiledPass` once and replays)."""
+        xb = np.ascontiguousarray(xb)
+        steps, out = self.bind(xb.shape[0], xb)
+        for step in steps:
+            step()
+        return out
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}({self.layer_name!r},"
@@ -175,49 +222,27 @@ class _InputPlan(ExecutionPlan):
     kind = "input"
 
     def __init__(self, layer: InputLayer, in_shape, dtype):
-        super().__init__(layer, tuple(layer.shape.as_tuple()), dtype,
-                         ("check",))
+        declared = tuple(layer.shape.as_tuple())
+        if tuple(in_shape) != declared:
+            raise ShapeError(
+                f"input shape {tuple(in_shape)} does not match declared"
+                f" {declared}")
+        super().__init__(layer, declared, dtype, declared, ("check",))
 
-    def run_batch(self, xb):
-        self._check(tuple(xb.shape))
-        return xb
-
-
-class _BatchScratch:
-    """Per-thread, per-batch-size scratch buffers.
-
-    Replay scratch is write-hot, so a plan shared through a
-    :class:`PlanCache` gives every replaying thread its own buffers
-    (thread-local, so the LRU bookkeeping needs no lock), and each
-    thread keeps them for at most :data:`MAX_BATCH_VARIANTS` batch sizes.
-    Everything else on a plan is immutable after compilation.
-    """
-
-    __slots__ = ("_make", "_tls")
-
-    def __init__(self, make: Callable[[int], tuple]):
-        self._make = make
-        self._tls = threading.local()
-
-    def get(self, n: int) -> tuple:
-        variants = getattr(self._tls, "variants", None)
-        if variants is None:
-            variants = self._tls.variants = OrderedDict()
-        bufs = variants.get(n)
-        if bufs is None:
-            bufs = variants[n] = self._make(n)
-            while len(variants) > MAX_BATCH_VARIANTS:
-                variants.popitem(last=False)
-        else:
-            variants.move_to_end(n)
-        return bufs
+    def bind(self, n, src):
+        self._check(src.shape)
+        return [], src
 
 
 class _ConvPlan(ExecutionPlan):
-    """im2col gather + packed-weight GEMM with fused bias and activation."""
+    """im2col gather + packed-weight GEMM with fused bias and activation.
+
+    ``bind(n, src, pool)`` binds a conv→max-pool stage: the pool reads
+    the GEMM output in place, and a finite bias and ReLU (or no
+    activation) move after it.
+    """
 
     kind = "conv"
-    returns_scratch = True
 
     def __init__(self, layer: ConvLayer, in_shape, dtype,
                  weights: np.ndarray, bias: np.ndarray | None):
@@ -230,79 +255,115 @@ class _ConvPlan(ExecutionPlan):
         ow = (wp - kw) // layer.stride[1] + 1
         out_dtype = np.result_type(dtype, weights.dtype)
 
-        self._kernel, self._stride = layer.kernel, layer.stride
+        self._kernel, self._stride, self._pad = \
+            layer.kernel, layer.stride, layer.pad
         self._cols_shape = (c * kh * kw, oh * ow)
-        self._cols6_shape = (c, kh, kw, oh, ow)
-        self._index_map = None if ow >= STRIDED_MIN_OW else \
-            F.im2col_index_map(in_shape, layer.kernel, layer.stride,
-                               layer.pad)
+        if ow < STRIDED_MIN_OW:
+            self._gather = "gather"
+            self._index_map = F.im2col_index_map(
+                in_shape, layer.kernel, layer.stride, layer.pad)
+        else:
+            self._gather = "unfold" if layer.stride[0] == 1 else "copy"
         self._packed = np.ascontiguousarray(
             weights.reshape(f, -1).astype(out_dtype, copy=False))
         self._bias_col = None if bias is None else \
             np.ascontiguousarray(bias[:, None].astype(out_dtype,
                                                       copy=False))
         self._activation = layer.activation
+        #: bias and activation commute with max (see the module doc)
+        self._commutes_with_max = \
+            self._activation in (Activation.NONE, Activation.RELU) and \
+            (bias is None or bool(np.isfinite(self._bias_col).all()))
         self._padded_shape = (c, hp, wp)
-        padded = (ph, pw) != (0, 0)
-        # the strided copy reads a window view precomputed over the
-        # padded buffer, so it stages unpadded inputs there too
-        self._needs_pad = padded or self._index_map is None
-        if self._needs_pad:
-            self._interior = (slice(None), slice(None), slice(ph, ph + h),
-                              slice(pw, pw + w))
-        self._out_shape = (f, oh * ow)
-        self._out3_shape = (f, oh, ow)
         self._out_dtype = out_dtype
-        self._scratch = _BatchScratch(self._make_scratch)
-        steps = ["pad"] if padded else \
-            ["stage"] if self._needs_pad else []
-        steps += ["gather" if self._index_map is not None else "copy",
-                  "gemm"]
+        steps = ["pad"] if (ph, pw) != (0, 0) else []
+        steps += {"gather": ["gather"], "copy": ["copy"],
+                  "unfold": ["unfold", "copy"]}[self._gather]
+        steps.append("gemm")
         if self._bias_col is not None:
             steps.append("bias")
         if self._activation is not Activation.NONE:
             steps.append(self._activation.value)
-        super().__init__(layer, tuple(in_shape), dtype, tuple(steps))
+        super().__init__(layer, tuple(in_shape), dtype, (f, oh, ow),
+                         tuple(steps))
 
-    def _make_scratch(self, n: int) -> tuple:
-        pad_buf = windows = None
-        if self._needs_pad:
-            pad_buf = np.zeros((n,) + self._padded_shape, self.dtype)
-            if self._index_map is None:
-                # (N, C, KH, KW, OH, OW): the layout of ``cols``
-                windows = F.sliding_windows(
-                    pad_buf, self._kernel, self._stride) \
-                    .transpose(0, 1, 4, 5, 2, 3)
+    def _bind_cols(self, n: int, src: np.ndarray) \
+            -> tuple[list[Step], np.ndarray]:
+        """Steps that fill the ``(N, C·KH·KW, OH·OW)`` patch scratch."""
+        steps: list[Step] = []
+        if self._pad != (0, 0):
+            padded = np.zeros((n,) + self._padded_shape, self.dtype)
+            steps.append(partial(np.copyto,
+                                 _interior(padded, self._pad,
+                                           self.in_shape[1:]), src))
+            src = padded
         cols = np.empty((n,) + self._cols_shape, self.dtype)
-        out = np.empty((n,) + self._out_shape, self._out_dtype)
-        return (pad_buf, windows, cols,
-                cols.reshape((n,) + self._cols6_shape), out,
-                out.reshape((n,) + self._out3_shape))
-
-    def run_batch(self, xb):
-        self._check(tuple(xb.shape))
-        n = xb.shape[0]
-        pad_buf, windows, cols, cols6, out, out4d = self._scratch.get(n)
-        src = xb
-        if pad_buf is not None:
-            pad_buf[self._interior] = xb
-            src = pad_buf
-        if windows is not None:
-            np.copyto(cols6, windows)
+        c, kh, kw = self._padded_shape[0], *self._kernel
+        _, oh, ow = self.out_shape
+        if self._gather == "gather":
+            steps.append(partial(src.reshape(n, -1).take, self._index_map,
+                                 1, cols))
+        elif self._gather == "copy":
+            # (N, C, OH, OW, KH, KW) -> the (N, C, KH, KW, OH, OW) of cols
+            windows = F.sliding_windows(src, self._kernel, self._stride)
+            steps.append(partial(
+                np.copyto, cols.reshape(n, c, kh, kw, oh, ow),
+                windows.transpose(0, 1, 4, 5, 2, 3)))
         else:
-            src.reshape(n, -1).take(self._index_map, axis=1, out=cols)
-        np.matmul(self._packed, cols, out=out)
+            # stride-1 rows in two contiguous stages: first unfold
+            # rows[n, c, j, h, x] = src[n, c, h, j + sw·x], then every
+            # (i, j) block of cols is the OH·OW run rows[n, c, j, i:i+OH]
+            sn, sc, srow, scol = src.strides
+            hp = self._padded_shape[1]
+            rows = np.empty((n, c, kw, hp, ow), self.dtype)
+            steps.append(partial(np.copyto, rows, as_strided(
+                src, rows.shape,
+                (sn, sc, scol, srow, scol * self._stride[1]),
+                writeable=False)))
+            rn, rc, rj, rh, rx = rows.strides
+            steps.append(partial(
+                np.copyto, cols.reshape(n, c, kh, kw, oh * ow),
+                as_strided(rows, (n, c, kh, kw, oh * ow),
+                           (rn, rc, rh, rj, rx), writeable=False)))
+        return steps, cols
+
+    def _epilogue(self, buf: np.ndarray) -> list[Step]:
+        """Bias and activation, in place on an ``(N, F, ...)`` buffer."""
+        steps: list[Step] = []
         if self._bias_col is not None:
-            np.add(out, self._bias_col, out=out)
-        _activate(self._activation, out)
-        return out4d
+            steps.append(partial(np.add, buf, self._bias_col, out=buf))
+        return steps + _activation_steps(self._activation, buf)
+
+    def bind(self, n, src, pool: "_MaxPoolPlan | None" = None):
+        self._check(src.shape)
+        steps, cols = self._bind_cols(n, src)
+        f = self.out_shape[0]
+        out = np.empty((n, f, self._cols_shape[1]), self._out_dtype)
+        steps.append(partial(np.matmul, self._packed, cols, out=out))
+        late = pool is not None and self._commutes_with_max
+        if not late:
+            steps += self._epilogue(out)
+        out = out.reshape((n,) + self.out_shape)
+        if pool is None:
+            return steps, out
+        pool_steps, pooled = pool.bind(n, out)
+        steps += pool_steps
+        if late:
+            steps += self._epilogue(pooled.reshape(n, f, -1))
+        return steps, pooled
 
 
 class _MaxPoolPlan(ExecutionPlan):
-    """Transposed window gather + one exact ``maximum.reduce`` pass."""
+    """Separable, (kh, kw)-ordered ``np.maximum`` fold over window views.
+
+    Rows first: ``rows[.., h, x] = max_j src[.., h, x·sw + j]``, then
+    ``out[.., y, x] = max_i rows[.., y·sh + i, x]``.  That is the
+    oracle's window maximum in the same element order, only associated
+    differently, and ``np.maximum`` (first NaN wins, else the later of
+    two equal values) is associative, so the result is bit-identical.
+    """
 
     kind = "max-pool"
-    returns_scratch = True
 
     def __init__(self, layer: PoolLayer, in_shape, dtype):
         c, h, w = in_shape
@@ -312,66 +373,57 @@ class _MaxPoolPlan(ExecutionPlan):
                                             layer.pad, layer.ceil_mode)
         hp, wp = h + 2 * ph + eh, w + 2 * pw + ew
         self._padded_shape = (c, hp, wp)
-        oh = (hp - layer.kernel[0]) // stride[0] + 1
-        ow = (wp - layer.kernel[1]) // stride[1] + 1
+        self._pad = (ph, pw)
+        #: reads its source in place: no padding, no ceil extension
+        self.unpadded = (hp, wp) == (h, w)
         kh, kw = layer.kernel
+        if kh > hp or kw > wp:
+            raise ShapeError(f"window {layer.kernel} does not fit input"
+                             f" of shape {self._padded_shape}")
+        oh = (hp - kh) // stride[0] + 1
+        ow = (wp - kw) // stride[1] + 1
         self._kernel, self._stride = layer.kernel, stride
-        self._gathered_shape = (kh * kw, c * oh * ow)
-        self._gathered6_shape = (kh, kw, c, oh, ow)
-        self._index_map = None if ow >= STRIDED_MIN_OW else \
-            F.pool_index_map(self._padded_shape, layer.kernel, stride)
-        padded = (hp, wp) != (h, w)
-        self._needs_pad = padded or self._index_map is None
-        if self._needs_pad:
-            self._interior = (slice(None), slice(None), slice(ph, ph + h),
-                              slice(pw, pw + w))
-        self._out_len = c * oh * ow
-        self._out3_shape = (c, oh, ow)
-        self._scratch = _BatchScratch(self._make_scratch)
-        steps = ["pad"] if padded else \
-            ["stage"] if self._needs_pad else []
-        gather = "gather" if self._index_map is not None else "copy"
+        steps = [] if self.unpadded else ["pad"]
         super().__init__(layer, tuple(in_shape), np.dtype(dtype),
-                         tuple(steps + [gather, "max"]))
+                         (c, oh, ow), tuple(steps + ["max-w", "max-h"]))
 
-    def _make_scratch(self, n: int) -> tuple:
-        pad_buf = windows = None
-        if self._needs_pad:
-            pad_buf = np.full((n,) + self._padded_shape, -np.inf,
-                              self.dtype)
-            if self._index_map is None:
-                # (N, KH, KW, C, OH, OW): the layout of ``gathered``
-                windows = F.sliding_windows(
-                    pad_buf, self._kernel, self._stride) \
-                    .transpose(0, 4, 5, 1, 2, 3)
-        gathered = np.empty((n,) + self._gathered_shape, self.dtype)
-        out = np.empty((n, self._out_len), self.dtype)
-        return (pad_buf, windows, gathered,
-                gathered.reshape((n,) + self._gathered6_shape), out,
-                out.reshape((n,) + self._out3_shape))
+    def bind(self, n, src):
+        self._check(src.shape)
+        steps: list[Step] = []
+        if not self.unpadded:
+            padded = np.full((n,) + self._padded_shape, -np.inf,
+                             self.dtype)
+            steps.append(partial(np.copyto,
+                                 _interior(padded, self._pad,
+                                           self.in_shape[1:]), src))
+            src = padded
+        (kh, kw), (sh, sw) = self._kernel, self._stride
+        c, oh, ow = self.out_shape
+        # only the rows some window reads
+        src = src[:, :, :(oh - 1) * sh + kh]
+        rows = src[:, :, :, ::sw][..., :ow]
+        if kw > 1:
+            rows = np.empty((n, c, src.shape[2], ow), self.dtype)
+            steps += _max_fold(
+                [src[:, :, :, j::sw][..., :ow] for j in range(kw)], rows)
+        out = np.empty((n,) + self.out_shape, self.dtype)
+        steps += _max_fold(
+            [rows[:, :, i::sh][:, :, :oh] for i in range(kh)], out)
+        return steps, out
 
-    def run_batch(self, xb):
-        self._check(tuple(xb.shape))
-        n = xb.shape[0]
-        pad_buf, windows, gathered, gathered6, out, out4d = \
-            self._scratch.get(n)
-        src = xb
-        if pad_buf is not None:
-            pad_buf[self._interior] = xb
-            src = pad_buf
-        if windows is not None:
-            np.copyto(gathered6, windows)
-        else:
-            src.reshape(n, -1).take(self._index_map, axis=1, out=gathered)
-        np.maximum.reduce(gathered, axis=1, out=out)
-        return out4d
+
+def _max_fold(views: list[np.ndarray], out: np.ndarray) -> list[Step]:
+    """Bound left fold of ``np.maximum`` over ``views`` into ``out``."""
+    if len(views) == 1:
+        return [partial(np.copyto, out, views[0])]
+    return [partial(np.maximum, views[0], views[1], out=out)] + \
+        [partial(np.maximum, out, view, out=out) for view in views[2:]]
 
 
 class _FCPlan(ExecutionPlan):
     """Bound-weight GEMV with fused bias and activation."""
 
     kind = "fc"
-    returns_scratch = True
 
     def __init__(self, layer: FullyConnectedLayer, in_shape, dtype,
                  weights: np.ndarray, bias: np.ndarray | None):
@@ -385,72 +437,110 @@ class _FCPlan(ExecutionPlan):
         self._bias = None if bias is None else \
             np.ascontiguousarray(bias.astype(out_dtype, copy=False))
         self._activation = layer.activation
-        self._features = weights.shape[0]
         self._out_dtype = out_dtype
-        self._scratch = _BatchScratch(self._make_scratch)
         steps = ["gemv"]
         if self._bias is not None:
             steps.append("bias")
         if self._activation is not Activation.NONE:
             steps.append(self._activation.value)
         super().__init__(layer, tuple(in_shape), np.dtype(dtype),
-                         tuple(steps))
+                         (weights.shape[0], 1, 1), tuple(steps))
 
-    def _make_scratch(self, n: int) -> tuple:
-        f = self._features
-        out = np.empty((n, f, 1), self._out_dtype)
-        return out, out.reshape(n, f), out.reshape(n, f, 1, 1)
-
-    def run_batch(self, xb):
-        self._check(tuple(xb.shape))
-        n = xb.shape[0]
-        out3, out2, out4 = self._scratch.get(n)
-        np.matmul(self._weights, xb.reshape(n, -1)[:, :, None], out=out3)
+    def bind(self, n, src):
+        self._check(src.shape)
+        out = np.empty((n,) + self.out_shape, self._out_dtype)
+        steps: list[Step] = [partial(
+            np.matmul, self._weights, src.reshape(n, -1)[:, :, None],
+            out=out.reshape(n, -1, 1))]
+        flat = out.reshape(n, -1)
         if self._bias is not None:
-            np.add(out2, self._bias, out=out2)
-        _activate(self._activation, out2)
-        return out4
+            steps.append(partial(np.add, flat, self._bias, out=flat))
+        return steps + _activation_steps(self._activation, flat), out
 
 
 class _FlattenPlan(ExecutionPlan):
-    """Pure reshape — a view of the predecessor's output."""
+    """Pure reshape — a view of the producer's output."""
 
     kind = "flatten"
-    returns_scratch = True
 
     def __init__(self, layer: FlattenLayer, in_shape, dtype):
         super().__init__(layer, tuple(in_shape), np.dtype(dtype),
-                         ("reshape",))
+                         (int(np.prod(in_shape)), 1, 1), ("reshape",))
 
-    def run_batch(self, xb):
-        return xb.reshape(xb.shape[0], -1, 1, 1)
+    def bind(self, n, src):
+        self._check(src.shape)
+        return [], src.reshape((n,) + self.out_shape)
+
+
+class _SoftmaxPlan(ExecutionPlan):
+    """(Log-)softmax into scratch, with the ufunc sequence of
+    :func:`~repro.nn.functional.softmax` /
+    :func:`~repro.nn.functional.log_softmax`."""
+
+    kind = "softmax"
+
+    def __init__(self, layer: SoftmaxLayer, in_shape, dtype):
+        self._log = layer.log
+        steps = ("max", "sub", "exp", "sum", "log", "sub") if layer.log \
+            else ("max", "sub", "exp", "sum", "div")
+        super().__init__(layer, tuple(in_shape), np.dtype(dtype),
+                         tuple(in_shape), steps)
+
+    def bind(self, n, src):
+        self._check(src.shape)
+        flat = src.reshape(n, -1)
+        out = np.empty((n,) + self.out_shape, self.dtype)
+        shifted = out.reshape(n, -1)
+        peak = np.empty((n, 1), self.dtype)
+        total = np.empty((n, 1), self.dtype)
+        steps: list[Step] = [
+            partial(np.maximum.reduce, flat, 1, None, peak, True),
+            partial(np.subtract, flat, peak, out=shifted),
+        ]
+        if self._log:
+            ex = np.empty_like(shifted)
+            steps += [partial(np.exp, shifted, out=ex),
+                      partial(np.add.reduce, ex, 1, None, total, True),
+                      partial(np.log, total, out=total),
+                      partial(np.subtract, shifted, total, out=shifted)]
+        else:
+            steps += [partial(np.exp, shifted, out=shifted),
+                      partial(np.add.reduce, shifted, 1, None, total,
+                              True),
+                      partial(np.divide, shifted, total, out=shifted)]
+        return steps, out
 
 
 class _OraclePlan(ExecutionPlan):
-    """Replays an unplanned kernel with pre-bound arguments.
+    """Replays an unplanned kernel, copying its result into scratch.
 
-    Used where precomputation cannot help (point-wise activations,
-    softmax) or would break bit-identity (avg pooling: ``mean`` over a
-    gathered contiguous copy pairs partial sums differently than over
-    the strided window view).
+    Used where precomputation cannot help (standalone activations) or
+    would break bit-identity (avg pooling: ``mean`` over a gathered
+    contiguous copy pairs partial sums differently than over the strided
+    window view).
     """
 
     kind = "oracle"
 
     def __init__(self, layer: Layer, in_shape, dtype, step: str,
                  fn: Callable[[np.ndarray], np.ndarray]):
+        probe = fn(np.zeros((1,) + tuple(in_shape), dtype))
         super().__init__(layer, tuple(in_shape), np.dtype(dtype),
-                         (step,))
+                         probe.shape[1:], (step,))
+        self._out_dtype = probe.dtype
         self._fn = fn
 
-    def run_batch(self, xb):
-        return self._fn(xb)
+    def bind(self, n, src):
+        self._check(src.shape)
+        out = np.empty((n,) + self.out_shape, self._out_dtype)
+        return [partial(_into, out, self._fn, src)], out
 
 
 # -- compilation --------------------------------------------------------------
 
 def _compile(layer: Layer, in_shape: tuple[int, ...], dtype: np.dtype,
              weights: "WeightStore") -> ExecutionPlan:
+    floating = np.issubdtype(dtype, np.floating)
     if isinstance(layer, InputLayer):
         return _InputPlan(layer, in_shape, dtype)
     if isinstance(layer, ConvLayer):
@@ -460,7 +550,7 @@ def _compile(layer: Layer, in_shape: tuple[int, ...], dtype: np.dtype,
             weights.get(layer.name, "bias") if layer.bias else None)
     if isinstance(layer, PoolLayer):
         assert layer.stride is not None
-        if layer.op is PoolOp.MAX and np.issubdtype(dtype, np.floating):
+        if layer.op is PoolOp.MAX and floating:
             return _MaxPoolPlan(layer, in_shape, dtype)
         pool = F.max_pool2d if layer.op is PoolOp.MAX else F.avg_pool2d
         kernel, stride, pad = layer.kernel, layer.stride, layer.pad
@@ -479,6 +569,8 @@ def _compile(layer: Layer, in_shape: tuple[int, ...], dtype: np.dtype,
             weights.get(layer.name, "weights"),
             weights.get(layer.name, "bias") if layer.bias else None)
     if isinstance(layer, SoftmaxLayer):
+        if floating:
+            return _SoftmaxPlan(layer, in_shape, dtype)
         if layer.log:
             return _OraclePlan(layer, in_shape, dtype, "log-softmax",
                                F.log_softmax)
@@ -497,6 +589,113 @@ def compile_plan(layer: Layer, in_shape: tuple[int, ...],
     PLAN_COMPILE_SECONDS.observe(time.perf_counter() - start)
     PLAN_COMPILES.inc(kind=plan.kind)
     return plan
+
+
+# -- the compiled pass --------------------------------------------------------
+
+
+class _BoundPass:
+    """One (thread, batch size) binding of a :class:`CompiledPass`."""
+
+    __slots__ = ("input", "stages", "steps", "output")
+
+    def __init__(self, input: np.ndarray, stages: list[list[Step]],
+                 output: np.ndarray):
+        self.input = input
+        self.stages = stages
+        self.steps = [step for stage in stages for step in stage]
+        self.output = output
+
+
+class CompiledPass:
+    """A whole network compiled for one (input shape, dtype).
+
+    Groups the layer plans into stages — a conv followed by a max-pool
+    that reads it in place fuses into one, named ``conv+pool`` — and
+    binds every stage once per (thread, batch size), keeping at most
+    :data:`MAX_BATCH_VARIANTS` bindings per thread.  ``post``, when
+    given, holds one hook per layer whose result is written back into
+    that layer's output after it runs; it turns fusion off.
+    """
+
+    def __init__(self, plans: Sequence[ExecutionPlan],
+                 post: Sequence[Callable[[np.ndarray], np.ndarray]]
+                 | None = None):
+        self.plans = tuple(plans)
+        self.in_shape = self.plans[0].in_shape
+        self.dtype = self.plans[0].dtype
+        self._post = post
+        stages: list[tuple[ExecutionPlan, ...]] = []
+        rest = list(self.plans)
+        while rest:
+            plan = rest.pop(0)
+            if post is None and isinstance(plan, _ConvPlan) and rest \
+                    and isinstance(rest[0], _MaxPoolPlan) \
+                    and rest[0].unpadded:
+                stages.append((plan, rest.pop(0)))
+            else:
+                stages.append((plan,))
+        self._stages = tuple(stages)
+        #: span names of the stages, e.g. ``("data", "conv1+pool1", ...)``
+        self.stage_names = tuple("+".join(p.layer_name for p in stage)
+                                 for stage in stages)
+        self._tls = threading.local()
+
+    def _bind(self, n: int) -> _BoundPass:
+        x = inp = np.empty((n,) + self.in_shape, self.dtype)
+        stages = []
+        for i, (plan, *fused) in enumerate(self._stages):
+            steps, x = plan.bind(n, x, *fused)
+            if self._post is not None:
+                steps.append(partial(_into, x, self._post[i], x))
+            stages.append(steps)
+        return _BoundPass(inp, stages, x)
+
+    def _bound(self, n: int) -> _BoundPass:
+        variants = getattr(self._tls, "variants", None)
+        if variants is None:
+            variants = self._tls.variants = OrderedDict()
+        bound = variants.get(n)
+        if bound is None:
+            bound = variants[n] = self._bind(n)
+            while len(variants) > MAX_BATCH_VARIANTS:
+                variants.popitem(last=False)
+        else:
+            variants.move_to_end(n)
+        return bound
+
+    def run(self, xb: np.ndarray, traced: bool = False) -> np.ndarray:
+        """Run an ``(N, *in_shape)`` batch; returns a fresh array.
+
+        ``traced`` runs stage by stage, each under an ``engine.layer``
+        span named after its layers.
+        """
+        bound = self._bound(xb.shape[0])
+        np.copyto(bound.input, xb)
+        if traced:
+            for name, stage in zip(self.stage_names, bound.stages):
+                with span("engine.layer", layer=name):
+                    for step in stage:
+                        step()
+        else:
+            for step in bound.steps:
+                step()
+        # the bound output is overwritten by the next pass
+        return bound.output.copy()
+
+
+def compile_pass(layers: Sequence[Layer], in_shape: tuple[int, ...],
+                 dtype: np.dtype, store: "WeightStore", cache: "PlanCache",
+                 post: Sequence[Callable[[np.ndarray], np.ndarray]]
+                 | None = None) -> CompiledPass:
+    """Look up (or compile) every layer's plan, each on its producer's
+    output shape, and group them into a :class:`CompiledPass`."""
+    plans = []
+    for layer in layers:
+        plan = cache.lookup(layer, in_shape, store, dtype)
+        plans.append(plan)
+        in_shape = plan.out_shape
+    return CompiledPass(plans, post)
 
 
 # -- the cache ----------------------------------------------------------------
@@ -533,8 +732,8 @@ class PlanCache:
 
     def record_hit(self, count: int) -> None:
         """Count ``count`` replays served without touching the cache
-        dict (the engine memoizes resolved plans per layer and version,
-        and reports one forward pass's memo hits in a single call)."""
+        dict (the engine memoizes its :class:`CompiledPass` and reports
+        one hit per layer of each warm pass in a single call)."""
         with self._lock:
             self._stats["hits"] += count
 

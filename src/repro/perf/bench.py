@@ -437,6 +437,7 @@ QUICK_SUITE: tuple[tuple[str, str, dict], ...] = (
     ("engine", "tc1", {}),
     ("engine-steady", "tc1", {}),
     ("engine-steady", "lenet", {}),
+    ("engine-steady", "cifar10", {}),
     ("dse", "tc1", {}),
     ("dse", "lenet", {}),
     ("sim", "tc1", {"batch": 4}),
@@ -446,7 +447,6 @@ QUICK_SUITE: tuple[tuple[str, str, dict], ...] = (
 
 FULL_SUITE: tuple[tuple[str, str, dict], ...] = QUICK_SUITE + (
     ("engine", "lenet", {}),
-    ("engine-steady", "cifar10", {}),
     ("dse", "vgg16", {}),
     ("sim", "lenet", {"batch": 2}),
 )

@@ -1,11 +1,12 @@
 """Dynamic batching: coalesce single requests into bucketed batches.
 
 The batched engine amortizes per-invocation configuration and pipeline
-fill over the batch (``batch_cycles = fill + (n-1)·II``), and the plan
-cache replays a warm execution plan per *distinct* batch size but keeps
-only ``MAX_BATCH_VARIANTS`` scratch variants alive.  A naive coalescer
-that flushes whatever happens to be queued would emit every batch size
-from 1 to capacity and thrash that bound.  The
+fill over the batch (``batch_cycles = fill + (n-1)·II``), and the
+engine's compiled pass binds its scratch once per *distinct* batch size
+but keeps only ``MAX_BATCH_VARIANTS`` bound variants per thread.  A
+naive coalescer that flushes whatever happens to be queued would emit
+every batch size from 1 to capacity and keep rebinding past that
+bound.  The
 :class:`DynamicBatcher` therefore snaps every flush to a small ladder
 of **buckets** (default 1/2/4/8): a flush of three requests is padded
 to four, so steady-state serving exercises exactly ``len(buckets)``
@@ -37,8 +38,8 @@ from repro.util.sync import new_lock
 
 __all__ = ["DEFAULT_BUCKETS", "DynamicBatcher", "Flush", "ServeRequest"]
 
-#: The default batch-size ladder; matches the plan cache's variant
-#: bound so steady-state serving keeps every bucket's plan warm.
+#: The default batch-size ladder; matches the compiled pass's variant
+#: bound so steady-state serving keeps every bucket's binding warm.
 DEFAULT_BUCKETS: tuple[int, ...] = (1, 2, 4, 8)
 
 

@@ -14,7 +14,7 @@ import pytest
 import repro.nn.functional as F
 from repro.errors import ShapeError
 from repro.frontend.weights import WeightStore
-from repro.ir.layers import ConvLayer
+from repro.ir.layers import ConvLayer, PoolLayer
 from repro.nn.engine import ReferenceEngine
 from repro.nn.plan import (
     MAX_BATCH_VARIANTS,
@@ -133,20 +133,12 @@ def test_im2col_index_map_matches_im2col():
                                             pad)[0])
 
 
-def test_pool_index_map_matches_max_pool():
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=(3, 8, 8)).astype(np.float32)
-    idx = F.pool_index_map((3, 8, 8), (2, 2), (2, 2))
-    gathered = x.reshape(-1).take(idx)
-    got = np.maximum.reduce(gathered, axis=0).reshape(3, 4, 4)
-    assert np.array_equal(got, F.max_pool2d(x[None], (2, 2), (2, 2))[0])
-
-
 def test_index_map_rejects_oversized_window():
     with pytest.raises(ShapeError):
         F.im2col_index_map((1, 3, 3), (5, 5))
     with pytest.raises(ShapeError):
-        F.pool_index_map((1, 3, 3), (5, 5), (1, 1))
+        compile_plan(PoolLayer("pool", kernel=5, stride=1,
+                               ceil_mode=False), (1, 3, 3), WeightStore())
 
 
 # -- the cache itself ---------------------------------------------------------
@@ -229,6 +221,49 @@ def test_engine_sees_weight_mutation(zoo_model, zoo_weights):
     fresh_oracle = ReferenceEngine(net, weights, use_plans=False)
     assert np.array_equal(planned.forward(image),
                           fresh_oracle.forward(image))
+
+
+def test_weight_set_rebinds_the_pass(zoo_model, zoo_weights):
+    """``WeightStore.set`` bumps the store generation: the next pass
+    rebinds every batch size it had bound, recompiling only the mutated
+    layer."""
+    net = zoo_model("tc1").network
+    weights = WeightStore(
+        {layer: dict(zoo_weights("tc1").blobs(layer))
+         for layer in zoo_weights("tc1").layers()})
+    planned, _ = _engines(net, weights)
+    images = _images(net, 3, seed=15)
+    for n in (1, 3):
+        planned.run_batch(images[:n])
+    misses = planned.plan_cache.stats()["misses"]
+    generation = weights.generation
+    weights.set("conv2", "bias", weights.get("conv2", "bias") - 1.0)
+    assert weights.generation == generation + 1
+    fresh_oracle = ReferenceEngine(net, weights, use_plans=False)
+    for n in (1, 3):
+        assert np.array_equal(planned.run_batch(images[:n]),
+                              fresh_oracle.run_batch(images[:n])), n
+    assert planned.plan_cache.stats()["misses"] == misses + 1
+
+
+def test_traced_pass_spans_one_layer_span_per_stage(zoo_model,
+                                                     zoo_weights):
+    """With a recorder active the pass runs stage by stage, one
+    ``engine.layer`` span per stage named after its layers, and gives
+    the untraced bits."""
+    from repro.obs import recording
+
+    net = zoo_model("tc1").network
+    planned, oracle = _engines(net, zoo_weights("tc1"))
+    images = _images(net, 3, seed=16)
+    untraced = planned.run_batch(images)
+    with recording() as rec:
+        traced = planned.run_batch(images)
+    assert [s.attrs["layer"] for s in rec.spans
+            if s.name == "engine.layer"] == \
+        ["data", "conv1+pool1", "conv2+pool2", "fc", "prob"]
+    assert np.array_equal(traced, untraced)
+    assert np.array_equal(traced, oracle.run_batch(images))
 
 
 def test_dtype_keys_separate_plans():

@@ -7,6 +7,7 @@ Runs meaningfully both ways: plain (plain locks) and under
 autouse conftest fixture fails the test on any sanitizer error.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -14,7 +15,7 @@ import numpy as np
 import repro.nn.plan as plan_mod
 from repro.frontend.weights import WeightStore
 from repro.nn.engine import ReferenceEngine
-from repro.nn.plan import PlanCache, default_plan_cache
+from repro.nn.plan import MAX_BATCH_VARIANTS, PlanCache, default_plan_cache
 
 THREADS = 8
 
@@ -121,3 +122,41 @@ def test_single_plan_concurrent_replay_bit_identical():
     _run_threads(THREADS, work)
     for got, want in zip(results, expected):
         assert np.array_equal(got, want)
+
+
+def test_shared_engine_cycles_batch_sizes_across_threads(zoo_model,
+                                                         zoo_weights):
+    """Two threads share one engine and cycle through more batch sizes
+    than a thread keeps bound, so each keeps rebinding its own variants
+    while the other replays: every output is bit-identical to the
+    oracle."""
+    net = zoo_model("tc1").network
+    store = zoo_weights("tc1")
+    engine = ReferenceEngine(net, store, plan_cache=PlanCache())
+    oracle = ReferenceEngine(net, store, use_plans=False)
+    sizes = (1, 2, 3, 5, 8, 4, 1, 7)
+    assert len(set(sizes)) > MAX_BATCH_VARIANTS
+    # each thread its own images: a binding shared across threads
+    # would mix them
+    images = np.random.default_rng(43).normal(
+        size=(2, max(sizes)) + net.input_shape().as_tuple()) \
+        .astype(np.float32)
+    expected = {(i, n): oracle.run_batch(images[i, :n])
+                for i in range(2) for n in set(sizes)}
+    wrong = []
+
+    def work(i):
+        order = sizes if i == 0 else sizes[::-1]
+        for _ in range(8):
+            for n in order:
+                if not np.array_equal(engine.run_batch(images[i, :n]),
+                                      expected[i, n]):
+                    wrong.append((i, n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        _run_threads(2, work)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not wrong

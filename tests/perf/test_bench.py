@@ -93,9 +93,10 @@ def test_suites_are_subset():
          "obs-overhead"}
     # the serving path rides the CI regression gate
     assert ("serve", "tc1") in quick
-    # the steady-state rows are part of the CI regression gate
+    # the steady-state rows are part of the CI regression gate;
+    # cifar10 brings padded convs, ceil-mode pools and avg-pool stages
     assert {m for op, m, _ in QUICK_SUITE if op == "engine-steady"} == \
-        {"tc1", "lenet"}
+        {"tc1", "lenet", "cifar10"}
 
 
 def test_run_bench_quick(monkeypatch):

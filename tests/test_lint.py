@@ -215,6 +215,21 @@ def test_engine_plan_alloc_scoped(tmp_path):
     assert {v.line for v in found} == {3, 4, 6}
 
 
+def test_engine_plan_alloc_covers_the_replay_loop(tmp_path):
+    # binding may allocate; CompiledPass.run, the replay loop, may not
+    (tmp_path / "nn").mkdir()
+    (tmp_path / "nn" / "plan.py").write_text(
+        "import numpy as np\n"
+        "class CompiledPass:\n"
+        "    def _bind(self, n):\n"
+        "        return np.empty((n, 4))\n"
+        "    def run(self, xb):\n"
+        "        out = np.empty_like(xb)\n"
+        "        return out.copy()\n")
+    found = run_lint(tmp_path, select=["engine-plan-alloc"])
+    assert [(v.path, v.line) for v in found] == [("nn/plan.py", 6)]
+
+
 def test_metric_name(tmp_path):
     found = _lint_source(
         tmp_path,

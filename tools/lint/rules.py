@@ -294,28 +294,45 @@ class SimSlotsRule(LintRule):
 
 
 #: numpy constructors that allocate (or re-stride) from shape arithmetic.
-#: Inside the engine hot loops every such buffer must come from a
-#: compiled execution plan (:mod:`repro.nn.plan`), where it is allocated
-#: once per (shape, dtype) configuration and replayed.
+#: On the engine's replay path every such buffer must come from binding
+#: a compiled pass (:mod:`repro.nn.plan`), where it is allocated once
+#: per (thread, batch size) and replayed.
 _PLAN_ALLOC_CALLS = {"pad", "empty", "zeros", "ones", "full",
                      "concatenate", "stack", "empty_like", "zeros_like",
                      "full_like", "as_strided"}
 
+#: The replay loop of a compiled pass: (module, class, method).
+_PLAN_REPLAY_LOOP = ("nn/plan.py", "CompiledPass", "run")
+
 
 @register_rule
 class EnginePlanAllocRule(LintRule):
-    """The reference engine's forward loops are the serving hot path:
-    ad-hoc shape-derived allocations there defeat the execution-plan
-    cache (scratch reuse is the whole point).  Allocations belong in
-    ``nn/plan.py`` plan compilation or in the ``nn/functional`` oracle
-    kernels the unplanned fallback calls."""
+    """The reference engine and a compiled pass's replay loop are the
+    serving hot path: an ad-hoc shape-derived allocation there defeats
+    binding (scratch reuse is the whole point).  Allocations belong in
+    plan compilation and binding in ``nn/plan.py``, or in the
+    ``nn/functional`` oracle kernels the unplanned path calls."""
 
     id = "engine-plan-alloc"
-    description = ("ban ad-hoc numpy allocations in the engine hot"
-                   " loops — scratch must come from an execution plan")
-    scope = "nn/engine.py"
+    description = ("ban ad-hoc numpy allocations in the engine and the"
+                   " compiled-pass replay loop — scratch is bound once")
+    scope = "nn/"
 
     def check(self, tree, rel_path):
+        if rel_path == "nn/engine.py":
+            yield from self._check_calls(tree, rel_path)
+            return
+        module, cls, method = _PLAN_REPLAY_LOOP
+        if rel_path != module:
+            return
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name == cls:
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and \
+                            item.name == method:
+                        yield from self._check_calls(item, rel_path)
+
+    def _check_calls(self, tree, rel_path):
         for node in ast.walk(tree):
             if not (isinstance(node, ast.Call) and
                     isinstance(node.func, ast.Attribute)):
@@ -327,13 +344,14 @@ class EnginePlanAllocRule(LintRule):
                     func.value.id in ("np", "numpy"):
                 yield self.violation(
                     rel_path, node,
-                    f"np.{func.attr}() in the engine — allocate scratch"
-                    " inside an execution plan (repro.nn.plan)")
+                    f"np.{func.attr}() on the replay path — bind scratch"
+                    " once per (thread, batch size) in"
+                    " ExecutionPlan.bind (repro.nn.plan)")
             elif func.attr == "as_strided":
                 yield self.violation(
                     rel_path, node,
-                    "as_strided() in the engine — precompute a gather"
-                    " index map in an execution plan (repro.nn.plan)")
+                    "as_strided() on the replay path — build window"
+                    " views once, when binding (repro.nn.plan)")
 
 
 _METRIC_NAME = re.compile(r"^condor_[a-z][a-z0-9_]*$")
