@@ -401,11 +401,12 @@ class _MaxPoolPlan(ExecutionPlan):
         c, oh, ow = self.out_shape
         # only the rows some window reads
         src = src[:, :, :(oh - 1) * sh + kh]
-        rows = src[:, :, :, ::sw][..., :ow]
-        if kw > 1:
+        cols = [src[:, :, :, j::sw][..., :ow] for j in range(kw)]
+        if kw == 1:
+            rows = cols[0]
+        else:
             rows = np.empty((n, c, src.shape[2], ow), self.dtype)
-            steps += _max_fold(
-                [src[:, :, :, j::sw][..., :ow] for j in range(kw)], rows)
+            steps += _max_fold(cols, rows)
         out = np.empty((n,) + self.out_shape, self.dtype)
         steps += _max_fold(
             [rows[:, :, i::sh][:, :, :oh] for i in range(kh)], out)
