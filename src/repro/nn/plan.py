@@ -18,15 +18,15 @@ compiled result — this module compiles in two levels:
   bound input buffer and runs that list; nothing else is looked up,
   checked or allocated.
 
-Conv plans fill their patch scratch by one of three strategies, chosen
+Conv plans fill their patch scratch by one of two strategies, chosen
 per layer from the output width: rows at least :data:`STRIDED_MIN_OW`
-wide copy windows out of a strided view of the source
-(:func:`~repro.nn.functional.sliding_windows`), and stride-1 (vertical)
-convs do so in two stages that each copy contiguous runs; narrower rows
-replay a flat index map (:func:`~repro.nn.functional.im2col_index_map`)
-with ``take``, whose per-element cost wins over a copy loop with so
-short an inner run.  Max-pool plans fold ``np.maximum`` over window
-views of their source, rows first, with no gather at all.
+wide copy windows out of strided views of the source in two stages
+(unfold the rows, then copy every (kh, kw) block, one contiguous
+``OH·OW`` run at vertical stride 1); narrower rows replay a flat index
+map (:func:`~repro.nn.functional.im2col_index_map`) with ``take``,
+whose per-element cost wins over a copy loop with so short an inner
+run.  Max-pool plans fold ``np.maximum`` over window views of their
+source, rows first, with no gather at all.
 
 A conv(+bias+activation) followed by a max-pool that needs no padding
 becomes one bound *stage*: the pool reads the GEMM output in place and,
@@ -81,9 +81,10 @@ from repro.ir.layers import (
     PoolOp,
     SoftmaxLayer,
 )
+from repro.ir.shapes import TensorShape
 from repro.nn import functional as F
 from repro.obs import REGISTRY, span
-from repro.util.sync import new_lock, new_rlock
+from repro.util.sync import new_rlock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.frontend.weights import WeightStore
@@ -100,9 +101,9 @@ __all__ = [
 
 DEFAULT_CAPACITY = 256
 
-#: Output width from which conv plans gather windows by a strided copy
-#: instead of an index map (measured crossover on the zoo's layers; the
-#: strategies fill the scratch with identical values).
+#: Output width from which conv plans copy windows in two stages
+#: instead of gathering them by an index map (measured crossover on the
+#: zoo's layers; the strategies fill the scratch with identical values).
 STRIDED_MIN_OW = 8
 
 #: Distinct batch sizes a compiled pass keeps bound per thread (serving
@@ -174,29 +175,40 @@ def _interior(buf: np.ndarray, pad: tuple[int, int],
 class ExecutionPlan:
     """One compiled layer: precomputed, immutable geometry.
 
-    :meth:`bind` allocates scratch for an ``(N, *in_shape)`` source
-    buffer and returns ``(steps, out)``: the numpy calls that compute
-    the layer from whatever the source holds when they run, and the
-    array they leave the result in (plan scratch, or a view of the
-    source).  ``out_shape`` is the per-sample output shape.
+    :meth:`bind` allocates scratch for a C-contiguous ``(N, *in_shape)``
+    source buffer of ``dtype`` and returns ``(steps, out)``: the numpy
+    calls that compute the layer from whatever the source holds when
+    they run, and the C-contiguous array they leave the result in (plan
+    scratch, or a view of the source).  ``out_shape`` and ``out_dtype``
+    describe one sample of that result.
     """
 
     kind = "plan"
 
     def __init__(self, layer: Layer, in_shape: tuple[int, ...],
                  dtype: np.dtype, out_shape: tuple[int, ...],
-                 steps: tuple[str, ...]):
+                 steps: tuple[str, ...], out_dtype: np.dtype | None = None):
         self.layer_name = layer.name
         self.in_shape = in_shape
         self.dtype = dtype
         self.out_shape = out_shape
+        self.out_dtype = dtype if out_dtype is None else np.dtype(out_dtype)
         self.steps = steps
 
-    def _check(self, shape: tuple[int, ...]) -> None:
-        if shape[1:] != self.in_shape:
+    def _check(self, src: np.ndarray) -> None:
+        """Reject a source the bound steps would misread: a reshape of
+        a non-contiguous buffer copies it once, at bind time, and a
+        dtype mismatch casts silently on every pass."""
+        if src.shape[1:] != self.in_shape:
             raise ShapeError(
                 f"plan for layer {self.layer_name!r} expects input shape"
-                f" {self.in_shape}, got {shape[1:]}")
+                f" {self.in_shape}, got {src.shape[1:]}")
+        if src.dtype != self.dtype or not src.flags.c_contiguous:
+            raise ShapeError(
+                f"plan for layer {self.layer_name!r} binds a C-contiguous"
+                f" {self.dtype} source, got a"
+                f"{'' if src.flags.c_contiguous else ' non-contiguous'}"
+                f" {src.dtype} one")
 
     def bind(self, n: int, src: np.ndarray) \
             -> tuple[list[Step], np.ndarray]:
@@ -205,7 +217,7 @@ class ExecutionPlan:
     def run_batch(self, xb: np.ndarray) -> np.ndarray:
         """Bind to ``xb`` and run once (a convenience for tests; the
         engine binds a whole :class:`CompiledPass` once and replays)."""
-        xb = np.ascontiguousarray(xb)
+        xb = np.ascontiguousarray(xb, self.dtype)
         steps, out = self.bind(xb.shape[0], xb)
         for step in steps:
             step()
@@ -230,7 +242,7 @@ class _InputPlan(ExecutionPlan):
         super().__init__(layer, declared, dtype, declared, ("check",))
 
     def bind(self, n, src):
-        self._check(src.shape)
+        self._check(src)
         return [], src
 
 
@@ -258,12 +270,9 @@ class _ConvPlan(ExecutionPlan):
         self._kernel, self._stride, self._pad = \
             layer.kernel, layer.stride, layer.pad
         self._cols_shape = (c * kh * kw, oh * ow)
-        if ow < STRIDED_MIN_OW:
-            self._gather = "gather"
-            self._index_map = F.im2col_index_map(
-                in_shape, layer.kernel, layer.stride, layer.pad)
-        else:
-            self._gather = "unfold" if layer.stride[0] == 1 else "copy"
+        self._index_map = None if ow >= STRIDED_MIN_OW else \
+            F.im2col_index_map(in_shape, layer.kernel, layer.stride,
+                               layer.pad)
         self._packed = np.ascontiguousarray(
             weights.reshape(f, -1).astype(out_dtype, copy=False))
         self._bias_col = None if bias is None else \
@@ -275,17 +284,16 @@ class _ConvPlan(ExecutionPlan):
             self._activation in (Activation.NONE, Activation.RELU) and \
             (bias is None or bool(np.isfinite(self._bias_col).all()))
         self._padded_shape = (c, hp, wp)
-        self._out_dtype = out_dtype
         steps = ["pad"] if (ph, pw) != (0, 0) else []
-        steps += {"gather": ["gather"], "copy": ["copy"],
-                  "unfold": ["unfold", "copy"]}[self._gather]
+        steps += ["gather"] if self._index_map is not None \
+            else ["unfold", "copy"]
         steps.append("gemm")
         if self._bias_col is not None:
             steps.append("bias")
         if self._activation is not Activation.NONE:
             steps.append(self._activation.value)
         super().__init__(layer, tuple(in_shape), dtype, (f, oh, ow),
-                         tuple(steps))
+                         tuple(steps), out_dtype)
 
     def _bind_cols(self, n: int, src: np.ndarray) \
             -> tuple[list[Step], np.ndarray]:
@@ -298,33 +306,26 @@ class _ConvPlan(ExecutionPlan):
                                            self.in_shape[1:]), src))
             src = padded
         cols = np.empty((n,) + self._cols_shape, self.dtype)
-        c, kh, kw = self._padded_shape[0], *self._kernel
-        _, oh, ow = self.out_shape
-        if self._gather == "gather":
+        if self._index_map is not None:
             steps.append(partial(src.reshape(n, -1).take, self._index_map,
                                  1, cols))
-        elif self._gather == "copy":
-            # (N, C, OH, OW, KH, KW) -> the (N, C, KH, KW, OH, OW) of cols
-            windows = F.sliding_windows(src, self._kernel, self._stride)
-            steps.append(partial(
-                np.copyto, cols.reshape(n, c, kh, kw, oh, ow),
-                windows.transpose(0, 1, 4, 5, 2, 3)))
-        else:
-            # stride-1 rows in two contiguous stages: first unfold
-            # rows[n, c, j, h, x] = src[n, c, h, j + sw·x], then every
-            # (i, j) block of cols is the OH·OW run rows[n, c, j, i:i+OH]
-            sn, sc, srow, scol = src.strides
-            hp = self._padded_shape[1]
-            rows = np.empty((n, c, kw, hp, ow), self.dtype)
-            steps.append(partial(np.copyto, rows, as_strided(
-                src, rows.shape,
-                (sn, sc, scol, srow, scol * self._stride[1]),
-                writeable=False)))
-            rn, rc, rj, rh, rx = rows.strides
-            steps.append(partial(
-                np.copyto, cols.reshape(n, c, kh, kw, oh * ow),
-                as_strided(rows, (n, c, kh, kw, oh * ow),
-                           (rn, rc, rh, rj, rx), writeable=False)))
+            return steps, cols
+        # two stages: first unfold rows[n, c, j, h, x] = src[n, c, h,
+        # j + sw·x], then copy every (i, j) block of cols out of
+        # rows[n, c, j, i + sh·y, x] — one contiguous OH·OW run at sh = 1
+        (c, hp, _), (kh, kw), (sh, sw) = \
+            self._padded_shape, self._kernel, self._stride
+        _, oh, ow = self.out_shape
+        sn, sc, srow, scol = src.strides
+        rows = np.empty((n, c, kw, hp, ow), self.dtype)
+        steps.append(partial(np.copyto, rows, as_strided(
+            src, rows.shape, (sn, sc, scol, srow, scol * sw),
+            writeable=False)))
+        rn, rc, rj, rh, rx = rows.strides
+        steps.append(partial(
+            np.copyto, cols.reshape(n, c, kh, kw, oh, ow),
+            as_strided(rows, (n, c, kh, kw, oh, ow),
+                       (rn, rc, rh, rj, rh * sh, rx), writeable=False)))
         return steps, cols
 
     def _epilogue(self, buf: np.ndarray) -> list[Step]:
@@ -335,10 +336,10 @@ class _ConvPlan(ExecutionPlan):
         return steps + _activation_steps(self._activation, buf)
 
     def bind(self, n, src, pool: "_MaxPoolPlan | None" = None):
-        self._check(src.shape)
+        self._check(src)
         steps, cols = self._bind_cols(n, src)
         f = self.out_shape[0]
-        out = np.empty((n, f, self._cols_shape[1]), self._out_dtype)
+        out = np.empty((n, f, self._cols_shape[1]), self.out_dtype)
         steps.append(partial(np.matmul, self._packed, cols, out=out))
         late = pool is not None and self._commutes_with_max
         if not late:
@@ -388,7 +389,7 @@ class _MaxPoolPlan(ExecutionPlan):
                          (c, oh, ow), tuple(steps + ["max-w", "max-h"]))
 
     def bind(self, n, src):
-        self._check(src.shape)
+        self._check(src)
         steps: list[Step] = []
         if not self.unpadded:
             padded = np.full((n,) + self._padded_shape, -np.inf,
@@ -438,18 +439,17 @@ class _FCPlan(ExecutionPlan):
         self._bias = None if bias is None else \
             np.ascontiguousarray(bias.astype(out_dtype, copy=False))
         self._activation = layer.activation
-        self._out_dtype = out_dtype
         steps = ["gemv"]
         if self._bias is not None:
             steps.append("bias")
         if self._activation is not Activation.NONE:
             steps.append(self._activation.value)
         super().__init__(layer, tuple(in_shape), np.dtype(dtype),
-                         (weights.shape[0], 1, 1), tuple(steps))
+                         (weights.shape[0], 1, 1), tuple(steps), out_dtype)
 
     def bind(self, n, src):
-        self._check(src.shape)
-        out = np.empty((n,) + self.out_shape, self._out_dtype)
+        self._check(src)
+        out = np.empty((n,) + self.out_shape, self.out_dtype)
         steps: list[Step] = [partial(
             np.matmul, self._weights, src.reshape(n, -1)[:, :, None],
             out=out.reshape(n, -1, 1))]
@@ -469,7 +469,7 @@ class _FlattenPlan(ExecutionPlan):
                          (int(np.prod(in_shape)), 1, 1), ("reshape",))
 
     def bind(self, n, src):
-        self._check(src.shape)
+        self._check(src)
         return [], src.reshape((n,) + self.out_shape)
 
 
@@ -488,7 +488,7 @@ class _SoftmaxPlan(ExecutionPlan):
                          tuple(in_shape), steps)
 
     def bind(self, n, src):
-        self._check(src.shape)
+        self._check(src)
         flat = src.reshape(n, -1)
         out = np.empty((n,) + self.out_shape, self.dtype)
         shifted = out.reshape(n, -1)
@@ -524,16 +524,17 @@ class _OraclePlan(ExecutionPlan):
     kind = "oracle"
 
     def __init__(self, layer: Layer, in_shape, dtype, step: str,
-                 fn: Callable[[np.ndarray], np.ndarray]):
-        probe = fn(np.zeros((1,) + tuple(in_shape), dtype))
-        super().__init__(layer, tuple(in_shape), np.dtype(dtype),
-                         probe.shape[1:], (step,))
-        self._out_dtype = probe.dtype
+                 fn: Callable[[np.ndarray], np.ndarray],
+                 out_dtype: np.dtype | None = None):
+        super().__init__(
+            layer, tuple(in_shape), np.dtype(dtype),
+            layer.output_shape(TensorShape(*in_shape)).as_tuple(),
+            (step,), out_dtype)
         self._fn = fn
 
     def bind(self, n, src):
-        self._check(src.shape)
-        out = np.empty((n,) + self.out_shape, self._out_dtype)
+        self._check(src)
+        out = np.empty((n,) + self.out_shape, self.out_dtype)
         return [partial(_into, out, self._fn, src)], out
 
 
@@ -541,7 +542,6 @@ class _OraclePlan(ExecutionPlan):
 
 def _compile(layer: Layer, in_shape: tuple[int, ...], dtype: np.dtype,
              weights: "WeightStore") -> ExecutionPlan:
-    floating = np.issubdtype(dtype, np.floating)
     if isinstance(layer, InputLayer):
         return _InputPlan(layer, in_shape, dtype)
     if isinstance(layer, ConvLayer):
@@ -551,17 +551,21 @@ def _compile(layer: Layer, in_shape: tuple[int, ...], dtype: np.dtype,
             weights.get(layer.name, "bias") if layer.bias else None)
     if isinstance(layer, PoolLayer):
         assert layer.stride is not None
-        if layer.op is PoolOp.MAX and floating:
+        if layer.op is PoolOp.MAX:
             return _MaxPoolPlan(layer, in_shape, dtype)
-        pool = F.max_pool2d if layer.op is PoolOp.MAX else F.avg_pool2d
         kernel, stride, pad = layer.kernel, layer.stride, layer.pad
         ceil = layer.ceil_mode
         return _OraclePlan(
-            layer, in_shape, dtype, f"oracle-{layer.op.value}-pool",
-            lambda xb: pool(xb, kernel, stride, pad, ceil_mode=ceil))
+            layer, in_shape, dtype, "oracle-avg-pool",
+            lambda xb: F.avg_pool2d(xb, kernel, stride, pad,
+                                    ceil_mode=ceil))
     if isinstance(layer, ActivationLayer):
-        return _OraclePlan(layer, in_shape, dtype, layer.kind.value,
-                           ACTIVATIONS[layer.kind])
+        # F.sigmoid computes in at least float32
+        return _OraclePlan(
+            layer, in_shape, dtype, layer.kind.value,
+            ACTIVATIONS[layer.kind],
+            np.result_type(dtype, np.float32)
+            if layer.kind is Activation.SIGMOID else dtype)
     if isinstance(layer, FlattenLayer):
         return _FlattenPlan(layer, in_shape, dtype)
     if isinstance(layer, FullyConnectedLayer):
@@ -570,20 +574,18 @@ def _compile(layer: Layer, in_shape: tuple[int, ...], dtype: np.dtype,
             weights.get(layer.name, "weights"),
             weights.get(layer.name, "bias") if layer.bias else None)
     if isinstance(layer, SoftmaxLayer):
-        if floating:
-            return _SoftmaxPlan(layer, in_shape, dtype)
-        if layer.log:
-            return _OraclePlan(layer, in_shape, dtype, "log-softmax",
-                               F.log_softmax)
-        return _OraclePlan(layer, in_shape, dtype, "softmax", F.softmax)
+        return _SoftmaxPlan(layer, in_shape, dtype)
     raise TypeError(f"unknown layer type {type(layer).__name__}")
 
 
 def compile_plan(layer: Layer, in_shape: tuple[int, ...],
                  weights: "WeightStore",
                  dtype: np.dtype | type = np.float32) -> ExecutionPlan:
-    """Compile one layer for one (input shape, dtype) configuration."""
+    """Compile one layer for one (input shape, floating dtype)
+    configuration."""
     dtype = np.dtype(dtype)
+    if not np.issubdtype(dtype, np.floating):
+        raise TypeError(f"plans compile floating dtypes only, got {dtype}")
     start = time.perf_counter()
     with span("plan.compile", layer=layer.name, kind=layer.type_name):
         plan = _compile(layer, tuple(in_shape), dtype, weights)
@@ -690,12 +692,13 @@ def compile_pass(layers: Sequence[Layer], in_shape: tuple[int, ...],
                  post: Sequence[Callable[[np.ndarray], np.ndarray]]
                  | None = None) -> CompiledPass:
     """Look up (or compile) every layer's plan, each on its producer's
-    output shape, and group them into a :class:`CompiledPass`."""
+    output shape and dtype, and group them into a
+    :class:`CompiledPass`."""
     plans = []
     for layer in layers:
         plan = cache.lookup(layer, in_shape, store, dtype)
         plans.append(plan)
-        in_shape = plan.out_shape
+        in_shape, dtype = plan.out_shape, plan.out_dtype
     return CompiledPass(plans, post)
 
 

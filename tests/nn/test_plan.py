@@ -14,11 +14,22 @@ import pytest
 import repro.nn.functional as F
 from repro.errors import ShapeError
 from repro.frontend.weights import WeightStore
-from repro.ir.layers import ConvLayer, PoolLayer
-from repro.nn.engine import ReferenceEngine
+from repro.ir.layers import (
+    Activation,
+    ActivationLayer,
+    ConvLayer,
+    FlattenLayer,
+    FullyConnectedLayer,
+    PoolLayer,
+    PoolOp,
+    SoftmaxLayer,
+)
+from repro.ir.network import chain
+from repro.nn.engine import ReferenceEngine, run_layer
 from repro.nn.plan import (
     MAX_BATCH_VARIANTS,
     PlanCache,
+    compile_pass,
     compile_plan,
     default_plan_cache,
 )
@@ -278,6 +289,77 @@ def test_dtype_keys_separate_plans():
     assert out64.dtype == np.float64
     out32 = p32.run_batch(x.astype(np.float32))
     assert out32.dtype == np.float32
+
+
+def test_pass_chains_each_producers_dtype():
+    """A float16 pass: the conv outputs float32 (its weights are), and
+    every later plan is compiled for float32, so the pass equals the
+    oracle layer by layer with no silent cast into float16 scratch."""
+    in_shape = (2, 10, 10)
+    net = chain("f16", in_shape, [
+        ConvLayer("conv", num_output=3, kernel=3),
+        PoolLayer("pool", kernel=2),
+        ActivationLayer("act", kind=Activation.SIGMOID),
+        PoolLayer("avg", op=PoolOp.AVG, kernel=2),
+        FlattenLayer("flat"),
+        FullyConnectedLayer("fc", num_output=4),
+        SoftmaxLayer("prob")])
+    rng = np.random.default_rng(13)
+    store = WeightStore()
+    for layer in net.layers:
+        for blob, shape in layer.weight_shapes(net.input_shape(layer)) \
+                .items():
+            store.set(layer.name, blob,
+                      rng.normal(size=shape).astype(np.float32))
+    compiled = compile_pass(net.layers, in_shape, np.dtype(np.float16),
+                            store, PlanCache())
+    # data, conv read float16; pool .. prob read float32
+    assert [p.dtype.name for p in compiled.plans] == \
+        ["float16"] * 2 + ["float32"] * 6
+    x = rng.normal(size=(3,) + in_shape).astype(np.float16)
+    want = x
+    for layer in net.layers:
+        want = run_layer(layer, store, want)
+    got = compiled.run(x)
+    assert got.dtype == want.dtype == np.float32
+    assert np.array_equal(got, want)
+
+
+def test_oracle_plans_describe_their_kernel_output():
+    for layer, in_shape, dtype in [
+            (PoolLayer("avg", op=PoolOp.AVG, kernel=3, stride=2),
+             (2, 8, 8), np.float32),
+            (ActivationLayer("act", kind=Activation.SIGMOID), (3, 4, 4),
+             np.float16),
+            (ActivationLayer("act", kind=Activation.TANH), (3, 4, 4),
+             np.float16),
+            (ActivationLayer("act", kind=Activation.RELU), (3, 4, 4),
+             np.float64)]:
+        plan = compile_plan(layer, in_shape, WeightStore(), dtype)
+        assert plan.kind == "oracle"
+        want = run_layer(layer, WeightStore(),
+                         np.ones((2,) + in_shape, dtype))
+        assert (plan.out_shape, plan.out_dtype) == (want.shape[1:],
+                                                    want.dtype)
+        assert np.array_equal(plan.run_batch(np.ones((2,) + in_shape,
+                                                     dtype)), want)
+
+
+def test_plans_compile_floating_dtypes_only():
+    layer, store, in_shape = _conv_setup()
+    with pytest.raises(TypeError):
+        compile_plan(layer, in_shape, store, np.int32)
+
+
+def test_bind_rejects_a_source_it_would_misread():
+    layer, store, in_shape = _conv_setup()
+    plan = compile_plan(layer, in_shape, store)
+    wide = np.zeros((2,) + in_shape[:-1] + (2 * in_shape[-1],),
+                    np.float32)
+    with pytest.raises(ShapeError, match="non-contiguous"):
+        plan.bind(2, wide[..., ::2])
+    with pytest.raises(ShapeError, match="float32"):
+        plan.bind(2, np.zeros((2,) + in_shape, np.float64))
 
 
 def test_store_tokens_separate_plans():

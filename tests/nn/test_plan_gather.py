@@ -1,10 +1,10 @@
 """Window gathers and fused stages of the compiled pass.
 
-Conv plans fill their patch scratch by one of three strategies, chosen
+Conv plans fill their patch scratch by one of two strategies, chosen
 from the output width: rows narrower than ``STRIDED_MIN_OW`` replay a
-flat index map; wider rows copy windows out of a strided view, in two
-contiguous stages (unfold the rows, then copy each (kh, kw) block)
-when the vertical stride is 1.  Max-pool plans fold ``np.maximum`` over
+flat index map; wider rows copy windows out of strided views in two
+stages (unfold the rows, then copy each (kh, kw) block, one contiguous
+run when the vertical stride is 1).  Max-pool plans fold ``np.maximum`` over
 window views, rows first.  A conv followed by a max-pool that needs no
 padding binds into one stage that pools the GEMM output in place.
 
@@ -89,9 +89,8 @@ def _check(layer, in_shape, store, ow):
                          ids=[f"ow{c[0]}-{c[1]}" for c in CONV_CASES])
 def test_conv_gather_matches_oracle(ow, in_shape, layer):
     plan = _check(layer, in_shape, _conv_store(layer, in_shape), ow)
-    # stride-1 rows take the two-stage copy
-    assert ("unfold" in plan.steps) == (
-        ow >= STRIDED_MIN_OW and layer.stride[0] == 1)
+    # every stride takes the two-stage copy
+    assert ("unfold" in plan.steps) == (ow >= STRIDED_MIN_OW)
 
 
 @pytest.mark.parametrize("ow,in_shape,layer", POOL_CASES,
@@ -135,7 +134,7 @@ PAIR_CASES = [
     ("ow10-s12", (2, 9, 20),
      ConvLayer("conv", num_output=3, kernel=(3, 2), stride=(1, 2)),
      PoolLayer("pool", kernel=(1, 2)), True),
-    # conv OW 8, stride (2, 2): one strided copy
+    # conv OW 8, stride (2, 2): two-stage copy of strided rows and columns
     ("ow8-s22", (2, 17, 17),
      ConvLayer("conv", num_output=3, kernel=3, stride=2),
      PoolLayer("pool", kernel=2), True),
