@@ -32,7 +32,7 @@ from repro.errors import FleetError
 from repro.frontend.condor_format import DeploymentOption, model_from_json
 from repro.frontend.weights import WeightStore
 from repro.frontend.zoo import tc1_model
-from repro.resilience.boundary import breaker_states, inject_faults
+from repro.resilience.boundary import inject_faults
 from repro.resilience.clock import VirtualClock
 from repro.resilience.faults import (
     DEVICE_PATTERN,
@@ -151,7 +151,6 @@ def _run_cell(kind: str, seed: int, service: AFIService, agfi_id: str,
             bit_correct = False
             final_error = str(exc)
         stats = fleet.stats()
-        breakers = breaker_states()
 
     if bit_correct and workload_errors == 0 and final_error is None:
         status = "ok" if not stats["quarantined"] else "degraded"
@@ -181,7 +180,6 @@ def _run_cell(kind: str, seed: int, service: AFIService, agfi_id: str,
         "slots": stats["slots"],
         "quarantined": stats["quarantined"],
         "healthy_slots": stats["healthy_slots"],
-        "breakers": breakers,
         "virtual_seconds": round(clock.now, 3),
     }
 

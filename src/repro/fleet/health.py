@@ -1,10 +1,9 @@
 """Per-slot health state for the fleet.
 
 Health is *derived*, not stored: each managed slot owns a
-:class:`~repro.resilience.breaker.CircuitBreaker` (registered in the
-current breaker realm, so ``breaker_states()`` snapshots and ``condor
-obs diff`` see fleet health for free), and the three-level health state
-is a read of that breaker:
+:class:`~repro.resilience.breaker.CircuitBreaker`, built by its fleet
+on the fleet's clock and shared with no other fleet, and the
+three-level health state is a read of that breaker:
 
 ========== ====================================================
 OK         breaker closed with no consecutive failures

@@ -7,10 +7,12 @@ and returns bit-correct outputs or raises
 :class:`~repro.errors.FleetError`.  Between those two outcomes sits the
 health machinery:
 
-* **watchdog** — every kernel invocation is deadlined on the fleet's
-  virtual clock; a hung or pathologically slow device trips
+* **watchdog** — every kernel invocation's modeled device seconds
+  (injected hangs and slowdowns included) are checked against a
+  deadline; a hung or pathologically slow device trips
   :class:`~repro.errors.WatchdogTimeoutError` instead of wedging the
-  caller;
+  caller.  Device time is the invocation's own: no fault moves the
+  fleet's clock;
 * **scrubbing** — every ``scrub_every``-th submission per slot (and
   every ``verify=True`` submission) checks the slot's loaded weight
   buffer digest against the golden digest recorded at attach, and the
@@ -18,9 +20,10 @@ health machinery:
   Silent SEU corruption is repaired on the spot (AFI re-load + weight
   rewrite) and the tainted submission is retried elsewhere;
 * **quarantine** — each slot's failures feed a
-  :class:`~repro.resilience.breaker.CircuitBreaker` registered in the
-  current realm (boundary ``fleet.<label>``), so fleet health shows up
-  in ``breaker_states()`` snapshots, manifests and ``condor obs diff``.
+  :class:`~repro.resilience.breaker.CircuitBreaker` the fleet builds
+  for that slot on its own clock (boundary ``fleet.<label>``); no
+  other fleet shares it, even one with the same slot labels, and
+  ``stats()`` reports it per slot.
   An open breaker removes the slot from rotation; once its recovery
   window elapses the manager re-loads the AFI, rewrites the weights and
   re-probes the slot against the golden engine before trusting it again;
@@ -52,8 +55,7 @@ from repro.frontend.condor_format import model_from_json
 from repro.nn.engine import ReferenceEngine
 from repro.obs import REGISTRY
 from repro.obs.metrics import ledger_source
-from repro.resilience.boundary import breaker_for
-from repro.resilience.breaker import HALF_OPEN, OPEN
+from repro.resilience.breaker import HALF_OPEN, OPEN, CircuitBreaker
 from repro.resilience.clock import DEFAULT_CLOCK, VirtualClock
 from repro.runtime.opencl import (
     Buffer,
@@ -230,13 +232,13 @@ class FleetManager:
         out_buf = Buffer(context, Buffer.WRITE_ONLY,
                          capacity * self._out_size * 4)
         w_buf = Buffer(context, Buffer.READ_ONLY, self._packed.size * 4)
-        queue = CommandQueue(context, emulation="fast", clock=self.clock)
+        queue = CommandQueue(context, emulation="fast")
         queue.enqueue_write_buffer(w_buf, self._packed)
         kernel.set_arg(0, in_buf)
         kernel.set_arg(1, out_buf)
         kernel.set_arg(2, w_buf)
         kernel.set_arg(3, 1)
-        breaker = breaker_for(
+        breaker = CircuitBreaker(
             f"fleet.{label}", clock=self.clock,
             failure_threshold=self.config.failure_threshold,
             recovery_s=self.config.recovery_s)
@@ -425,14 +427,13 @@ class FleetManager:
         """One watchdogged kernel invocation on a held slot.
 
         Returns ``(outputs, elapsed)`` where ``elapsed`` is the modeled
-        device seconds the invocation took (the watchdogged quantity).
+        device seconds the invocation took, injected hangs and
+        slowdowns included (the watchdogged quantity).
         """
         count = batch.shape[0]
         managed.queue.enqueue_write_buffer(managed.in_buf, batch)
         managed.kernel.set_arg(3, count)
-        start = self.clock.now
-        event = managed.queue.enqueue_task(managed.kernel)
-        elapsed = (self.clock.now - start) + event.device_seconds
+        elapsed = managed.queue.enqueue_task(managed.kernel).device_seconds
         if elapsed > self.config.watchdog_s:
             with self._lock:
                 self._actions["watchdog_trip", ""] += 1

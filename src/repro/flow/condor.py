@@ -443,8 +443,8 @@ class CondorFlow:
         stats = self.boundary_stats
         if stats is not None and (stats.calls or stats.any_activity):
             snapshots["resilience"] = stats.to_dict()
-        # the breaker realm covers more than boundary calls (fleet slot
-        # health lands here too), so snapshot it whenever it is non-empty
+        # the breaker realm is process-wide and outlives this run's
+        # boundary calls, so snapshot it whenever it is non-empty
         breakers = breaker_states()
         if breakers:
             snapshots.setdefault("resilience", {})["breakers"] = breakers

@@ -27,7 +27,6 @@ from repro.hw.accelerator import build_accelerator
 from repro.hw.estimate import estimate_accelerator, estimate_pe
 from repro.hw.perf import (
     AcceleratorPerformance,
-    batch_latency_cycles,
     estimate_performance,
     estimate_power_watts,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "estimate_accelerator",
     "estimate_pe",
     "AcceleratorPerformance",
-    "batch_latency_cycles",
     "estimate_performance",
     "estimate_power_watts",
 ]

@@ -174,11 +174,6 @@ def ddr_bytes_per_image(acc: Accelerator) -> int:
     return math.ceil(total)
 
 
-def ddr_words_per_image(acc: Accelerator) -> int:
-    """Backwards-compatible word count (32-bit equivalents)."""
-    return math.ceil(ddr_bytes_per_image(acc) / 4)
-
-
 def estimate_performance(acc: Accelerator,
                          cal: Calibration = DEFAULT_CALIBRATION,
                          *, pe_cache: dict | None = None) \
@@ -240,11 +235,6 @@ def _estimate_performance(acc: Accelerator, cal: Calibration,
         config_cycles=config,
         ddr_cycles=ddr,
     )
-
-
-def batch_latency_cycles(perf: AcceleratorPerformance, batch: int) -> int:
-    """Convenience alias used by the Figure 5 bench."""
-    return perf.batch_cycles(batch)
 
 
 def estimate_power_watts(acc: Accelerator,

@@ -22,7 +22,6 @@ lives in bound passes (enforced by the ``engine-plan-alloc`` lint rule).
 from __future__ import annotations
 
 import contextlib
-from functools import partial
 
 import numpy as np
 
@@ -139,23 +138,17 @@ class ReferenceEngine:
         if memo is not None and memo[0] == key:
             self.plan_cache.record_hit(len(memo[1].plans))
             return memo[1]
-        post = None
-        if type(self)._post_layer is not ReferenceEngine._post_layer:
-            post = [partial(self._post_layer, layer)
-                    for layer in self.net.layers]
         compiled = compile_pass(self.net.layers, key[1], x.dtype,
-                                self.weights, self.plan_cache, post)
+                                self.weights, self.plan_cache)
         self._memo = (key, compiled)
         return compiled
 
     def _post_layer(self, layer: Layer, out: np.ndarray) -> np.ndarray:
-        """Hook applied to every layer's output, planned or oracle.
+        """Hook applied to every layer's output on the oracle path.
 
         The base engine is the identity; :class:`~repro.quant.apply.
-        QuantizedEngine` rounds activations here so its dynamic
-        per-tensor scales stay outside the shape-keyed plans.  An
-        override runs as a bound step after every layer of a compiled
-        pass, and turns conv→pool fusion off.
+        QuantizedEngine` rounds activations here, and runs the oracle
+        only: compiled passes have no per-layer hook.
         """
         return out
 

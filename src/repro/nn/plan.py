@@ -616,23 +616,18 @@ class CompiledPass:
     Groups the layer plans into stages — a conv followed by a max-pool
     that reads it in place fuses into one, named ``conv+pool`` — and
     binds every stage once per (thread, batch size), keeping at most
-    :data:`MAX_BATCH_VARIANTS` bindings per thread.  ``post``, when
-    given, holds one hook per layer whose result is written back into
-    that layer's output after it runs; it turns fusion off.
+    :data:`MAX_BATCH_VARIANTS` bindings per thread.
     """
 
-    def __init__(self, plans: Sequence[ExecutionPlan],
-                 post: Sequence[Callable[[np.ndarray], np.ndarray]]
-                 | None = None):
+    def __init__(self, plans: Sequence[ExecutionPlan]):
         self.plans = tuple(plans)
         self.in_shape = self.plans[0].in_shape
         self.dtype = self.plans[0].dtype
-        self._post = post
         stages: list[tuple[ExecutionPlan, ...]] = []
         rest = list(self.plans)
         while rest:
             plan = rest.pop(0)
-            if post is None and isinstance(plan, _ConvPlan) and rest \
+            if isinstance(plan, _ConvPlan) and rest \
                     and isinstance(rest[0], _MaxPoolPlan) \
                     and rest[0].unpadded:
                 stages.append((plan, rest.pop(0)))
@@ -647,10 +642,8 @@ class CompiledPass:
     def _bind(self, n: int) -> _BoundPass:
         x = inp = np.empty((n,) + self.in_shape, self.dtype)
         stages = []
-        for i, (plan, *fused) in enumerate(self._stages):
+        for plan, *fused in self._stages:
             steps, x = plan.bind(n, x, *fused)
-            if self._post is not None:
-                steps.append(partial(_into, x, self._post[i], x))
             stages.append(steps)
         return _BoundPass(inp, stages, x)
 
@@ -688,9 +681,8 @@ class CompiledPass:
 
 
 def compile_pass(layers: Sequence[Layer], in_shape: tuple[int, ...],
-                 dtype: np.dtype, store: "WeightStore", cache: "PlanCache",
-                 post: Sequence[Callable[[np.ndarray], np.ndarray]]
-                 | None = None) -> CompiledPass:
+                 dtype: np.dtype, store: "WeightStore",
+                 cache: "PlanCache") -> CompiledPass:
     """Look up (or compile) every layer's plan, each on its producer's
     output shape and dtype, and group them into a
     :class:`CompiledPass`."""
@@ -699,7 +691,7 @@ def compile_pass(layers: Sequence[Layer], in_shape: tuple[int, ...],
         plan = cache.lookup(layer, in_shape, store, dtype)
         plans.append(plan)
         in_shape, dtype = plan.out_shape, plan.out_dtype
-    return CompiledPass(plans, post)
+    return CompiledPass(plans)
 
 
 # -- the cache ----------------------------------------------------------------

@@ -86,19 +86,20 @@ class QuantizedEngine(ReferenceEngine):
     The input and every layer output are rounded onto the activation
     grid (per-tensor dynamic scale, as a hardware block with per-layer
     calibrated shifts would); softmax stays in floating point — in the
-    architecture it runs on the host-facing normalization stage.
+    architecture it runs on the host-facing normalization stage.  It
+    runs the oracle kernels: the rounding is a per-layer hook, and
+    compiled passes have none.
     """
 
     def __init__(self, net: Network, weights: WeightStore,
-                 scheme: QuantScheme, **engine_kwargs):
+                 scheme: QuantScheme):
         quantized, self.report = quantize_store(weights, scheme)
-        super().__init__(net, quantized, **engine_kwargs)
+        super().__init__(net, quantized, use_plans=False)
         self.scheme = scheme
 
     def _post_layer(self, layer: Layer, out: np.ndarray) -> np.ndarray:
-        """Round each layer output onto the activation grid.  The scale
-        is dynamic per tensor, so it stays *outside* the shape-keyed
-        plans — the plan replays the arithmetic, this hook quantizes."""
+        """Round each layer output onto the activation grid (a dynamic
+        per-tensor scale)."""
         if isinstance(layer, SoftmaxLayer):
             return out
         return fake_quantize(out, self.scheme)

@@ -46,32 +46,18 @@ __all__ = [
 
 #: The process-wide breaker realm (boundary name -> breaker).
 _BREAKERS: dict[str, CircuitBreaker] = {}
-#: Guards realm membership (get-or-create, reset, the chaos swap) — a
-#: serving fleet drives boundaries from many threads at once.
+#: Guards realm membership (get-or-create, reset, the chaos swap).
 _BREAKERS_LOCK = new_lock("resilience.boundary.breakers")
 
 
 def breaker_for(boundary: str, *,
-                clock: VirtualClock | None = None,
-                failure_threshold: int | None = None,
-                recovery_s: float | None = None) -> CircuitBreaker:
-    """The realm's breaker for a boundary (created on first use).
-
-    ``failure_threshold`` / ``recovery_s`` apply only when this call
-    creates the breaker — an existing breaker keeps its configuration
-    (callers sharing a boundary must agree on it, and the fleet's slot
-    boundaries have exactly one creator each).
-    """
+                clock: VirtualClock | None = None) -> CircuitBreaker:
+    """The realm's breaker for a boundary (created on first use)."""
     with _BREAKERS_LOCK:
         breaker = _BREAKERS.get(boundary)
         if breaker is None:
-            kwargs: dict = {}
-            if failure_threshold is not None:
-                kwargs["failure_threshold"] = failure_threshold
-            if recovery_s is not None:
-                kwargs["recovery_s"] = recovery_s
             breaker = _BREAKERS[boundary] = \
-                CircuitBreaker(boundary, clock=clock, **kwargs)
+                CircuitBreaker(boundary, clock=clock)
         return breaker
 
 

@@ -32,10 +32,13 @@ boundaries (``device.<instance>.slot<k>``, the simulated FPGA cards in
     kills the card mid-invocation (``DeviceLostError``); the device
     stays dead until an AFI re-load reprograms it;
 ``kernel-hang``
-    the kernel never returns — modeled as the invocation consuming
-    ``delay_s`` of virtual time so the fleet watchdog trips;
+    the kernel never returns — modeled as the invocation taking
+    ``delay_s`` more device time, so the fleet watchdog trips;
 ``slow-device``
     like a hang but survivable latency weather (smaller ``delay_s``).
+
+Hangs and slowdowns charge only the invocation they hit: the delay is
+added to that task's device seconds, and no clock moves.
 
 ``permanent`` at a device boundary means a dead card every attempt —
 re-loads do not revive it (whole-instance loss).
@@ -189,8 +192,7 @@ class FaultPlan:
                     spec.message or
                     f"injected permanent fault at {boundary}")
 
-    def on_device_attempt(self, boundary: str, clock: VirtualClock, *,
-                          device=None) -> None:
+    def on_device_attempt(self, boundary: str, device) -> float:
         """Fire device-level faults for one kernel invocation.
 
         ``boundary`` is the slot's fault boundary
@@ -199,39 +201,37 @@ class FaultPlan:
         crash faults can mark the card dead.  A ``PERMANENT`` spec at a
         device boundary means the card dies on *every* attempt — AFI
         re-loads revive it only until the next launch.
+
+        Returns the virtual seconds ``SLOW_DEVICE`` and ``KERNEL_HANG``
+        faults add to this invocation.  The delay belongs to the
+        invocation alone: the caller charges it to the task's device
+        time, where the fleet watchdog sees it, and no clock moves.
         """
+        delay_s = 0.0
         for index, spec in enumerate(self.specs):
             if not spec.matches(boundary):
                 continue
-            if spec.kind is FaultKind.SLOW_DEVICE and \
+            if spec.kind in (FaultKind.SLOW_DEVICE,
+                             FaultKind.KERNEL_HANG) and \
                     self._remaining[index] > 0:
                 self._remaining[index] -= 1
                 self._record(boundary, spec)
-                clock.sleep(spec.delay_s)
-            elif spec.kind is FaultKind.KERNEL_HANG and \
-                    self._remaining[index] > 0:
-                # a hung kernel never returns: the invocation soaks up
-                # delay_s of virtual time, which the fleet watchdog
-                # deadline then converts into a WatchdogTimeoutError
-                self._remaining[index] -= 1
-                self._record(boundary, spec)
-                clock.sleep(spec.delay_s)
+                delay_s += spec.delay_s
             elif spec.kind is FaultKind.SLOT_CRASH and \
                     self._remaining[index] > 0:
                 self._remaining[index] -= 1
                 self._record(boundary, spec)
-                if device is not None:
-                    device.alive = False
+                device.alive = False
                 raise DeviceLostError(
                     spec.message or
                     f"injected slot crash at {boundary}")
             elif spec.kind is FaultKind.PERMANENT:
                 self._record(boundary, spec)
-                if device is not None:
-                    device.alive = False
+                device.alive = False
                 raise DeviceLostError(
                     spec.message or
                     f"injected permanent device loss at {boundary}")
+        return delay_s
 
     def corrupt_device_weights(self, boundary: str, flat) -> int:
         """Apply any armed SEU fault to a loaded weight buffer in place.

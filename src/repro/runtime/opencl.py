@@ -45,9 +45,11 @@ class SimDevice:
         #: False once the card crashed or its instance was lost; kernel
         #: launches raise :class:`DeviceLostError` until reprogrammed.
         self.alive = True
-        #: The fault boundary device-level chaos specs match against
-        #: (F1 slots override this with ``device.<instance>.slot<k>``).
-        self.fault_boundary = f"device.{name}"
+        #: The fault boundary device-level chaos specs match against:
+        #: ``device.<instance>.slot<k>`` on F1 slots (set by
+        #: :mod:`repro.cloud.f1`), ``None`` elsewhere — plain devices
+        #: are never injected.
+        self.fault_boundary: str | None = None
 
     def program(self, xclbin: Xclbin) -> None:
         if xclbin.part != self.hw.part:
@@ -172,20 +174,17 @@ class Event:
 class CommandQueue:
     """In-order command queue with modeled device timing.
 
-    ``clock`` opts the queue into device-level fault injection: when an
-    armed :class:`~repro.resilience.faults.FaultPlan` carries device
-    faults, hangs/slowdowns advance this virtual clock and crashes kill
-    the card.  Queues without a clock (benches, plain runtime use) are
-    never injected — only the fleet layer passes one.
+    Tasks on a device with a fault boundary (an F1 slot) fire the armed
+    :class:`~repro.resilience.faults.FaultPlan`'s device faults: a
+    hang or slowdown adds its delay to that task's ``device_seconds``,
+    a crash kills the card, an SEU corrupts the weight buffer.
     """
 
-    def __init__(self, context: Context, *, emulation: str = "fast",
-                 clock=None):
+    def __init__(self, context: Context, *, emulation: str = "fast"):
         if emulation not in ("fast", "event"):
             raise RuntimeAPIError(f"unknown emulation mode {emulation!r}")
         self.context = context
         self.emulation = emulation
-        self.clock = clock
         self._device_time_s = 0.0
 
     # -- data movement --------------------------------------------------------
@@ -233,14 +232,15 @@ class CommandQueue:
             raise DeviceLostError(
                 f"device {device.name} is not available (crashed or"
                 " lost); reprogram it to recover")
-        if self.clock is not None:
-            plan = active_plan()
-            if plan is not None:
-                if plan.corrupt_device_weights(device.fault_boundary,
-                                               w_buf.data):
-                    w_buf.generation += 1
-                plan.on_device_attempt(device.fault_boundary, self.clock,
-                                       device=device)
+        delay_s = 0.0
+        plan = active_plan() if device.fault_boundary is not None \
+            else None
+        if plan is not None:
+            if plan.corrupt_device_weights(device.fault_boundary,
+                                           w_buf.data):
+                w_buf.generation += 1
+            delay_s = plan.on_device_attempt(device.fault_boundary,
+                                             device)
 
         program = kernel.program
         acc = program.accelerator
@@ -270,7 +270,7 @@ class CommandQueue:
         wall = time.perf_counter() - wall_start
 
         out_buf.data[:batch * program.output_size] = outputs.reshape(-1)
-        seconds = cycles / acc.frequency_hz
+        seconds = cycles / acc.frequency_hz + delay_s
         self._device_time_s += seconds
         event = Event("task", end_cycles=cycles, device_seconds=seconds,
                       wall_seconds=wall,

@@ -1,17 +1,15 @@
-"""Metrics-driven elasticity: add or drain fleet instances under load.
+"""Elasticity from server signals: add or drain fleet instances under load.
 
-The autoscaler closes the loop the ROADMAP sketches: the server already
-publishes its health into the :mod:`repro.obs` registry
-(``condor_serve_queue_depth_count``, ``condor_serve_latency_seconds``),
-so scaling decisions read the *registry* — the same numbers an operator
-sees in ``telemetry.json`` — rather than private server state.  Scale
-up when the batcher queue or the p99 latency crosses its high
-watermark; scale down when the server has been observed idle (empty
-queue, no modeled backlog) for consecutive evaluations.  A cooldown
-guards against flapping, and ``min_instances``/``max_instances`` bound
-the fleet.
+The autoscaler reads the server it scales — its batcher queue depth
+and its own latency sketch — so a fresh server's decisions never see
+an older server that shared its name (the ``condor_serve_*`` registry
+series merge every server under a name).  Scale up when the batcher
+queue or the p99 latency crosses its high watermark; scale down when
+the server has been observed idle (empty queue, no modeled backlog)
+for consecutive evaluations.  A cooldown guards against flapping, and
+``min_instances``/``max_instances`` bound the fleet.
 
-Because the registry summary is cumulative over the run, p99 is a
+Because the latency sketch is cumulative over the run, p99 is a
 *scale-up* signal only — it rises quickly under distress but decays
 slowly — so scale-down relies on observed idleness instead.
 """
@@ -52,23 +50,14 @@ class AutoscalerConfig:
 
 
 class Autoscaler:
-    """Evaluate registry signals and drive the fleet's elastic verbs."""
+    """Evaluate server signals and drive the fleet's elastic verbs."""
 
     def __init__(self, server, launch_instance, *,
-                 config: AutoscalerConfig | None = None,
-                 registry=REGISTRY):
+                 config: AutoscalerConfig | None = None):
         self.server = server
         #: Zero-arg callable producing a fresh, AFI-ready F1 instance.
         self.launch_instance = launch_instance
         self.config = config if config is not None else AutoscalerConfig()
-        self.registry = registry
-        self._depth_gauge = registry.gauge(
-            "condor_serve_queue_depth_count",
-            "Requests waiting in the batcher, per server")
-        self._latency = registry.summary(
-            "condor_serve_latency_seconds",
-            "End-to-end request latency on the virtual timeline,"
-            " per server")
         self._last_action_s = float("-inf")
         self._idle_streak = 0
         #: Every action taken: ``(virtual_s, direction, detail)``.
@@ -77,14 +66,13 @@ class Autoscaler:
     # -- signals ------------------------------------------------------------
 
     def signals(self, now: float) -> dict:
-        """The registry reads one evaluation is based on."""
-        name = self.server.config.name
-        p99 = self._latency.quantile(0.99, server=name)
+        """The server reads one evaluation is based on."""
+        server = self.server
         return {
-            "queue_depth": self._depth_gauge.value(server=name),
-            "p99_s": p99,
-            "backlog_s": self.server.backlog_s(now),
-            "instances": len(self.server.fleet.instances),
+            "queue_depth": server.batcher.depth,
+            "p99_s": server.latency_quantile(0.99),
+            "backlog_s": server.backlog_s(now),
+            "instances": len(server.fleet.instances),
         }
 
     # -- the evaluation step ------------------------------------------------

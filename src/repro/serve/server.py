@@ -16,7 +16,9 @@ time) later.  Request latency is completion minus arrival — queueing
 delay, batching delay and device time all included — and feeds the
 server's :class:`~repro.obs.QuantileSketch`.  That sketch and one ledger
 of counts feed ``stats()`` and, at collect time, the ``condor_serve_*``
-registry series (the autoscaler's signals).
+registry series.  The autoscaler reads the sketch and the batcher
+depth from the server itself, not from those series, which merge every
+server built under the same name.
 
 The server owns no thread: callers drive it (``submit`` on arrivals,
 ``pump`` at batcher deadlines, ``drain`` at shutdown), which keeps
@@ -255,6 +257,12 @@ class InferenceServer:
             if not self._lanes:
                 return 0.0
             return max(0.0, max(self._lanes) - now)
+
+    def latency_quantile(self, q: float) -> float | None:
+        """A quantile of this server's request latency so far (``None``
+        before its first completed request)."""
+        with self._lock:
+            return self.latency_sketch.quantile(q)
 
     # -- introspection ------------------------------------------------------
 

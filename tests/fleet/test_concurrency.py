@@ -21,7 +21,6 @@ from repro.fleet.drill import build_drill_image
 from repro.cloud.f1 import F1Instance
 from repro.frontend.condor_format import model_from_json
 from repro.frontend.weights import WeightStore
-from repro.resilience.boundary import reset_breakers
 from repro.resilience.clock import VirtualClock
 from repro.toolchain.xclbin import read_xclbin
 
@@ -39,13 +38,6 @@ def weights(image):
     _, _, xclbin_bytes = image
     net = model_from_json(read_xclbin(xclbin_bytes).network_json).network
     return WeightStore.initialize(net, seed=0)
-
-
-@pytest.fixture(autouse=True)
-def fresh_realm():
-    reset_breakers()
-    yield
-    reset_breakers()
 
 
 def make_fleet(image, weights, *, count=1, config=None):

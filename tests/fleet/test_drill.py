@@ -69,9 +69,10 @@ class TestSurvivalMatrix:
 
     def test_breaker_snapshot_uses_fleet_labels(self, report):
         cell = cell_for(report, "slot-crash")
-        assert set(cell["breakers"]) == {
-            "fleet.i0.slot0", "fleet.i0.slot1",
-            "fleet.i1.slot0", "fleet.i1.slot1"}
+        assert set(cell["slots"]) == {
+            "i0.slot0", "i0.slot1", "i1.slot0", "i1.slot1"}
+        assert all({"breaker", "opened_count"} <= set(slot)
+                   for slot in cell["slots"].values())
 
     def test_report_never_leaks_raw_instance_ids(self, report):
         # raw ids embed a process-wide launch counter; reports must use

@@ -11,11 +11,7 @@ from repro.fleet import FleetConfig, FleetManager, SlotState
 from repro.fleet.drill import build_drill_image
 from repro.frontend.condor_format import model_from_json
 from repro.frontend.weights import WeightStore
-from repro.resilience.boundary import (
-    breaker_states,
-    inject_faults,
-    reset_breakers,
-)
+from repro.resilience.boundary import inject_faults
 from repro.resilience.breaker import HALF_OPEN, OPEN
 from repro.resilience.clock import VirtualClock
 from repro.resilience.faults import (
@@ -37,13 +33,6 @@ def weights(image):
     _, _, xclbin_bytes = image
     net = model_from_json(read_xclbin(xclbin_bytes).network_json).network
     return WeightStore.initialize(net, seed=0)
-
-
-@pytest.fixture(autouse=True)
-def fresh_realm():
-    reset_breakers()
-    yield
-    reset_breakers()
 
 
 def make_fleet(image, weights, *, clock, count=1, config=None):
@@ -80,12 +69,25 @@ class TestHealthyFleet:
         assert stats["healthy_slots"] == 2
         assert stats["quarantined"] == []
 
-    def test_slot_breakers_live_in_the_realm(self, image, weights):
-        make_fleet(image, weights, clock=VirtualClock())
-        states = breaker_states()
-        assert "fleet.i0.slot0" in states
-        assert "fleet.i0.slot1" in states
-        assert states["fleet.i0.slot0"]["state"] == "closed"
+    def test_same_labelled_fleets_keep_independent_breakers(
+            self, image, weights):
+        clock_a, clock_b = VirtualClock(), VirtualClock()
+        config = FleetConfig(scrub_every=0, failure_threshold=2)
+        fleet_a = make_fleet(image, weights, clock=clock_a,
+                             config=config)
+        fleet_b = make_fleet(image, weights, clock=clock_b,
+                             config=config)
+        slot_a, slot_b = fleet_a.slots[0], fleet_b.slots[0]
+        assert slot_a.label == slot_b.label == "i0.slot0"
+        assert slot_a.breaker is not slot_b.breaker
+        assert slot_a.breaker.clock is clock_a
+        assert slot_b.breaker.clock is clock_b
+        # two failures quarantine the slot in fleet A only
+        slot_a.breaker.record_failure()
+        slot_a.breaker.record_failure()
+        assert fleet_a.health()["i0.slot0"] is SlotState.QUARANTINED
+        assert fleet_b.health()["i0.slot0"] is SlotState.OK
+        assert fleet_b.stats()["healthy_slots"] == 2
 
     def test_batch_over_capacity_rejected(self, image, weights):
         config = FleetConfig(capacity=2)
@@ -117,7 +119,26 @@ class TestFaultHandling:
         assert plan.total_injected == 1
         assert stats["actions"]["watchdog_trip"] == 1
         assert stats["actions"]["failover"] == 1
-        assert clock.now >= 600.0  # the hang burned virtual time
+        # the hang was the invocation's device time, not shared time
+        assert clock.now == 0.0
+
+    def test_slowdown_lands_in_device_seconds(self, image, weights):
+        clock = VirtualClock()
+        config = FleetConfig(scrub_every=0, watchdog_s=60.0)
+        rng = np.random.default_rng(5)
+        fleet = make_fleet(image, weights, clock=clock, config=config)
+        images = batch_for(fleet, rng)
+        clean = fleet.submit(images).device_seconds
+        plan = FaultPlan([FaultSpec(DEVICE_PATTERN,
+                                    FaultKind.SLOW_DEVICE,
+                                    delay_s=45.0)], seed=5)
+        with inject_faults(plan):
+            slow = fleet.submit(images)
+        assert plan.total_injected == 1
+        assert slow.attempts == 1  # under the deadline: no trip
+        assert slow.device_seconds == pytest.approx(clean + 45.0)
+        assert clock.now == 0.0
+        assert "watchdog_trip" not in fleet.stats()["actions"]
 
     def test_scrub_catches_silent_bitflip(self, image, weights):
         clock = VirtualClock()

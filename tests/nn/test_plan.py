@@ -33,8 +33,6 @@ from repro.nn.plan import (
     compile_plan,
     default_plan_cache,
 )
-from repro.quant.apply import QuantizedEngine
-from repro.quant.scheme import QuantScheme
 
 _BATCH = {"tc1": 5, "lenet": 4, "cifar10": 3, "vgg16": 2}
 
@@ -99,24 +97,6 @@ def test_run_and_predict_share_batched_path(zoo_model, zoo_weights):
     expected = oracle.forward(image)
     assert np.array_equal(planned.forward(image), expected)
     assert planned.predict(image) == int(np.argmax(expected))
-
-
-def test_quantized_engine_planned_parity(zoo_model, zoo_weights):
-    """Dynamic activation scales live in the ``_post_layer`` hook,
-    outside the cached plans — quantized outputs must match the
-    unplanned quantized engine exactly."""
-    net = zoo_model("tc1").network
-    scheme = QuantScheme(bits=8)
-    planned = QuantizedEngine(net, zoo_weights("tc1"), scheme,
-                              plan_cache=PlanCache(), use_plans=True)
-    oracle = QuantizedEngine(net, zoo_weights("tc1"), scheme,
-                             use_plans=False)
-    images = _images(net, 4, seed=4)
-    for image in images:
-        assert np.array_equal(planned.forward(image),
-                              oracle.forward(image))
-    assert np.array_equal(planned.run_batch(images),
-                          oracle.run_batch(images))
 
 
 def test_planned_path_rejects_wrong_shape(zoo_model, zoo_weights):

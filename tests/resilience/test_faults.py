@@ -177,47 +177,43 @@ class TestDeviceFaults:
         assert plan.total_injected == 0
 
     def test_device_hook_ignores_build_kinds(self):
-        clock = VirtualClock()
         plan = FaultPlan([FaultSpec("device.*", FaultKind.TRANSIENT),
                           FaultSpec("device.*", FaultKind.SLOW)])
-        plan.on_device_attempt("device.i-1.slot0", clock)
-        assert clock.now == 0.0
+        assert plan.on_device_attempt("device.i-1.slot0",
+                                      self._device()) == 0.0
         assert plan.total_injected == 0
 
     def test_slot_crash_kills_the_card_once(self):
-        clock = VirtualClock()
         device = self._device()
         plan = FaultPlan([FaultSpec("device.*", FaultKind.SLOT_CRASH)])
         from repro.errors import DeviceLostError
         with pytest.raises(DeviceLostError):
-            plan.on_device_attempt("device.i-1.slot0", clock,
-                                   device=device)
+            plan.on_device_attempt("device.i-1.slot0", device)
         assert device.alive is False
         # cleared after `times`
-        plan.on_device_attempt("device.i-1.slot0", clock, device=device)
+        plan.on_device_attempt("device.i-1.slot0", device)
 
     def test_permanent_device_loss_never_clears(self):
-        clock = VirtualClock()
         device = self._device()
         plan = FaultPlan([FaultSpec("device.*", FaultKind.PERMANENT)])
         from repro.errors import DeviceLostError
         for _ in range(3):
             device.alive = True
             with pytest.raises(DeviceLostError):
-                plan.on_device_attempt("device.i-1.slot0", clock,
-                                       device=device)
+                plan.on_device_attempt("device.i-1.slot0", device)
             assert device.alive is False
 
-    def test_hang_and_slow_advance_the_clock(self):
-        clock = VirtualClock()
+    def test_hang_and_slow_return_their_delay(self):
+        device = self._device()
         plan = FaultPlan([
             FaultSpec("device.*", FaultKind.KERNEL_HANG, delay_s=600.0),
             FaultSpec("device.*", FaultKind.SLOW_DEVICE, delay_s=20.0),
         ])
-        plan.on_device_attempt("device.i-1.slot0", clock)
-        assert clock.now == 620.0
-        plan.on_device_attempt("device.i-1.slot0", clock)  # exhausted
-        assert clock.now == 620.0
+        assert plan.on_device_attempt("device.i-1.slot0",
+                                      device) == 620.0
+        # exhausted
+        assert plan.on_device_attempt("device.i-1.slot0", device) == 0.0
+        assert device.alive is True
 
     def test_bitflip_corrupts_in_place_and_is_seeded(self):
         import numpy as np

@@ -302,7 +302,7 @@ class TestEngineReuse:
 
 
 class TestDeviceLifecycle:
-    """Dead-card semantics and the clock-gated device fault hook."""
+    """Dead-card semantics and the boundary-gated device fault hook."""
 
     def _weights(self, program):
         return WeightStore.initialize(program.accelerator.network)
@@ -322,12 +322,11 @@ class TestDeviceLifecycle:
         assert context.device.alive is True
         run_batch(context, program, kernel, images, store)
 
-    def test_device_faults_only_fire_with_a_clock(self, session):
+    def test_plain_devices_are_never_injected(self, session):
         from repro.resilience import (
             FaultKind,
             FaultPlan,
             FaultSpec,
-            VirtualClock,
             inject_faults,
         )
         context, program, kernel = session
@@ -338,23 +337,26 @@ class TestDeviceLifecycle:
         plan = FaultPlan([FaultSpec("device.*", FaultKind.SLOW_DEVICE,
                                     delay_s=40.0, times=100)])
         with inject_faults(plan):
-            # no clock on the queue: plain runtime users are never
-            # injected with device weather
+            # no fault boundary: plain runtime users never see device
+            # weather
+            assert context.device.fault_boundary is None
             run_batch(context, program, kernel, images, store)
+            queue = CommandQueue(context)
+            clean = queue.enqueue_task(kernel).device_seconds
             assert plan.total_injected == 0
-            # a clocked queue opts in (what the fleet layer does)
-            clock = VirtualClock()
-            queue = CommandQueue(context, clock=clock)
-            queue.enqueue_task(kernel)
+            # an F1 slot's boundary opts the device in
+            context.device.fault_boundary = "device.i-test.slot0"
+            slow = queue.enqueue_task(kernel).device_seconds
             assert plan.total_injected == 1
-            assert clock.now == 40.0
+        # the delay is the task's own device time; no clock is involved
+        assert slow == pytest.approx(clean + 40.0)
+        assert queue.finish() == pytest.approx(2 * clean + 40.0)
 
     def test_bitflip_changes_outputs_and_generation(self, session):
         from repro.resilience import (
             FaultKind,
             FaultPlan,
             FaultSpec,
-            VirtualClock,
             inject_faults,
         )
         context, program, kernel = session
@@ -369,7 +371,8 @@ class TestDeviceLifecycle:
         w_buf = kernel.args[2]
         generation = w_buf.generation
         with inject_faults(plan):
-            queue = CommandQueue(context, clock=VirtualClock())
+            context.device.fault_boundary = "device.i-test.slot0"
+            queue = CommandQueue(context)
             queue.enqueue_task(kernel)
             corrupted = queue.enqueue_read_buffer(
                 kernel.args[1], 2 * net.output_shape().size) \

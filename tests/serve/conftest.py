@@ -17,7 +17,6 @@ from repro.fleet import (
 from repro.frontend.condor_format import model_from_json
 from repro.frontend.weights import WeightStore
 from repro.nn.engine import ReferenceEngine
-from repro.resilience.boundary import reset_breakers
 from repro.resilience.clock import VirtualClock
 from repro.toolchain.xclbin import read_xclbin
 
@@ -34,13 +33,6 @@ def weights(image):
     _, _, xclbin_bytes = image
     net = model_from_json(read_xclbin(xclbin_bytes).network_json).network
     return WeightStore.initialize(net, seed=0)
-
-
-@pytest.fixture(autouse=True)
-def fresh_realm():
-    reset_breakers()
-    yield
-    reset_breakers()
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-"""Autoscaler: registry-driven scale up/down with cooldown and bounds."""
+"""Autoscaler: server-driven scale up/down with cooldown and bounds."""
 
 import numpy as np
 import pytest
@@ -80,14 +80,25 @@ class TestScaleUp:
                                          server_name):
         clock, fleet, server, scaler = build(image, weights,
                                              server_name)
-        latency = REGISTRY.summary(
-            "condor_serve_latency_seconds",
-            "End-to-end request latency on the virtual timeline,"
-            " per server")
         for _ in range(8):
-            latency.observe(CONFIG.p99_high_s * 2, server=server_name)
-        assert scaler.signals(0.25)["queue_depth"] == 0.0
+            server.latency_sketch.observe(CONFIG.p99_high_s * 2)
+        assert scaler.signals(0.25)["queue_depth"] == 0
         assert scaler.evaluate(0.25) == "up"
+
+
+class TestSignals:
+    def test_a_new_server_sees_only_its_own_latency(self, image,
+                                                    weights):
+        # two servers under one name: the registry series merges them,
+        # the second server's autoscaler must not
+        _, fleet, first, _ = build(image, weights, "shared-name")
+        queue_up(first, fleet, 8)
+        assert first.latency_quantile(0.99) is not None
+        _, _, second, scaler = build(image, weights, "shared-name")
+        assert REGISTRY.get("condor_serve_latency_seconds") \
+            .count(server="shared-name") == 8
+        assert scaler.signals(0.0)["p99_s"] is None
+        assert scaler.signals(0.0)["queue_depth"] == 0
 
 
 class TestScaleDown:

@@ -6,7 +6,6 @@ import json
 import pytest
 
 from repro.cloud.f1 import F1Instance
-from repro.resilience.boundary import reset_breakers
 from repro.resilience.clock import VirtualClock
 from repro.serve import (
     Autoscaler,
@@ -42,7 +41,6 @@ class TestDeterminism:
     def test_same_seed_same_report(self, server_name):
         spec = LoadSpec(rate_rps=2000.0, duration_s=0.5, seed=7)
         first = serve_tc1(server_name, spec)
-        reset_breakers()
         second = serve_tc1(server_name, spec)
         assert json.dumps(first.to_dict(), sort_keys=True) == \
             json.dumps(second.to_dict(), sort_keys=True)
@@ -51,7 +49,6 @@ class TestDeterminism:
         spec_a = LoadSpec(rate_rps=2000.0, duration_s=0.5, seed=7)
         spec_b = LoadSpec(rate_rps=2000.0, duration_s=0.5, seed=8)
         first = serve_tc1(server_name + "-a", spec_a)
-        reset_breakers()
         second = serve_tc1(server_name + "-b", spec_b)
         assert first.offered != second.offered or \
             first.latency != second.latency
