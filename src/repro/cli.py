@@ -680,7 +680,10 @@ def cmd_bench(args) -> int:
 
     if args.format == "json":
         from dataclasses import asdict
+
+        from repro.nn.blas import blas_threads
         print(_json.dumps({"schema": "condor-bench/v1",
+                           "blas_threads": blas_threads(),
                            "results": [asdict(r) for r in results],
                            "violations": violations}, indent=2))
     else:

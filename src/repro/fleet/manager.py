@@ -138,9 +138,10 @@ class Submission:
     """Receipt for one completed fleet submission.
 
     ``device_seconds`` is the *modeled* time the serving slot spent on
-    the batch (queue delay + kernel cycles at the accelerator clock) —
-    the serving layer uses it to place completions on its virtual
-    timeline.  ``attempts`` counts invocations including failovers.
+    the device batch (queue delay + kernel cycles at the accelerator
+    clock) — the serving layer uses it to place completions on its
+    virtual timeline.  ``outputs`` holds one row per submitted image.
+    ``attempts`` counts invocations including failovers.
     """
 
     outputs: np.ndarray
@@ -270,10 +271,16 @@ class FleetManager:
         """
         return self.submit(images, verify=verify).outputs
 
-    def submit(self, images, *, verify: bool = False,
-               wait: bool = False) -> Submission:
+    def submit(self, images, *, bucket: int | None = None,
+               verify: bool = False, wait: bool = False) -> Submission:
         """Like :meth:`run`, but returns a :class:`Submission` receipt
         (outputs + modeled device seconds + serving slot).
+
+        ``bucket`` is the device batch the kernel runs and is timed on
+        (kernel arg 3; default: one per image).  Only the images are
+        written and computed: the ``bucket - len(images)`` pad rows are
+        modeled, so every figure keyed on the device batch (cycles,
+        device seconds, the watchdog) is the bucket's.
 
         ``wait=True`` is the concurrent-submitter mode: when every
         healthy slot is busy the caller blocks (bounded re-scans on the
@@ -284,9 +291,14 @@ class FleetManager:
         batch = np.asarray(images, dtype=np.float32)
         batch = batch.reshape((batch.shape[0],) +
                               self.net.input_shape().as_tuple())
-        if not 1 <= batch.shape[0] <= self.config.capacity:
+        bucket = batch.shape[0] if bucket is None else int(bucket)
+        if not 1 <= batch.shape[0] <= bucket:
             raise FleetError(
-                f"batch of {batch.shape[0]} exceeds fleet capacity"
+                f"{batch.shape[0]} image(s) do not fit a device batch"
+                f" of {bucket}")
+        if bucket > self.config.capacity:
+            raise FleetError(
+                f"batch of {bucket} exceeds fleet capacity"
                 f" {self.config.capacity}")
         failures = 0
         attempts = 0
@@ -299,7 +311,7 @@ class FleetManager:
             attempts += 1
             try:
                 outputs, device_seconds = self._invoke(
-                    managed, batch, verify=verify)
+                    managed, batch, bucket, verify=verify)
             except FAILOVER_ERRORS as exc:
                 last_error = exc
                 failures += 1
@@ -414,7 +426,7 @@ class FleetManager:
 
     def _probe(self, managed: ManagedSlot) -> None:
         """Run the golden probe batch; raises on any divergence."""
-        outputs, _ = self._execute(managed, self._probe_in)
+        outputs, _ = self._execute(managed, self._probe_in, 1)
         if not np.array_equal(outputs, self._probe_out):
             raise ScrubMismatchError(
                 f"slot {managed.label}: probe outputs diverge from the"
@@ -422,18 +434,21 @@ class FleetManager:
 
     # -- execution ----------------------------------------------------------
 
-    def _execute(self, managed: ManagedSlot,
-                 batch: np.ndarray) -> tuple[np.ndarray, float]:
-        """One watchdogged kernel invocation on a held slot.
+    def _execute(self, managed: ManagedSlot, batch: np.ndarray,
+                 bucket: int) -> tuple[np.ndarray, float]:
+        """One watchdogged kernel invocation of a ``bucket`` device
+        batch carrying ``batch``'s rows, on a held slot.
 
-        Returns ``(outputs, elapsed)`` where ``elapsed`` is the modeled
-        device seconds the invocation took, injected hangs and
-        slowdowns included (the watchdogged quantity).
+        Returns ``(outputs, elapsed)`` where ``outputs`` has one row per
+        row of ``batch`` and ``elapsed`` is the modeled device seconds
+        the invocation took, injected hangs and slowdowns included (the
+        watchdogged quantity).
         """
         count = batch.shape[0]
         managed.queue.enqueue_write_buffer(managed.in_buf, batch)
-        managed.kernel.set_arg(3, count)
-        elapsed = managed.queue.enqueue_task(managed.kernel).device_seconds
+        managed.kernel.set_arg(3, bucket)
+        elapsed = managed.queue.enqueue_task(
+            managed.kernel, rows=count).device_seconds
         if elapsed > self.config.watchdog_s:
             with self._lock:
                 self._actions["watchdog_trip", ""] += 1
@@ -446,12 +461,13 @@ class FleetManager:
             .reshape(count, self._out_size)
         return outputs, elapsed
 
-    def _invoke(self, managed: ManagedSlot, batch: np.ndarray, *,
-                verify: bool) -> tuple[np.ndarray, float]:
+    def _invoke(self, managed: ManagedSlot, batch: np.ndarray,
+                bucket: int, *, verify: bool) \
+            -> tuple[np.ndarray, float]:
         with self._lock:
             managed.submissions += 1
             serial = managed.submissions
-        outputs, elapsed = self._execute(managed, batch)
+        outputs, elapsed = self._execute(managed, batch, bucket)
         every = self.config.scrub_every
         if verify or (every > 0 and serial % every == 0):
             self._scrub(managed, batch, outputs)

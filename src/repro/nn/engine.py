@@ -11,12 +11,14 @@ A pass executes one of two ways, with bit-identical outputs:
 * the **planned** path — the network is compiled once per (input shape,
   dtype, weight generation) into a :class:`repro.nn.plan.CompiledPass`
   (per-layer plans from a process-wide LRU cache, fused conv→max-pool
-  stages) that binds its scratch once per thread and batch size and
-  replays a flat list of numpy calls.
+  stages) that binds once per thread and batch size, on scratch every
+  pass of the thread shares, and replays a flat list of numpy calls.
 
 Plans are on by default; ``ReferenceEngine(..., use_plans=False)`` runs
 the oracle.  The engine allocates nothing shape-derived — all scratch
 lives in bound passes (enforced by the ``engine-plan-alloc`` lint rule).
+Building an engine pins numpy's BLAS to one thread
+(:mod:`repro.nn.blas`): the bits of a GEMM depend on the thread count.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from repro.ir.layers import (
 )
 from repro.ir.network import Network
 from repro.nn import functional as F
+from repro.nn.blas import blas_threads
 from repro.nn.plan import (
     ACTIVATIONS,
     CompiledPass,
@@ -103,8 +106,8 @@ class ReferenceEngine:
     """Forward inference over a network with a weight store.
 
     ``plan_cache`` defaults to the process-wide cache, which is safe to
-    share across threads — compiled passes keep their bound scratch in
-    per-thread storage; pass a private
+    share across threads — compiled passes bind on per-thread scratch;
+    pass a private
     :class:`~repro.nn.plan.PlanCache` only to isolate cache statistics
     or eviction behaviour.  ``use_plans=False`` runs the oracle kernels
     instead of compiled plans.
@@ -114,6 +117,7 @@ class ReferenceEngine:
                  plan_cache: PlanCache | None = None,
                  use_plans: bool = True):
         weights.validate(net)
+        blas_threads()
         self.net = net
         self.weights = weights
         self.plan_cache = plan_cache if plan_cache is not None \

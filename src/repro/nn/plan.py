@@ -11,12 +11,23 @@ compiled result — this module compiles in two levels:
   geometry, pre-packed weight matrices and pre-broadcast bias columns.
   Plans are immutable and live in the shared :class:`PlanCache`;
 * each network once into a :class:`CompiledPass`, which **binds** its
-  plans per (thread, batch size): :meth:`ExecutionPlan.bind` allocates
-  the plan's scratch for ``N`` rows reading a fixed source buffer (the
-  producer's scratch) and returns a flat list of numpy calls whose
-  operands are all fixed.  A warm pass copies its input once into the
-  bound input buffer and runs that list; nothing else is looked up,
-  checked or allocated.
+  plans per (thread, batch size): :meth:`ExecutionPlan.bind` takes the
+  plan's scratch for ``N`` rows from the thread's :class:`Arena`,
+  reading a fixed source buffer (the producer's scratch), and returns a
+  flat list of numpy calls whose operands are all fixed.  A warm pass
+  copies its input once into the bound input buffer and runs that list;
+  nothing else is looked up, checked or allocated.
+
+The arena holds one buffer of :data:`ARENA_ROWS` rows per *role*: the
+plan's layer config, input shape and dtype, plus which of the plan's
+buffers it is.  Every pass and every batch size on a thread binds
+prefix views (``buf[:n]``, still C-contiguous) of the same buffers, so
+two engines over the same network with different weights (two FPGA
+slots) share one working set, and a new batch size costs a step list,
+not memory.  A zero- or ``-inf``-bordered staging buffer is shared only
+with its own role, whose steps rewrite the same interior.  Batches
+above :data:`ARENA_ROWS` run in chunks of that many rows; batch-size
+invariance makes that exact.
 
 Conv plans fill their patch scratch by one of two strategies, chosen
 per layer from the output width: rows at least :data:`STRIDED_MIN_OW`
@@ -51,9 +62,10 @@ time.
 
 Plans hold no mutable state, so engines on different threads may share
 one :class:`PlanCache` — including the process-wide
-:func:`default_plan_cache`.  A :class:`CompiledPass` keeps its bound
-scratch in per-thread storage, for at most :data:`MAX_BATCH_VARIANTS`
-batch sizes per thread.
+:func:`default_plan_cache`.  Arenas and the bindings over them are
+per thread.  A buffer lives while some binding views it: an arena
+holds its buffers weakly, and a :class:`CompiledPass` holds its
+bindings, so both go with the last engine that used them.
 """
 
 from __future__ import annotations
@@ -83,6 +95,7 @@ from repro.ir.layers import (
 )
 from repro.ir.shapes import TensorShape
 from repro.nn import functional as F
+from repro.nn.blas import blas_threads
 from repro.obs import REGISTRY, span
 from repro.util.sync import new_rlock
 
@@ -91,6 +104,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "ACTIVATIONS",
+    "ARENA_ROWS",
+    "Arena",
     "CompiledPass",
     "ExecutionPlan",
     "PlanCache",
@@ -106,10 +121,11 @@ DEFAULT_CAPACITY = 256
 #: zoo's layers; the strategies fill the scratch with identical values).
 STRIDED_MIN_OW = 8
 
-#: Distinct batch sizes a compiled pass keeps bound per thread (serving
-#: traffic runs a few stable batch sizes; anything beyond rotates out
-#: LRU-style).
-MAX_BATCH_VARIANTS = 4
+#: Rows every arena buffer holds: the largest batch one binding covers
+#: (the benchmarks' batch of 32; serving batches are at most 8).
+#: Larger batches run in chunks of this many rows.  Serving touches
+#: only the first rows of each buffer, so only those stay in cache.
+ARENA_ROWS = 32
 
 #: Point-wise activation kernels, shared by the plans and the oracle.
 ACTIVATIONS = {
@@ -169,18 +185,68 @@ def _interior(buf: np.ndarray, pad: tuple[int, int],
     return buf[:, :, ph:ph + h, pw:pw + w]
 
 
+# -- scratch ------------------------------------------------------------------
+
+
+class Arena:
+    """Scratch for one thread: a buffer of ``rows`` rows per role.
+
+    :meth:`take` returns the first ``n`` rows of the buffer of
+    ``(owner, tag)``, allocating it on first use — zeroed or filled
+    with ``fill`` when the caller relies on a constant border.  Buffers
+    are held weakly, each living while some binding views it.
+    """
+
+    def __init__(self, rows: int = ARENA_ROWS):
+        self.rows = rows
+        self._buffers: "weakref.WeakValueDictionary[tuple, np.ndarray]" \
+            = weakref.WeakValueDictionary()
+
+    def take(self, owner: tuple, tag: str, n: int,
+             shape: tuple[int, ...], dtype: np.dtype,
+             fill: float | None = None) -> np.ndarray:
+        if not 1 <= n <= self.rows:
+            raise ShapeError(f"an arena of {self.rows} rows cannot bind"
+                             f" {n}")
+        dtype = np.dtype(dtype)
+        key = (owner, tag, tuple(shape), dtype.str, fill)
+        buf = self._buffers.get(key)
+        if buf is None:
+            # np.zeros maps fresh zero pages, so untouched rows cost no
+            # memory; np.full writes every row
+            full = (self.rows,) + tuple(shape)
+            buf = np.empty(full, dtype) if fill is None \
+                else np.zeros(full, dtype) if fill == 0 \
+                else np.full(full, fill, dtype)
+            self._buffers[key] = buf
+        return buf[:n]
+
+
+_ARENAS = threading.local()
+
+
+def _thread_arena() -> Arena:
+    arena = getattr(_ARENAS, "arena", None)
+    if arena is None:
+        arena = _ARENAS.arena = Arena()
+    return arena
+
+
 # -- plan objects -------------------------------------------------------------
 
 
 class ExecutionPlan:
     """One compiled layer: precomputed, immutable geometry.
 
-    :meth:`bind` allocates scratch for a C-contiguous ``(N, *in_shape)``
-    source buffer of ``dtype`` and returns ``(steps, out)``: the numpy
-    calls that compute the layer from whatever the source holds when
-    they run, and the C-contiguous array they leave the result in (plan
-    scratch, or a view of the source).  ``out_shape`` and ``out_dtype``
-    describe one sample of that result.
+    :meth:`bind` takes scratch from an :class:`Arena` for a
+    C-contiguous ``(N, *in_shape)`` source buffer of ``dtype`` and
+    returns ``(steps, out)``: the numpy calls that compute the layer
+    from whatever the source holds when they run, and the C-contiguous
+    array they leave the result in (plan scratch, or a view of the
+    source).  ``out_shape`` and ``out_dtype`` describe one sample of
+    that result.  ``role`` keys the plan's arena buffers: plans with
+    the same layer config, input shape and dtype (the same layer of two
+    engines) share them.
     """
 
     kind = "plan"
@@ -194,6 +260,7 @@ class ExecutionPlan:
         self.out_shape = out_shape
         self.out_dtype = dtype if out_dtype is None else np.dtype(out_dtype)
         self.steps = steps
+        self.role = (layer, in_shape, np.dtype(dtype).str)
 
     def _check(self, src: np.ndarray) -> None:
         """Reject a source the bound steps would misread: a reshape of
@@ -210,9 +277,18 @@ class ExecutionPlan:
                 f"{'' if src.flags.c_contiguous else ' non-contiguous'}"
                 f" {src.dtype} one")
 
-    def bind(self, n: int, src: np.ndarray) \
+    def bind(self, n: int, src: np.ndarray, arena: Arena | None = None) \
             -> tuple[list[Step], np.ndarray]:
+        """Bind for ``n`` rows of ``src`` on ``arena`` (``None``: on
+        private scratch sized for ``n``)."""
         raise NotImplementedError
+
+    def _take(self, arena: Arena | None, tag: str, n: int,
+              shape: tuple[int, ...], dtype: np.dtype,
+              fill: float | None = None) -> np.ndarray:
+        if arena is None:
+            arena = Arena(rows=n)
+        return arena.take(self.role, tag, n, shape, dtype, fill)
 
     def run_batch(self, xb: np.ndarray) -> np.ndarray:
         """Bind to ``xb`` and run once (a convenience for tests; the
@@ -241,7 +317,7 @@ class _InputPlan(ExecutionPlan):
                 f" {declared}")
         super().__init__(layer, declared, dtype, declared, ("check",))
 
-    def bind(self, n, src):
+    def bind(self, n, src, arena=None):
         self._check(src)
         return [], src
 
@@ -249,7 +325,7 @@ class _InputPlan(ExecutionPlan):
 class _ConvPlan(ExecutionPlan):
     """im2col gather + packed-weight GEMM with fused bias and activation.
 
-    ``bind(n, src, pool)`` binds a conv→max-pool stage: the pool reads
+    ``bind(n, src, arena, pool)`` binds a conv→max-pool stage: the pool reads
     the GEMM output in place, and a finite bias and ReLU (or no
     activation) move after it.
     """
@@ -295,17 +371,18 @@ class _ConvPlan(ExecutionPlan):
         super().__init__(layer, tuple(in_shape), dtype, (f, oh, ow),
                          tuple(steps), out_dtype)
 
-    def _bind_cols(self, n: int, src: np.ndarray) \
+    def _bind_cols(self, n: int, src: np.ndarray, arena: Arena | None) \
             -> tuple[list[Step], np.ndarray]:
         """Steps that fill the ``(N, C·KH·KW, OH·OW)`` patch scratch."""
         steps: list[Step] = []
         if self._pad != (0, 0):
-            padded = np.zeros((n,) + self._padded_shape, self.dtype)
+            padded = self._take(arena, "pad", n, self._padded_shape,
+                                self.dtype, fill=0.0)
             steps.append(partial(np.copyto,
                                  _interior(padded, self._pad,
                                            self.in_shape[1:]), src))
             src = padded
-        cols = np.empty((n,) + self._cols_shape, self.dtype)
+        cols = self._take(arena, "cols", n, self._cols_shape, self.dtype)
         if self._index_map is not None:
             steps.append(partial(src.reshape(n, -1).take, self._index_map,
                                  1, cols))
@@ -317,7 +394,7 @@ class _ConvPlan(ExecutionPlan):
             self._padded_shape, self._kernel, self._stride
         _, oh, ow = self.out_shape
         sn, sc, srow, scol = src.strides
-        rows = np.empty((n, c, kw, hp, ow), self.dtype)
+        rows = self._take(arena, "rows", n, (c, kw, hp, ow), self.dtype)
         steps.append(partial(np.copyto, rows, as_strided(
             src, rows.shape, (sn, sc, scol, srow, scol * sw),
             writeable=False)))
@@ -335,11 +412,12 @@ class _ConvPlan(ExecutionPlan):
             steps.append(partial(np.add, buf, self._bias_col, out=buf))
         return steps + _activation_steps(self._activation, buf)
 
-    def bind(self, n, src, pool: "_MaxPoolPlan | None" = None):
+    def bind(self, n, src, arena=None, pool: "_MaxPoolPlan | None" = None):
         self._check(src)
-        steps, cols = self._bind_cols(n, src)
+        steps, cols = self._bind_cols(n, src, arena)
         f = self.out_shape[0]
-        out = np.empty((n, f, self._cols_shape[1]), self.out_dtype)
+        out = self._take(arena, "out", n, (f, self._cols_shape[1]),
+                         self.out_dtype)
         steps.append(partial(np.matmul, self._packed, cols, out=out))
         late = pool is not None and self._commutes_with_max
         if not late:
@@ -347,7 +425,7 @@ class _ConvPlan(ExecutionPlan):
         out = out.reshape((n,) + self.out_shape)
         if pool is None:
             return steps, out
-        pool_steps, pooled = pool.bind(n, out)
+        pool_steps, pooled = pool.bind(n, out, arena)
         steps += pool_steps
         if late:
             steps += self._epilogue(pooled.reshape(n, f, -1))
@@ -388,12 +466,12 @@ class _MaxPoolPlan(ExecutionPlan):
         super().__init__(layer, tuple(in_shape), np.dtype(dtype),
                          (c, oh, ow), tuple(steps + ["max-w", "max-h"]))
 
-    def bind(self, n, src):
+    def bind(self, n, src, arena=None):
         self._check(src)
         steps: list[Step] = []
         if not self.unpadded:
-            padded = np.full((n,) + self._padded_shape, -np.inf,
-                             self.dtype)
+            padded = self._take(arena, "pad", n, self._padded_shape,
+                                self.dtype, fill=-np.inf)
             steps.append(partial(np.copyto,
                                  _interior(padded, self._pad,
                                            self.in_shape[1:]), src))
@@ -406,9 +484,10 @@ class _MaxPoolPlan(ExecutionPlan):
         if kw == 1:
             rows = cols[0]
         else:
-            rows = np.empty((n, c, src.shape[2], ow), self.dtype)
+            rows = self._take(arena, "rows", n, (c, src.shape[2], ow),
+                              self.dtype)
             steps += _max_fold(cols, rows)
-        out = np.empty((n,) + self.out_shape, self.dtype)
+        out = self._take(arena, "out", n, self.out_shape, self.dtype)
         steps += _max_fold(
             [rows[:, :, i::sh][:, :, :oh] for i in range(kh)], out)
         return steps, out
@@ -447,9 +526,9 @@ class _FCPlan(ExecutionPlan):
         super().__init__(layer, tuple(in_shape), np.dtype(dtype),
                          (weights.shape[0], 1, 1), tuple(steps), out_dtype)
 
-    def bind(self, n, src):
+    def bind(self, n, src, arena=None):
         self._check(src)
-        out = np.empty((n,) + self.out_shape, self.out_dtype)
+        out = self._take(arena, "out", n, self.out_shape, self.out_dtype)
         steps: list[Step] = [partial(
             np.matmul, self._weights, src.reshape(n, -1)[:, :, None],
             out=out.reshape(n, -1, 1))]
@@ -468,7 +547,7 @@ class _FlattenPlan(ExecutionPlan):
         super().__init__(layer, tuple(in_shape), np.dtype(dtype),
                          (int(np.prod(in_shape)), 1, 1), ("reshape",))
 
-    def bind(self, n, src):
+    def bind(self, n, src, arena=None):
         self._check(src)
         return [], src.reshape((n,) + self.out_shape)
 
@@ -487,19 +566,20 @@ class _SoftmaxPlan(ExecutionPlan):
         super().__init__(layer, tuple(in_shape), np.dtype(dtype),
                          tuple(in_shape), steps)
 
-    def bind(self, n, src):
+    def bind(self, n, src, arena=None):
         self._check(src)
         flat = src.reshape(n, -1)
-        out = np.empty((n,) + self.out_shape, self.dtype)
+        out = self._take(arena, "out", n, self.out_shape, self.dtype)
         shifted = out.reshape(n, -1)
-        peak = np.empty((n, 1), self.dtype)
-        total = np.empty((n, 1), self.dtype)
+        peak = self._take(arena, "peak", n, (1,), self.dtype)
+        total = self._take(arena, "total", n, (1,), self.dtype)
         steps: list[Step] = [
             partial(np.maximum.reduce, flat, 1, None, peak, True),
             partial(np.subtract, flat, peak, out=shifted),
         ]
         if self._log:
-            ex = np.empty_like(shifted)
+            ex = self._take(arena, "exp", n, shifted.shape[1:],
+                            self.dtype)
             steps += [partial(np.exp, shifted, out=ex),
                       partial(np.add.reduce, ex, 1, None, total, True),
                       partial(np.log, total, out=total),
@@ -532,9 +612,9 @@ class _OraclePlan(ExecutionPlan):
             (step,), out_dtype)
         self._fn = fn
 
-    def bind(self, n, src):
+    def bind(self, n, src, arena=None):
         self._check(src)
-        out = np.empty((n,) + self.out_shape, self.out_dtype)
+        out = self._take(arena, "out", n, self.out_shape, self.out_dtype)
         return [partial(_into, out, self._fn, src)], out
 
 
@@ -586,6 +666,7 @@ def compile_plan(layer: Layer, in_shape: tuple[int, ...],
     dtype = np.dtype(dtype)
     if not np.issubdtype(dtype, np.floating):
         raise TypeError(f"plans compile floating dtypes only, got {dtype}")
+    blas_threads()
     start = time.perf_counter()
     with span("plan.compile", layer=layer.name, kind=layer.type_name):
         plan = _compile(layer, tuple(in_shape), dtype, weights)
@@ -615,14 +696,17 @@ class CompiledPass:
 
     Groups the layer plans into stages — a conv followed by a max-pool
     that reads it in place fuses into one, named ``conv+pool`` — and
-    binds every stage once per (thread, batch size), keeping at most
-    :data:`MAX_BATCH_VARIANTS` bindings per thread.
+    binds every stage once per (thread, batch size) on the thread's
+    :class:`Arena`: at most :data:`ARENA_ROWS` bindings per thread,
+    all over the same buffers.
     """
 
     def __init__(self, plans: Sequence[ExecutionPlan]):
         self.plans = tuple(plans)
         self.in_shape = self.plans[0].in_shape
         self.dtype = self.plans[0].dtype
+        self.out_shape = self.plans[-1].out_shape
+        self.out_dtype = self.plans[-1].out_dtype
         stages: list[tuple[ExecutionPlan, ...]] = []
         rest = list(self.plans)
         while rest:
@@ -640,32 +724,43 @@ class CompiledPass:
         self._tls = threading.local()
 
     def _bind(self, n: int) -> _BoundPass:
-        x = inp = np.empty((n,) + self.in_shape, self.dtype)
+        arena = _thread_arena()
+        x = inp = arena.take(("input", self.in_shape, self.dtype.str),
+                             "x", n, self.in_shape, self.dtype)
         stages = []
         for plan, *fused in self._stages:
-            steps, x = plan.bind(n, x, *fused)
+            steps, x = plan.bind(n, x, arena, *fused)
             stages.append(steps)
         return _BoundPass(inp, stages, x)
 
     def _bound(self, n: int) -> _BoundPass:
-        variants = getattr(self._tls, "variants", None)
-        if variants is None:
-            variants = self._tls.variants = OrderedDict()
-        bound = variants.get(n)
+        bindings = getattr(self._tls, "bindings", None)
+        if bindings is None:
+            bindings = self._tls.bindings = {}
+        bound = bindings.get(n)
         if bound is None:
-            bound = variants[n] = self._bind(n)
-            while len(variants) > MAX_BATCH_VARIANTS:
-                variants.popitem(last=False)
-        else:
-            variants.move_to_end(n)
+            bound = bindings[n] = self._bind(n)
         return bound
 
     def run(self, xb: np.ndarray, traced: bool = False) -> np.ndarray:
-        """Run an ``(N, *in_shape)`` batch; returns a fresh array.
+        """Run an ``(N, *in_shape)`` batch, in chunks of
+        :data:`ARENA_ROWS` rows; returns a fresh array.
 
         ``traced`` runs stage by stage, each under an ``engine.layer``
         span named after its layers.
         """
+        n = xb.shape[0]
+        if n <= ARENA_ROWS:
+            return self._replay(xb, traced).copy()
+        out = self._result(n)
+        for start in range(0, n, ARENA_ROWS):
+            np.copyto(out[start:start + ARENA_ROWS],
+                      self._replay(xb[start:start + ARENA_ROWS], traced))
+        return out
+
+    def _replay(self, xb: np.ndarray, traced: bool) -> np.ndarray:
+        """Run at most :data:`ARENA_ROWS` rows on their binding; returns
+        the bound output, which the thread's next pass overwrites."""
         bound = self._bound(xb.shape[0])
         np.copyto(bound.input, xb)
         if traced:
@@ -676,8 +771,12 @@ class CompiledPass:
         else:
             for step in bound.steps:
                 step()
-        # the bound output is overwritten by the next pass
-        return bound.output.copy()
+        return bound.output
+
+    def _result(self, n: int) -> np.ndarray:
+        """The ``(n, *out_shape)`` array a chunked pass fills and
+        returns."""
+        return np.empty((n,) + self.out_shape, self.out_dtype)
 
 
 def compile_pass(layers: Sequence[Layer], in_shape: tuple[int, ...],

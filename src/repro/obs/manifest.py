@@ -5,7 +5,8 @@ Every :class:`~repro.flow.condor.CondorFlow` run writes a
 durations (the *same* numbers carried by
 :class:`~repro.flow.condor.FlowResult` — both read the spans), a metrics
 snapshot, the resource-estimate / performance numbers, the artifacts the
-run left behind, and process stats (peak RSS, span count).  That file is
+run left behind, and process stats (peak RSS, span count, the BLAS
+thread count every GEMM ran on).  That file is
 the machine-readable record later benchmarking sessions diff against.
 
 Setting ``REPRO_BENCH_LEDGER=1`` additionally appends a one-line JSON
@@ -117,6 +118,9 @@ def build_manifest(*, recorder: SpanRecorder | None,
     ``steps`` is the flow's step table (name/seconds/status);
     ``snapshots`` holds structured extras such as the resource estimate.
     """
+    # repro.nn imports repro.obs, so this import waits for a call
+    from repro.nn.blas import blas_threads
+
     workdir = Path(workdir)
     manifest: dict[str, Any] = {
         "schema": MANIFEST_SCHEMA,
@@ -132,6 +136,7 @@ def build_manifest(*, recorder: SpanRecorder | None,
         },
         "process": {
             "peak_rss_bytes": peak_rss_bytes(),
+            "blas_threads": blas_threads(),
             "span_count": len(recorder) if recorder is not None else 0,
         },
         "steps": list(steps),

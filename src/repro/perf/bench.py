@@ -5,10 +5,13 @@ reference engine, the memoized design-space explorer, and the
 discrete-event simulator — on zoo models, under the telemetry spans, and
 writes the results as ``BENCH_perf.json``::
 
-    {"schema": "condor-bench/v1",
+    {"schema": "condor-bench/v1", "blas_threads": 1,
      "results": [{"op": "engine", "model": "tc1", "wall_s": ...,
                   "cycles": null, "cache_hits": null,
                   "speedup_vs_baseline": 2.7}, ...]}
+
+``blas_threads`` is the BLAS thread count every timed GEMM ran on
+(:func:`repro.nn.blas.blas_threads`: ``1``, or ``"unpinned"``).
 
 Per-op semantics:
 
@@ -73,6 +76,7 @@ from repro.dse import EvaluationCache, explore
 from repro.errors import BenchError
 from repro.frontend.weights import WeightStore
 from repro.hw.accelerator import build_accelerator
+from repro.nn.blas import blas_threads
 from repro.nn.engine import ReferenceEngine
 from repro.nn.plan import PlanCache
 from repro.obs import SpanRecorder, no_recording, recording, span
@@ -507,7 +511,8 @@ def merge_benchmarks(existing: list[BenchResult],
 def write_benchmarks(results: list[BenchResult], path: str | Path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    doc = {"schema": SCHEMA, "results": [asdict(r) for r in results]}
+    doc = {"schema": SCHEMA, "blas_threads": blas_threads(),
+           "results": [asdict(r) for r in results]}
     path.write_text(json.dumps(doc, indent=2) + "\n")
     return path
 

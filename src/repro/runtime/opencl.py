@@ -138,7 +138,7 @@ class Program:
 class Kernel:
     """A kernel handle with the generated host code's argument layout:
     arg0 = input buffer, arg1 = output buffer, arg2 = weights buffer,
-    arg3 = batch count."""
+    arg3 = batch count (the batch the device runs and is timed on)."""
 
     def __init__(self, program: Program, name: str):
         if name != program.xclbin.kernel_name:
@@ -212,8 +212,17 @@ class CommandQueue:
 
     # -- execution --------------------------------------------------------------
 
-    def enqueue_task(self, kernel: Kernel) -> Event:
-        """Run the accelerator over the batch in the input buffer."""
+    def enqueue_task(self, kernel: Kernel, rows: int | None = None) \
+            -> Event:
+        """Run the accelerator over the batch in the input buffer.
+
+        The device runs, and is timed on, the batch of kernel arg 3.
+        ``rows`` (default: that batch) says how many leading rows hold
+        real inputs: only those are computed and written to the output
+        buffer, so pad rows a host adds to reach a device batch are
+        charged their cycles but never computed.  Event emulation
+        simulates every row and takes no ``rows``.
+        """
         for index in (0, 1, 2, 3):
             if index not in kernel.args:
                 raise RuntimeAPIError(f"kernel argument {index} not set")
@@ -226,6 +235,14 @@ class CommandQueue:
             raise RuntimeAPIError("kernel args 0..2 must be Buffers")
         if batch < 1:
             raise RuntimeAPIError("batch must be >= 1")
+        rows = batch if rows is None else int(rows)
+        if not 1 <= rows <= batch:
+            raise RuntimeAPIError(
+                f"rows must be in 1..{batch} (the batch), got {rows}")
+        if rows != batch and self.emulation == "event":
+            raise RuntimeAPIError(
+                "event emulation simulates the whole batch; it takes"
+                " no pad rows")
 
         device = self.context.device
         if not device.alive:
@@ -245,8 +262,8 @@ class CommandQueue:
         program = kernel.program
         acc = program.accelerator
         net = acc.network
-        images = in_buf.data[:batch * program.input_size] \
-            .reshape((batch,) + program.input_shape)
+        images = in_buf.data[:rows * program.input_size] \
+            .reshape((rows,) + program.input_shape)
 
         wall_start = time.perf_counter()
         if self.emulation == "event":
@@ -269,14 +286,15 @@ class CommandQueue:
             cycles = perf.batch_cycles(batch) + perf.config_cycles
         wall = time.perf_counter() - wall_start
 
-        out_buf.data[:batch * program.output_size] = outputs.reshape(-1)
+        out_buf.data[:rows * program.output_size] = outputs.reshape(-1)
         seconds = cycles / acc.frequency_hz + delay_s
         self._device_time_s += seconds
         event = Event("task", end_cycles=cycles, device_seconds=seconds,
                       wall_seconds=wall,
-                      extra={"batch": batch, "mode": self.emulation})
-        _log.debug("task: batch=%d cycles=%d (%s)", batch, cycles,
-                   self.emulation)
+                      extra={"batch": batch, "rows": rows,
+                             "mode": self.emulation})
+        _log.debug("task: batch=%d rows=%d cycles=%d (%s)", batch, rows,
+                   cycles, self.emulation)
         return event
 
     def finish(self) -> float:

@@ -1,16 +1,13 @@
 """Dynamic batching: coalesce single requests into bucketed batches.
 
-The batched engine amortizes per-invocation configuration and pipeline
-fill over the batch (``batch_cycles = fill + (n-1)·II``), and the
-engine's compiled pass binds its scratch once per *distinct* batch size
-but keeps only ``MAX_BATCH_VARIANTS`` bound variants per thread.  A
-naive coalescer that flushes whatever happens to be queued would emit
-every batch size from 1 to capacity and keep rebinding past that
-bound.  The
-:class:`DynamicBatcher` therefore snaps every flush to a small ladder
-of **buckets** (default 1/2/4/8): a flush of three requests is padded
-to four, so steady-state serving exercises exactly ``len(buckets)``
-plan variants, all permanently warm.
+The accelerator amortizes per-invocation configuration and pipeline
+fill over the batch (``batch_cycles = fill + (n-1)·II``).  The
+:class:`DynamicBatcher` snaps every flush to a small ladder of
+**buckets** (default 1/2/4/8), the device batches the fleet runs: a
+flush of three requests runs as a device batch of four.
+The bucket is what the device is modeled (and charged) at; the pad
+row is never built or computed — the server hands the fleet the three
+real rows and the bucket separately.
 
 Two triggers release work, both deterministic on the virtual clock:
 
@@ -38,8 +35,7 @@ from repro.util.sync import new_lock
 
 __all__ = ["DEFAULT_BUCKETS", "DynamicBatcher", "Flush", "ServeRequest"]
 
-#: The default batch-size ladder; matches the compiled pass's variant
-#: bound so steady-state serving keeps every bucket's binding warm.
+#: The default batch-size ladder: the device batches a flush runs as.
 DEFAULT_BUCKETS: tuple[int, ...] = (1, 2, 4, 8)
 
 
@@ -55,7 +51,7 @@ class ServeRequest:
     deadline_s: float
     output: np.ndarray | None = None
     completion_s: float | None = None
-    #: Bucket the carrying batch was padded to (set at execution).
+    #: Device batch the carrying flush ran as (set at execution).
     bucket: int | None = None
     #: Why the carrying batch flushed: ``size`` | ``slo`` | ``drain``.
     trigger: str | None = None
@@ -83,7 +79,8 @@ class Flush:
 
     @property
     def padding(self) -> int:
-        """Rows to pad onto the batch to reach the bucket size."""
+        """Pad rows the device batch carries beyond the requests
+        (charged, never computed)."""
         return self.bucket - len(self.requests)
 
 

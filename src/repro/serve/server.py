@@ -3,10 +3,12 @@
 :class:`InferenceServer` is the layer the ROADMAP's serving item asks
 for: requests enter one at a time (per tenant), pass admission control
 (quota + queue bound → typed shedding), coalesce in the
-:class:`~repro.serve.batcher.DynamicBatcher`, and execute as padded
-bucket-sized batches via :meth:`FleetManager.submit` — so every
+:class:`~repro.serve.batcher.DynamicBatcher`, and execute as
+bucket-sized device batches via :meth:`FleetManager.submit` — so every
 submission inherits the fleet's watchdogs, scrubbing and failover for
-free.
+free.  A flush hands the fleet its requests' rows and its bucket: the
+device batch is modeled (and charged) at the bucket, but pad rows are
+never built or computed.
 
 Time is entirely virtual.  The server models its fleet as a set of
 **lanes** (one per managed slot): a flush dispatched at virtual ``now``
@@ -65,7 +67,7 @@ _BATCHES = REGISTRY.counter(
     "Coalesced batches executed, by flush trigger and bucket size")
 _PADDED = REGISTRY.counter(
     "condor_serve_padded_samples_total",
-    "Pad rows added to snap partial batches to their bucket")
+    "Pad rows charged to snap partial batches to their bucket")
 _LATENCY = REGISTRY.summary(
     "condor_serve_latency_seconds",
     "End-to-end request latency on the virtual timeline, per server")
@@ -203,11 +205,10 @@ class InferenceServer:
     def _execute(self, flush: Flush, now: float) -> None:
         """Run one flush on the fleet and place it on the timeline."""
         requests = flush.requests
-        rows = [r.image for r in requests]
-        rows.extend(rows[-1] for _ in range(flush.padding))
-        batch = np.stack(rows)
+        batch = np.stack([r.image for r in requests])
         try:
-            receipt = self.fleet.submit(batch, wait=True)
+            receipt = self.fleet.submit(batch, bucket=flush.bucket,
+                                        wait=True)
         except FleetError as exc:
             with self._lock:
                 for request in requests:

@@ -58,3 +58,51 @@ class TestFullReport:
                      "--output", str(out)]) == 0
         assert out.is_file()
         assert "Table 2." in out.read_text()
+
+
+def _cells(line: str) -> list[str]:
+    return [cell.strip() for cell in line.strip().strip("|").split("|")]
+
+
+def _section(text: str, start: str, stop: str) -> list[str]:
+    return text.split(start, 1)[1].split(stop, 1)[0].splitlines()
+
+
+def test_experiments_tables_equal_condor_report(tmp_path, capsys):
+    """EXPERIMENTS.md's Tables 1 and 2 are ``condor report`` output:
+    the calibrated model's figures, labelled ``modeled``, beside the
+    paper's."""
+    from pathlib import Path
+
+    assert main(["--workdir", str(tmp_path / "w"), "report"]) == 0
+    report = capsys.readouterr().out
+    doc = (Path(__file__).resolve().parents[2] / "EXPERIMENTS.md") \
+        .read_text()
+
+    # Table 1: every row of the report, by name
+    printed = {}
+    for line in _section(report, "Table 1.", "Table 2.")[3:]:
+        if "|" in line:
+            name, *values = _cells(line)
+            printed[name] = values
+    written = {}
+    for line in _section(doc, "## Table 1", "Shape claims"):
+        if line.startswith("| TC1") or line.startswith("| LeNet"):
+            name, *values = _cells(line)
+            written[name.replace(" (modeled)", "")] = values
+    assert written == printed
+
+    # Table 2: the GFLOPS and paper GFLOPS columns, one row per model
+    models, gflops, paper = [], [], []
+    for line in _section(report, "Table 2.", "VGG-16 fully")[3:]:
+        if "|" in line:
+            cells = _cells(line)
+            models.append(cells[0])
+            gflops.append(cells[1])
+            paper.append(cells[2])
+    rows = {}
+    for line in _section(doc, "## Table 2", "Shape claims"):
+        if line.startswith("|") and not line.startswith("|--"):
+            name, *values = _cells(line)
+            rows[name] = values
+    assert rows == {"": models, "paper": paper, "modeled": gflops}

@@ -97,6 +97,31 @@ class TestHealthyFleet:
         with pytest.raises(FleetError, match="capacity"):
             fleet.run(batch_for(fleet, rng, n=3))
 
+    def test_bucket_models_the_device_batch(self, image, weights):
+        # real rows computed, the bucket charged: the same receipt time
+        # and real-row outputs as a batch padded to the bucket
+        fleet = make_fleet(image, weights, clock=VirtualClock(),
+                           config=FleetConfig(scrub_every=1))
+        images = batch_for(fleet, np.random.default_rng(3), n=3)
+        padded = np.concatenate([images, images[-1:]])
+        bucketed = fleet.submit(images, bucket=4)
+        full = fleet.submit(padded)
+        assert bucketed.outputs.shape[0] == 3
+        assert bucketed.device_seconds == full.device_seconds
+        assert np.array_equal(bucketed.outputs, full.outputs[:3])
+        assert np.array_equal(bucketed.outputs, golden_for(fleet, images))
+        # every submission was scrubbed against the golden real rows
+        assert fleet.stats()["actions"] == {"submission": 2}
+
+    def test_bucket_must_cover_the_images_and_fit(self, image, weights):
+        fleet = make_fleet(image, weights, clock=VirtualClock(),
+                           config=FleetConfig(capacity=4))
+        images = batch_for(fleet, np.random.default_rng(4), n=3)
+        with pytest.raises(FleetError, match="do not fit"):
+            fleet.submit(images, bucket=2)
+        with pytest.raises(FleetError, match="capacity"):
+            fleet.submit(images, bucket=8)
+
     def test_empty_fleet_rejected(self, image, weights):
         _, agfi_id, _ = image
         with pytest.raises(FleetError, match="at least one instance"):

@@ -27,7 +27,7 @@ from repro.ir.layers import (
 from repro.ir.network import chain
 from repro.nn.engine import ReferenceEngine, run_layer
 from repro.nn.plan import (
-    MAX_BATCH_VARIANTS,
+    ARENA_ROWS,
     PlanCache,
     compile_pass,
     compile_plan,
@@ -413,15 +413,15 @@ def test_use_plans_false_parity(zoo_model, zoo_weights):
 def test_batch_size_invariance(name, use_plans, zoo_model, zoo_weights):
     """Row i of an N-sample batch is bit-equal to sample i run alone.
 
-    The batch sizes outnumber the scratch variants a plan keeps, so the
-    per-batch-size scratch LRU rotates; the closing N=1 pass replays on
-    freshly rebuilt scratch after its first set was evicted.
+    Every size binds prefix views of the same arena buffers; the
+    oversize batch runs in chunks, and the closing N=1 pass replays
+    after every other size wrote past its rows.
     """
     net = zoo_model(name).network
     engine = ReferenceEngine(net, zoo_weights(name), plan_cache=PlanCache(),
                              use_plans=use_plans)
-    sizes = (1, 2, 3, 5, 8, 1)
-    assert len(set(sizes)) > MAX_BATCH_VARIANTS
+    sizes = (1, 2, 3, 5, 8, 2 * ARENA_ROWS + 3, 1)
+    assert max(sizes) > ARENA_ROWS
     images = _images(net, max(sizes), seed=13)
     singles = np.concatenate([engine.run_batch(images[i:i + 1])
                               for i in range(max(sizes))])

@@ -15,7 +15,7 @@ import numpy as np
 import repro.nn.plan as plan_mod
 from repro.frontend.weights import WeightStore
 from repro.nn.engine import ReferenceEngine
-from repro.nn.plan import MAX_BATCH_VARIANTS, PlanCache, default_plan_cache
+from repro.nn.plan import ARENA_ROWS, PlanCache, default_plan_cache
 
 THREADS = 8
 
@@ -126,16 +126,15 @@ def test_single_plan_concurrent_replay_bit_identical():
 
 def test_shared_engine_cycles_batch_sizes_across_threads(zoo_model,
                                                          zoo_weights):
-    """Two threads share one engine and cycle through more batch sizes
-    than a thread keeps bound, so each keeps rebinding its own variants
-    while the other replays: every output is bit-identical to the
-    oracle."""
+    """Two threads share one engine and cycle through every batch size
+    up to and past the arena's rows, each over its own arena while the
+    other replays: every output is bit-identical to the oracle."""
     net = zoo_model("tc1").network
     store = zoo_weights("tc1")
     engine = ReferenceEngine(net, store, plan_cache=PlanCache())
     oracle = ReferenceEngine(net, store, use_plans=False)
-    sizes = (1, 2, 3, 5, 8, 4, 1, 7)
-    assert len(set(sizes)) > MAX_BATCH_VARIANTS
+    sizes = (1, 2, 3, 5, 8, 4, 1, 7, ARENA_ROWS + 3, 6)
+    assert max(sizes) > ARENA_ROWS
     # each thread its own images: a binding shared across threads
     # would mix them
     images = np.random.default_rng(43).normal(

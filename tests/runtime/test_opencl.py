@@ -117,6 +117,33 @@ class TestExecution:
         assert event.end_cycles > 0
         assert event.extra["mode"] == "fast"
 
+    def test_rows_computes_real_rows_and_times_the_batch(self, session):
+        # arg 3 is the device batch (4); only the 3 leading rows are
+        # computed and written, the cycles stay the batch's
+        context, program, kernel = session
+        net = program.accelerator.network
+        weights = WeightStore.initialize(net, 5)
+        images = np.random.default_rng(2).normal(
+            size=(4, 1, 16, 16)).astype(np.float32)
+        full, out_full, queue = run_batch(context, program, kernel,
+                                          images, weights)
+        out_buf = kernel.args[1]
+        out_buf.data[:] = -1.0
+        part = queue.enqueue_task(kernel, rows=3)
+        size = net.output_shape().size
+        assert part.end_cycles == full.end_cycles
+        assert part.device_seconds == full.device_seconds
+        assert part.extra["batch"] == 4 and part.extra["rows"] == 3
+        assert np.array_equal(out_buf.data[:3 * size].reshape(3, -1),
+                              out_full[:3])
+        assert (out_buf.data[3 * size:4 * size] == -1.0).all()
+        for rows in (0, 5):
+            with pytest.raises(RuntimeAPIError, match="rows must be"):
+                queue.enqueue_task(kernel, rows=rows)
+        event_queue = CommandQueue(context, emulation="event")
+        with pytest.raises(RuntimeAPIError, match="whole batch"):
+            event_queue.enqueue_task(kernel, rows=3)
+
     def test_event_mode_matches_fast_mode(self, session):
         context, program, kernel = session
         net = program.accelerator.network

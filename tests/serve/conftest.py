@@ -80,18 +80,19 @@ class StubFleet:
         self.device_seconds = device_seconds
         #: Optional exception raised instead of executing.
         self.fail = fail
-        self.batch_sizes: list[int] = []
+        #: ``(rows computed, device batch)`` per submission
+        self.flushes: list[tuple[int, int]] = []
 
-    def submit(self, images, *, verify=False, wait=False):
+    def submit(self, images, *, bucket=None, verify=False, wait=False):
         if self.fail is not None:
             raise self.fail
         batch = np.asarray(images, dtype=np.float32)
-        self.batch_sizes.append(batch.shape[0])
-        outputs = self.golden.forward_batch(batch) \
-            .reshape(batch.shape[0], -1)
+        rows = batch.shape[0]
+        bucket = rows if bucket is None else bucket
+        self.flushes.append((rows, bucket))
+        outputs = self.golden.forward_batch(batch).reshape(rows, -1)
         return Submission(outputs=outputs,
-                          device_seconds=self.device_seconds
-                          * batch.shape[0],
+                          device_seconds=self.device_seconds * bucket,
                           slot="stub.slot0", attempts=1)
 
     def stats(self):

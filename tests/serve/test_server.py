@@ -47,7 +47,8 @@ class TestBatchingCorrectness:
         assert [r.trigger for r in requests] == ["size"] * 8 + \
             ["slo"] * 3
         assert requests[8].bucket == 4  # 3 requests snapped up
-        assert fleet.batch_sizes == [8, 4]  # the padded flush
+        # the padded flush computes its 3 rows on a device batch of 4
+        assert fleet.flushes == [(8, 8), (3, 4)]
         for i, request in enumerate(requests):
             single = fleet.golden.forward_batch(pool[i][None]) \
                 .reshape(1, -1)[0]
@@ -62,7 +63,7 @@ class TestBatchingCorrectness:
         request = server.submit("alpha", pool[0], now=0.0)
         server.pump(1.0)  # SLO flush: 1 request padded to bucket 4
         assert request.bucket == 4
-        assert fleet.batch_sizes == [4]
+        assert fleet.flushes == [(1, 4)]
         single = fleet.golden.forward_batch(pool[0][None]) \
             .reshape(1, -1)[0]
         assert np.array_equal(request.output, single)
@@ -213,14 +214,14 @@ class TestFailureAndLanes:
         server = make_server(fleet, server_name, buckets=(8,))
         pool = images_for(fleet, np.random.default_rng(19), 8)
         fleet.golden.forward_batch(pool)  # plan compiles are not serving
-        fleet.batch_sizes.clear()
+        fleet.flushes.clear()
         updates.clear()  # construction registers its gauges
         switch_reads.clear()
         for i in range(7):
             server.submit("alpha", pool[i], now=0.0)
         assert updates == []
         server.submit("alpha", pool[7], now=0.0)  # flushes
-        assert fleet.batch_sizes == [8]
+        assert fleet.flushes == [(8, 8)]
         assert updates == []
         assert switch_reads == []
         requests_total = REGISTRY.get("condor_serve_requests_total")
@@ -253,7 +254,7 @@ class TestFailureAndLanes:
                    "beta", "alpha"]
         for i, tenant in enumerate(tenants):
             server.submit(tenant, pool[i], now=0.0)
-        assert fleet.batch_sizes == [8]  # one mixed-tenant flush
+        assert fleet.flushes == [(8, 8)]  # one mixed-tenant flush
         after = counts()
         assert after[("alpha", "ok")] - before[("alpha", "ok")] == 5
         assert after[("beta", "ok")] - before[("beta", "ok")] == 3
@@ -296,3 +297,48 @@ class TestRealFleetServing:
         assert stats["completed"] == 11
         assert stats["batches"] == {4: 1, 8: 1}
         assert stats["triggers"] == {"size": 1, "slo": 1}
+
+    def test_padded_flush_computes_only_its_requests(
+            self, image, weights, server_name, monkeypatch):
+        # three requests SLO-flush on bucket 4: the device batch is
+        # modeled and charged at 4, but only the 3 real rows are built
+        # and computed
+        from repro.nn.engine import ReferenceEngine
+
+        fleet = make_fleet(image, weights, clock=VirtualClock())
+        server = make_server(fleet, server_name, slo_s=0.010)
+        rng = np.random.default_rng(21)
+        pool = images_for(fleet, rng, 3)
+        oracle = ReferenceEngine(fleet.net, weights, use_plans=False)
+        expected = oracle.forward_batch(pool).reshape(3, -1)
+        computed, receipts = [], []
+        run_batch = ReferenceEngine.run_batch
+
+        def counting(engine, batch):
+            computed.append(len(batch))
+            return run_batch(engine, batch)
+        monkeypatch.setattr(ReferenceEngine, "run_batch", counting)
+        submit = fleet.submit
+
+        def recording(images, **kwargs):
+            receipt = submit(images, **kwargs)
+            receipts.append((len(images), kwargs["bucket"], receipt))
+            return receipt
+        monkeypatch.setattr(fleet, "submit", recording)
+
+        requests = [server.submit("alpha", pool[i], now=0.0)
+                    for i in range(3)]
+        assert server.pump(0.010) == 1
+        assert computed == [3]
+        ((rows, bucket, receipt),) = receipts
+        assert (rows, bucket) == (3, 4)
+        perf = fleet.slots[0].kernel.program.performance
+        cycles = perf.batch_cycles(4) + perf.config_cycles
+        assert receipt.device_seconds == cycles / perf.frequency_hz
+        assert receipt.outputs.shape == (3, fleet.net.output_shape().size)
+        assert [r.bucket for r in requests] == [4, 4, 4]
+        assert server.stats()["padded_samples"] == 1
+        for i, request in enumerate(requests):
+            assert np.array_equal(request.output, expected[i])
+            assert request.completion_s == \
+                pytest.approx(0.010 + receipt.device_seconds)

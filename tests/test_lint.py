@@ -216,7 +216,8 @@ def test_engine_plan_alloc_scoped(tmp_path):
 
 
 def test_engine_plan_alloc_covers_the_replay_loop(tmp_path):
-    # binding may allocate; CompiledPass.run, the replay loop, may not
+    # binding may allocate; CompiledPass.run and _replay, the replay
+    # loop, may not
     (tmp_path / "nn").mkdir()
     (tmp_path / "nn" / "plan.py").write_text(
         "import numpy as np\n"
@@ -225,9 +226,12 @@ def test_engine_plan_alloc_covers_the_replay_loop(tmp_path):
         "        return np.empty((n, 4))\n"
         "    def run(self, xb):\n"
         "        out = np.empty_like(xb)\n"
-        "        return out.copy()\n")
+        "        return out.copy()\n"
+        "    def _replay(self, xb):\n"
+        "        return np.zeros(4)\n")
     found = run_lint(tmp_path, select=["engine-plan-alloc"])
-    assert [(v.path, v.line) for v in found] == [("nn/plan.py", 6)]
+    assert [(v.path, v.line) for v in found] == [("nn/plan.py", 6),
+                                                 ("nn/plan.py", 9)]
 
 
 def test_metric_name(tmp_path):

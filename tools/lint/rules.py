@@ -301,8 +301,8 @@ _PLAN_ALLOC_CALLS = {"pad", "empty", "zeros", "ones", "full",
                      "concatenate", "stack", "empty_like", "zeros_like",
                      "full_like", "as_strided"}
 
-#: The replay loop of a compiled pass: (module, class, method).
-_PLAN_REPLAY_LOOP = ("nn/plan.py", "CompiledPass", "run")
+#: The replay loop of a compiled pass: (module, class, methods).
+_PLAN_REPLAY_LOOP = ("nn/plan.py", "CompiledPass", ("run", "_replay"))
 
 
 @register_rule
@@ -322,14 +322,14 @@ class EnginePlanAllocRule(LintRule):
         if rel_path == "nn/engine.py":
             yield from self._check_calls(tree, rel_path)
             return
-        module, cls, method = _PLAN_REPLAY_LOOP
+        module, cls, methods = _PLAN_REPLAY_LOOP
         if rel_path != module:
             return
         for node in tree.body:
             if isinstance(node, ast.ClassDef) and node.name == cls:
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and \
-                            item.name == method:
+                            item.name in methods:
                         yield from self._check_calls(item, rel_path)
 
     def _check_calls(self, tree, rel_path):
