@@ -38,31 +38,20 @@ class Severity(enum.Enum):
 class Location:
     """Where a diagnostic points.
 
-    All fields are optional.  Design-level findings use ``layer`` / ``pe``
-    / ``channel`` (a FIFO) / ``resource`` (``lut`` / ``dsp`` / ...);
-    code-level findings (the ``condor audit`` concurrency rules) use
-    ``path`` (repo-relative source file) and ``line``.
+    All fields are optional: ``layer`` / ``pe`` / ``channel`` (a FIFO) /
+    ``resource`` (``lut`` / ``dsp`` / ...).
     """
 
     layer: str | None = None
     pe: str | None = None
     channel: str | None = None
     resource: str | None = None
-    path: str | None = None
-    line: int | None = None
 
     def _pairs(self) -> tuple:
         return (("layer", self.layer), ("pe", self.pe),
-                ("channel", self.channel), ("resource", self.resource),
-                ("path", self.path), ("line", self.line))
+                ("channel", self.channel), ("resource", self.resource))
 
     def __str__(self) -> str:
-        if self.path is not None:
-            where = self.path if self.line is None \
-                else f"{self.path}:{self.line}"
-            rest = [f"{name}={value}" for name, value in self._pairs()
-                    if value is not None and name not in ("path", "line")]
-            return " ".join([where] + rest)
         parts = [f"{name}={value}" for name, value in self._pairs()
                  if value is not None]
         return " ".join(parts) if parts else "-"

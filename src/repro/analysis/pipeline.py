@@ -180,7 +180,6 @@ def register_pass(cls: type[AnalysisPass]) -> type[AnalysisPass]:
         raise CondorError(f"analysis pass {cls.__name__} has no id")
     if cls.id in PASS_REGISTRY:
         raise CondorError(f"duplicate analysis pass id {cls.id!r}")
-    # conc: allow CONC001 -- import-time decorator, read-only after
     PASS_REGISTRY[cls.id] = cls
     return cls
 

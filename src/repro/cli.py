@@ -11,7 +11,7 @@ Exposes the framework the way the paper's users would drive it::
     condor bench [--quick]                   # hot-path benchmarks
     condor obs report <run>                  # span latency quantiles
     condor obs diff <base> <run>             # flag telemetry regressions
-    condor obs timeseries <run>              # sampler trajectory
+    condor obs timeseries <run>              # metrics per flow step
     condor fleet drill                       # fault-kind survival matrix
     condor serve                             # synthetic serving load demo
     condor figure5                           # regenerate Figure 5
@@ -137,58 +137,6 @@ def cmd_check(args) -> int:
             print(report.render())
             print()
     _telemetry_outputs(args, recorder)
-    return 1 if worst_rank <= fail_rank else 0
-
-
-_AUDIT_RULE_HELP = {
-    "CONC001": "module-level mutable global written without a lock",
-    "CONC002": "attribute guarded inconsistently / written unguarded"
-               " on a thread-entry path",
-    "CONC003": "cycle in the static lock-order graph (deadlock risk)",
-    "CONC004": "blocking call while holding a lock",
-    "CONC005": "reaching into another object's private lock",
-    "CONC006": "raw threading.Lock() outside the named-lock factory",
-}
-
-
-def cmd_audit(args) -> int:
-    """Run the concurrency audit over the package's own source tree."""
-    import json as _json
-
-    from repro.analysis import Severity
-    from repro.analysis.conc import audit_tree, default_audit_root
-
-    if args.list_rules:
-        from repro.analysis.conc import RULE_PASSES
-        for code, description in _AUDIT_RULE_HELP.items():
-            print(f"{code}  [{RULE_PASSES[code]:<17}] {description}")
-        return 0
-    root = Path(args.root) if args.root else default_audit_root()
-    select = set(args.select.split(",")) if args.select else None
-    result = audit_tree(root, select=select)
-    report = result.report
-    if args.format == "json":
-        doc = report.to_dict()
-        doc["waived"] = [d.to_dict() for d in result.waived]
-        doc["lock_order"] = sorted(
-            list(edge) for edge in result.lock_order_edges())
-        print(_json.dumps(doc, indent=2))
-    else:
-        if args.graph:
-            print("static lock-order graph:")
-            edges = sorted(result.program.lock_edges.items())
-            for (src, dst), site in edges:
-                print(f"  {src} -> {dst}   [{site}]")
-            if not edges:
-                print("  (no nested acquisitions)")
-            print()
-        print(report.render())
-        if result.waived:
-            print(f"({len(result.waived)} finding(s) waived by"
-                  " '# conc: allow' comments)")
-    fail_rank = Severity(args.fail_on).rank
-    worst_rank = min((d.severity.rank for d in report),
-                     default=Severity.INFO.rank + 1)
     return 1 if worst_rank <= fail_rank else 0
 
 
@@ -760,7 +708,7 @@ def cmd_obs_diff(args) -> int:
 
 
 def cmd_obs_timeseries(args) -> int:
-    """Summarize a run's sampler trajectory (``timeseries.jsonl``)."""
+    """Summarize a run's per-step metric rows (``timeseries.jsonl``)."""
     import json as _json
 
     from repro.obs import TIMESERIES_NAME
@@ -889,26 +837,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="lowest severity that makes the exit code 1")
     telemetry_flags(check)
     check.set_defaults(func=cmd_check)
-
-    audit = sub.add_parser(
-        "audit", help="static concurrency audit of the repro sources:"
-                      " lock guards, lock ordering, thread-entry races")
-    audit.add_argument("--root", metavar="DIR",
-                       help="source tree to audit (default: the"
-                            " installed repro package)")
-    audit.add_argument("--select", metavar="CODES",
-                       help="comma-separated CONC codes to run"
-                            " (default: all; see --list-rules)")
-    audit.add_argument("--list-rules", action="store_true",
-                       help="list the CONC rule codes")
-    audit.add_argument("--graph", action="store_true",
-                       help="print the static lock-order graph first")
-    audit.add_argument("--format", choices=["text", "json"],
-                       default="text")
-    audit.add_argument("--fail-on", choices=["error", "warning"],
-                       default="error",
-                       help="lowest severity that makes the exit code 1")
-    audit.set_defaults(func=cmd_audit)
 
     build = sub.add_parser("build", help="run the full automation flow")
     build.add_argument("model")
@@ -1134,8 +1062,8 @@ def build_parser() -> argparse.ArgumentParser:
     obs_diff.set_defaults(func=cmd_obs_diff)
 
     obs_ts = obs_sub.add_parser(
-        "timeseries", help="summarize the background sampler's"
-                           " timeseries.jsonl")
+        "timeseries", help="summarize timeseries.jsonl: one metrics"
+                           " row per flow step")
     obs_ts.add_argument("run",
                         help="timeseries.jsonl or a workdir holding one")
     obs_ts.add_argument("--limit", type=int, default=20, metavar="N",

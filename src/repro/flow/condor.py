@@ -71,12 +71,14 @@ from repro.toolchain.xclbin import Xclbin, read_xclbin, write_xclbin
 from repro.obs import (
     REGISTRY,
     SpanRecorder,
-    TelemetrySampler,
     append_ledger,
     build_manifest,
+    obs_disabled,
     recording,
     span,
+    timeseries_row,
     write_manifest,
+    write_timeseries,
 )
 from repro.util.logging import get_logger, log_context
 
@@ -128,6 +130,9 @@ class FlowInputs:
 class StepRecord:
     name: str
     seconds: float
+    #: Empty for a finished step; otherwise why it did not finish
+    #: normally ("failed: ...", "degraded: ...", "restored from
+    #: checkpoint").
     detail: str = ""
     #: True when the step was restored from a checkpoint, not re-run.
     skipped: bool = False
@@ -243,10 +248,11 @@ class CondorFlow:
         self.boundary_stats: BoundaryStats | None = None
         #: Span recorder of the most recent :meth:`run` (telemetry on).
         self.recorder: SpanRecorder | None = None
-        #: Background metrics sampler of the most recent :meth:`run`.
-        self.sampler: TelemetrySampler | None = None
-        self._timeseries_path: Path | None = None
         self._steps: list[StepRecord] = []
+        #: ``timeseries.jsonl`` rows of the current :meth:`run`: one at
+        #: flow start, then one per :class:`StepRecord`.  ``None`` when
+        #: the run records no telemetry.
+        self._rows: list[dict] | None = None
 
     # -- step harness ---------------------------------------------------------
 
@@ -257,7 +263,8 @@ class CondorFlow:
         The recorded :class:`StepRecord` takes its duration *from the
         span*, so ``FlowResult.steps`` and ``telemetry.json`` can never
         disagree.  Without an active recorder the span is a no-op and a
-        local :func:`time.perf_counter` interval is used instead.
+        local :func:`time.perf_counter` interval is used instead.  A
+        step that raises is recorded too, with a ``failed:`` detail.
         """
         _STEPS_STARTED.inc(step=name)
         sp = None
@@ -271,21 +278,33 @@ class CondorFlow:
                     raise
                 except CondorError as exc:
                     raise FlowError(name, str(exc)) from exc
-        except BaseException:
+        except BaseException as exc:
             _STEPS_FAILED.inc(step=name)
+            seconds = sp.seconds if sp is not None \
+                else time.perf_counter() - t0
+            self._record(StepRecord(
+                name, seconds, detail=f"failed: {type(exc).__name__}:"
+                                      f" {exc}"))
             raise
         seconds = sp.seconds if sp is not None \
             else time.perf_counter() - t0
         _STEP_SECONDS.observe(seconds, step=name)
-        self._steps.append(StepRecord(name, seconds))
+        self._record(StepRecord(name, seconds))
 
     def _skip_step(self, name: str,
                    detail: str = "restored from checkpoint") -> None:
         """Record a step satisfied from its checkpoint."""
         _STEPS_SKIPPED.inc(step=name)
         _log.info("step %s: %s", name, detail)
-        self._steps.append(StepRecord(name, 0.0, detail=detail,
-                                      skipped=True))
+        self._record(StepRecord(name, 0.0, detail=detail, skipped=True))
+
+    def _record(self, record: StepRecord) -> None:
+        """Append a step record and, when recording, its metrics row:
+        every record goes through here, so a run leaves
+        ``len(steps) + 1`` rows."""
+        self._steps.append(record)
+        if self._rows is not None:
+            self._rows.append(timeseries_row(record.name))
 
     def _inputs_fingerprint(self, inputs: FlowInputs) -> str:
         """Root of every step's checkpoint digest chain: the run inputs
@@ -380,15 +399,14 @@ class CondorFlow:
 
         With ``telemetry`` enabled (the default) the whole run executes
         under a ``condor.flow`` root span and leaves a ``telemetry.json``
-        manifest — plus a ``timeseries.jsonl`` of periodic metric
-        samples — in the working directory, even when a step fails, so
-        failed runs stay diagnosable.
+        manifest — plus a ``timeseries.jsonl`` with one metrics row at
+        flow start and one per step — in the working directory, even
+        when a step fails, so failed runs stay diagnosable.
         """
         if not self.telemetry:
             return self._execute(inputs)
         self.recorder = SpanRecorder()
-        self.sampler = TelemetrySampler()
-        self.sampler.start()
+        self._rows = None if obs_disabled() else [timeseries_row("start")]
         started_wall = time.time()
         t0 = time.perf_counter()
         status = "error"
@@ -407,10 +425,10 @@ class CondorFlow:
             raise
         finally:
             _RUNS.inc(status=status)
-            self.sampler.stop()
-            self._timeseries_path = self.sampler.flush(self.workdir)
+            series = (write_timeseries(self.workdir, self._rows)
+                      if self._rows else None)
             manifest = self._build_manifest(
-                result, status=status, error=error,
+                result, status=status, error=error, series=series,
                 started_wall=started_wall,
                 seconds=time.perf_counter() - t0)
             path = write_manifest(self.workdir, manifest)
@@ -419,8 +437,8 @@ class CondorFlow:
                 result.telemetry_path = path
 
     def _build_manifest(self, result: FlowResult | None, *, status: str,
-                        error: str | None, started_wall: float,
-                        seconds: float) -> dict:
+                        error: str | None, series: Path | None,
+                        started_wall: float, seconds: float) -> dict:
         run: dict = {
             "network": result.model.network.name if result else None,
             "board": result.model.board if result else None,
@@ -448,12 +466,10 @@ class CondorFlow:
         breakers = breaker_states()
         if breakers:
             snapshots.setdefault("resilience", {})["breakers"] = breakers
-        if self.sampler is not None:
-            snapshots["timeseries"] = {
-                "path": (self._timeseries_path.name
-                         if self._timeseries_path else None),
-                **self.sampler.overhead(),
-            }
+        snapshots["timeseries"] = {
+            "path": series.name if series else None,
+            "samples": len(self._rows or ()),
+        }
         if result is not None:
             capacity = device_for_board(result.model.board).capacity
             snapshots["resource_estimate"] = {
@@ -753,9 +769,9 @@ class CondorFlow:
                         "AFI creation failed (%s); keeping the local"
                         " build and degrading to a partial result",
                         degradation)
-                    self._steps.append(StepRecord(
-                        "8-afi-creation", 0.0,
-                        detail=f"degraded: {degradation}"))
+                    # _step recorded the failure (and its row); the
+                    # run goes on, so the record says what became of it
+                    self._steps[-1].detail = f"degraded: {degradation}"
 
         return FlowResult(
             model=model, weights=weights, mapping=mapping,

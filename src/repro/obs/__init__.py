@@ -1,5 +1,5 @@
 """Telemetry for the Condor reproduction: spans, metrics, quantile
-sketches, manifests, time-series sampling, Chrome-trace export.
+sketches, manifests, per-step metric rows, Chrome-trace export.
 
 The paper's framework is an automation *pipeline*; what makes such a tool
 usable is seeing what every stage did and where the time and resources
@@ -16,9 +16,8 @@ front door for that:
   snapshots, streaming p50/p95/p99 and span-linked exemplars;
 * :mod:`repro.obs.quantiles` — the mergeable O(1)-memory
   :class:`QuantileSketch` behind every quantile above;
-* :mod:`repro.obs.sampler` — a background :class:`TelemetrySampler`
-  flushing periodic registry snapshots to ``timeseries.jsonl``;
-* :mod:`repro.obs.manifest` — the per-run ``telemetry.json`` written by
+* :mod:`repro.obs.manifest` — the per-run ``telemetry.json`` and
+  ``timeseries.jsonl`` (one registry snapshot per flow step) written by
   :class:`~repro.flow.condor.CondorFlow`, plus the opt-in
   ``benchmarks/runs.jsonl`` ledger;
 * :mod:`repro.obs.analyze` — offline reports/diffs over those
@@ -45,12 +44,15 @@ from repro.obs.chrometrace import (
 )
 from repro.obs.manifest import (
     MANIFEST_NAME,
+    TIMESERIES_NAME,
     append_ledger,
     build_manifest,
     git_sha,
     ledger_enabled,
     peak_rss_bytes,
+    timeseries_row,
     write_manifest,
+    write_timeseries,
 )
 from repro.obs.metrics import (
     REGISTRY,
@@ -61,7 +63,6 @@ from repro.obs.metrics import (
     Summary,
 )
 from repro.obs.quantiles import QuantileSketch
-from repro.obs.sampler import TIMESERIES_NAME, TelemetrySampler
 from repro.obs.spans import (
     Span,
     SpanRecorder,
@@ -86,7 +87,6 @@ __all__ = [
     "Span",
     "SpanRecorder",
     "Summary",
-    "TelemetrySampler",
     "append_ledger",
     "build_manifest",
     "chrome_trace",
@@ -104,7 +104,9 @@ __all__ = [
     "span_events",
     "span_report",
     "summarize_timeseries",
+    "timeseries_row",
     "traced",
     "write_chrome_trace",
     "write_manifest",
+    "write_timeseries",
 ]

@@ -229,7 +229,7 @@ def diff_manifests(baseline: dict[str, Any], current: dict[str, Any], *,
 
 
 def summarize_timeseries(rows: list[dict[str, Any]]) -> dict[str, Any]:
-    """Collapse sampler rows into growth per metric + RSS trajectory."""
+    """Collapse per-step rows into growth per metric + RSS trajectory."""
     if not rows:
         return {"samples": 0, "seconds": 0.0,
                 "peak_rss_bytes": None, "metrics": {}}

@@ -9,6 +9,11 @@ run left behind, and process stats (peak RSS, span count, the BLAS
 thread count every GEMM ran on).  That file is
 the machine-readable record later benchmarking sessions diff against.
 
+Next to it the flow writes ``timeseries.jsonl``: one
+:func:`timeseries_row` at flow start and one at the end of every step,
+each the registry's scalar view plus peak RSS, so a run can be read
+stage by stage.
+
 Setting ``REPRO_BENCH_LEDGER=1`` additionally appends a one-line JSON
 summary of each run to ``benchmarks/runs.jsonl`` (path overridable via
 ``REPRO_BENCH_LEDGER_PATH``), seeding a perf trajectory across commits.
@@ -30,15 +35,19 @@ from repro.obs.spans import SpanRecorder
 
 __all__ = [
     "MANIFEST_NAME",
+    "TIMESERIES_NAME",
     "git_sha",
     "peak_rss_bytes",
     "build_manifest",
     "write_manifest",
     "append_ledger",
     "ledger_enabled",
+    "timeseries_row",
+    "write_timeseries",
 ]
 
 MANIFEST_NAME = "telemetry.json"
+TIMESERIES_NAME = "timeseries.jsonl"
 #: Schema 2 (this PR): ``host.hostname``, ``git_sha``,
 #: ``span_summaries`` (per-span-name streaming quantiles), span dicts
 #: carry ``thread_id``, and ledger lines are attributable
@@ -154,6 +163,26 @@ def build_manifest(*, recorder: SpanRecorder | None,
 def write_manifest(workdir: Path | str, manifest: dict[str, Any]) -> Path:
     path = Path(workdir) / MANIFEST_NAME
     path.write_text(json.dumps(manifest, indent=2, default=str) + "\n")
+    return path
+
+
+def timeseries_row(step: str) -> dict[str, Any]:
+    """One ``timeseries.jsonl`` row: the default registry's scalar view
+    and peak RSS, labelled with the flow step that just ended
+    (``"start"`` for the row taken before the first step)."""
+    return {"ts": time.time(), "step": step,
+            "peak_rss_bytes": peak_rss_bytes(),
+            "metrics": REGISTRY.scalars()}
+
+
+def write_timeseries(workdir: Path | str,
+                     rows: list[dict[str, Any]]) -> Path:
+    """Write ``rows`` as ``<workdir>/timeseries.jsonl``, one JSON
+    object per line."""
+    path = Path(workdir) / TIMESERIES_NAME
+    with path.open("w") as fh:
+        for row in rows:
+            fh.write(json.dumps(row) + "\n")
     return path
 
 

@@ -625,14 +625,15 @@ class MetricsRegistry:
                 for metric in self._snapshot_metrics()}
 
     def scalars(self) -> dict[str, float]:
-        """One flat number per series — the time-series sampler's row.
+        """One flat number per series — the ``metrics`` field of each
+        per-step ``timeseries.jsonl`` row.
 
         Counters and gauges collapse to the sum over label sets;
         histograms and summaries contribute ``<name>_count`` and
         ``<name>_sum``.  Each metric's :meth:`~_Metric.scalar_samples`
         reads under its own lock, so this is safe against concurrent
-        updates (the sampler calls it from its own thread) without the
-        registry ever touching another object's private lock.
+        updates from callers' threads without the registry ever
+        touching another object's private lock.
         """
         out: dict[str, float] = {}
         for metric in self._snapshot_metrics():

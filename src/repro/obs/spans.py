@@ -54,8 +54,8 @@ __all__ = [
 #: Kill switch: ``REPRO_NO_OBS=1`` turns the whole telemetry layer off —
 #: ``recording()`` stops installing recorders (so ``span()`` takes its
 #: no-op fast path), default-registry metrics stop updating, and the
-#: sampler never starts.  Explicitly constructed private registries
-#: keep working.
+#: flow writes no ``timeseries.jsonl``.  Explicitly constructed private
+#: registries keep working.
 DISABLE_ENV = "REPRO_NO_OBS"
 
 

@@ -9,8 +9,8 @@ and release reports into the process-wide :data:`STATE`, which keeps:
   acquisition order);
 * the *observed lock-order graph* over lock names — an edge ``A -> B``
   means some thread acquired ``B`` while holding ``A``.  The
-  cross-validation tests assert this graph is a subgraph of the static
-  one ``condor audit`` computes from the source;
+  lock-hierarchy tests assert this graph stays inside the documented
+  hierarchy (docs/INTERNALS.md, "Concurrency model");
 * :class:`Finding` records for the three failure modes:
 
   - ``order-inversion`` (error): acquiring ``B`` while holding ``A``
@@ -22,21 +22,18 @@ and release reports into the process-wide :data:`STATE`, which keeps:
     lock it already holds.  The real lock would block forever, so the
     wrapper raises :class:`~repro.errors.SanitizerError` instead of
     deadlocking the suite.
-  - ``slow-hold`` (warning): a lock held longer than
-    ``REPRO_TSAN_HOLD_SECONDS`` (default 0.5 s) — a latency hazard for
-    every thread contending on it, not a correctness bug.
+  - ``slow-hold`` (warning): a lock held longer than the state's
+    ``hold_threshold`` (default 0.5 s) — a latency hazard for every
+    thread contending on it, not a correctness bug.
 
 The sanitizer's own bookkeeping runs under a *raw* ``threading.Lock``
-(never instrumented) and never touches the metrics registry from the
-acquire path — metric locks are themselves instrumented, so bumping a
-counter per acquire would recurse.  Totals are copied into the
-``condor_tsan_*`` gauges on demand via :meth:`SanitizerState.publish`
-(the pytest fixture and CLI call it once at the end).
+(never instrumented) and never touches the metrics registry — metric
+locks are themselves instrumented, so bumping a counter per acquire
+would recurse.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -46,7 +43,6 @@ from repro.errors import SanitizerError
 __all__ = [
     "DEFAULT_HOLD_SECONDS",
     "Finding",
-    "HOLD_ENV",
     "InstrumentedLock",
     "InstrumentedRLock",
     "MAX_FINDINGS",
@@ -54,30 +50,16 @@ __all__ = [
     "SanitizerState",
 ]
 
-HOLD_ENV = "REPRO_TSAN_HOLD_SECONDS"
 DEFAULT_HOLD_SECONDS = 0.5
 #: Findings kept per state; a deadlock-prone suite would otherwise flood.
 MAX_FINDINGS = 200
-
-FINDING_KINDS = ("order-inversion", "double-acquire", "slow-hold")
-
-
-def _hold_threshold() -> float:
-    raw = os.environ.get(HOLD_ENV, "")
-    if not raw:
-        return DEFAULT_HOLD_SECONDS
-    try:
-        value = float(raw)
-    except ValueError:
-        return DEFAULT_HOLD_SECONDS
-    return value if value > 0 else DEFAULT_HOLD_SECONDS
 
 
 @dataclass(frozen=True)
 class Finding:
     """One sanitizer observation."""
 
-    kind: str       # one of FINDING_KINDS
+    kind: str       # "order-inversion" | "double-acquire" | "slow-hold"
     severity: str   # "error" | "warning"
     lock: str       # lock name
     thread: str
@@ -101,7 +83,7 @@ class SanitizerState:
     suite-failing fixture.
     """
 
-    def __init__(self, hold_threshold: float | None = None):
+    def __init__(self, hold_threshold: float = DEFAULT_HOLD_SECONDS):
         #: raw lock — the sanitizer must never instrument itself
         self._mu = threading.Lock()
         self._tls = threading.local()
@@ -111,8 +93,7 @@ class SanitizerState:
         self._acquires = 0
         self._lock_names: set[str] = set()
         self._max_hold = 0.0
-        self._hold_threshold = (_hold_threshold() if hold_threshold is None
-                                else float(hold_threshold))
+        self._hold_threshold = float(hold_threshold)
 
     # -- per-thread held stack ------------------------------------------------
 
@@ -246,7 +227,8 @@ class SanitizerState:
             self._max_hold = 0.0
 
     def snapshot(self) -> dict:
-        """JSON-able summary (the ``condor audit --tsan`` payload)."""
+        """JSON-able summary: acquires, lock names, observed order
+        edges, longest hold and findings."""
         with self._mu:
             edges = sorted((src, dst) for src, dsts in self._edges.items()
                            for dst in dsts)
@@ -258,40 +240,6 @@ class SanitizerState:
                 "max_hold_seconds": self._max_hold,
                 "findings": findings,
             }
-
-    def publish(self, registry=None) -> None:
-        """Copy totals into the ``condor_tsan_*`` gauges.
-
-        On-demand rather than per-acquire: metric locks are instrumented
-        too, so updating a metric from inside acquire bookkeeping would
-        recurse.  Gauges (``set`` semantics) keep repeated publishes
-        idempotent.
-        """
-        if registry is None:
-            from repro.obs.metrics import REGISTRY
-            registry = REGISTRY
-        snap = self.snapshot()
-        registry.gauge(
-            "condor_tsan_acquires_count",
-            "Lock acquisitions observed by the runtime sanitizer",
-        ).set(snap["acquires"])
-        registry.gauge(
-            "condor_tsan_order_edges_count",
-            "Distinct edges in the observed lock-order graph",
-        ).set(len(snap["order_edges"]))
-        registry.gauge(
-            "condor_tsan_max_hold_seconds",
-            "Longest single lock hold observed by the sanitizer",
-        ).set(snap["max_hold_seconds"])
-        findings = registry.gauge(
-            "condor_tsan_findings_count",
-            "Sanitizer findings by kind (order-inversion, double-acquire,"
-            " slow-hold)")
-        by_kind = {kind: 0 for kind in FINDING_KINDS}
-        for f in snap["findings"]:
-            by_kind[f["kind"]] = by_kind.get(f["kind"], 0) + 1
-        for kind, count in by_kind.items():
-            findings.set(count, kind=kind)
 
 
 #: The process-wide sanitizer realm every factory-made lock reports to.

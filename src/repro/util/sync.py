@@ -7,11 +7,10 @@ site, e.g. ``"obs.metrics.MetricsRegistry"``).  Names identify a lock's
 That makes two things possible:
 
 * the runtime lock sanitizer (:mod:`repro.sanitizer.lockcheck`) builds
-  its observed lock-order graph over names, so it can be compared
-  against the *static* lock-order graph ``condor audit`` derives from
-  the source — same node vocabulary on both sides;
+  its observed lock-order graph over names;
 * the documented lock hierarchy (docs/INTERNALS.md, "Concurrency
-  model") is stated in terms of these names.
+  model") is stated in terms of the same names, so tests can compare
+  the two directly.
 
 Under ``REPRO_TSAN=1`` (read at lock-creation time) the factories
 return instrumented wrappers that track per-thread held-sets and report
@@ -19,8 +18,8 @@ order inversions, double acquires and slow holds; otherwise they return
 plain :mod:`threading` primitives with zero overhead.
 
 Direct ``threading.Lock()`` construction elsewhere in ``src/repro`` is
-flagged by the ``conc-raw-lock`` audit rule — the factory is how a lock
-joins the checked hierarchy.
+flagged by the ``thread-free`` lint rule (``python -m tools.lint``) —
+the factory is how a lock joins the checked hierarchy.
 """
 
 from __future__ import annotations

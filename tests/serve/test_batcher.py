@@ -15,7 +15,7 @@ def request(i, arrival_s=0.0):
 
 
 class TestLadder:
-    def test_default_ladder_matches_plan_cache_bound(self):
+    def test_default_ladder_is_the_device_batch_sizes(self):
         assert DEFAULT_BUCKETS == (1, 2, 4, 8)
 
     def test_bucket_for_snaps_up(self):

@@ -40,7 +40,7 @@ def test_all_rules_registered():
         "telemetry-print", "telemetry-getlogger", "broad-except",
         "generic-raise", "sim-wallclock", "mutable-default",
         "flow-step-span", "wallclock-sleep", "sim-slots",
-        "engine-plan-alloc", "metric-name",
+        "engine-plan-alloc", "metric-name", "thread-free",
     }
 
 
@@ -273,3 +273,47 @@ def test_flow_step_span(tmp_path):
     found = run_lint(tmp_path, select=["flow-step-span"])
     assert len(found) == 1
     assert "estimate_accelerator" in found[0].message
+
+
+def test_thread_free_bans_threads_executors_and_processes(tmp_path):
+    found = _lint_source(
+        tmp_path,
+        "import threading\n"
+        "import threading as th\n"
+        "threading.Thread(target=print).start()\n"
+        "class Ticker(th.Thread):\n"
+        "    pass\n"
+        "from threading import Timer\n"
+        "import concurrent.futures\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "from concurrent import futures\n"
+        "import multiprocessing\n"
+        "from multiprocessing.pool import Pool\n"
+        "local = threading.local()  # per-thread state: fine\n"
+        "event = threading.Event()  # fine\n",
+        select=["thread-free"])
+    assert sorted(v.line for v in found) == [3, 4, 6, 7, 8, 9, 10, 11]
+
+
+def test_thread_free_raw_locks_only_in_the_factory(tmp_path):
+    source = ("import threading\n"
+              "from threading import RLock\n"
+              "mu = threading.Lock()\n")
+    for rel in ("util/sync.py", "sanitizer/lockcheck.py",
+                "obs/metrics.py"):
+        (tmp_path / rel).parent.mkdir(exist_ok=True)
+        (tmp_path / rel).write_text(source)
+    found = run_lint(tmp_path, select=["thread-free"])
+    assert [(v.path, v.line) for v in found] == [("obs/metrics.py", 2),
+                                                 ("obs/metrics.py", 3)]
+    assert "new_lock" in found[0].message
+
+
+def test_thread_free_factory_may_not_start_threads(tmp_path):
+    # the lock makers are exempt from the raw-lock half only
+    (tmp_path / "util").mkdir()
+    (tmp_path / "util" / "sync.py").write_text(
+        "import threading\n"
+        "threading.Thread(target=print).start()\n")
+    found = run_lint(tmp_path, select=["thread-free"])
+    assert [(v.path, v.line) for v in found] == [("util/sync.py", 2)]

@@ -477,3 +477,81 @@ class FlowStepSpanRule(LintRule):
                 rel_path, call,
                 f"{name}() outside a step span — wrap it in 'with"
                 " self._step(...)' (or 'with span(...)')")
+
+
+#: ``threading`` names that start an OS thread.
+_THREAD_STARTERS = {"Thread", "Timer"}
+#: Modules whose only job is running work on other threads or processes.
+_WORKER_MODULES = ("concurrent.futures", "multiprocessing")
+
+
+def _is_worker_module(name: str | None) -> bool:
+    return name is not None and any(
+        name == mod or name.startswith(mod + ".") for mod in _WORKER_MODULES)
+
+
+@register_rule
+class ThreadFreeRule(LintRule):
+    """The package starts no thread or process of its own: the flow, the
+    engine and the serving layer all run on the caller's thread.  Callers
+    may still share an engine or a fleet across their own threads, so
+    every lock is made by the named-lock factory (:mod:`repro.util.sync`),
+    which is how it joins the runtime sanitizer under ``REPRO_TSAN=1``.
+    Only the factory and the sanitizer itself build raw locks."""
+
+    id = "thread-free"
+    description = ("ban starting threads, executors and processes; ban raw"
+                   " threading.Lock()/RLock() outside the lock factory")
+    #: Modules allowed to construct ``threading.Lock()``/``RLock()``: the
+    #: factory, and the sanitizer whose bookkeeping must not instrument
+    #: itself.
+    lock_makers = frozenset({"util/sync.py", "sanitizer/lockcheck.py"})
+
+    def check(self, tree, rel_path):
+        raw_locks_ok = rel_path in self.lock_makers
+        # every name the threading module is bound to (import ... as x)
+        threading_names = {"threading"} | {
+            alias.asname for node in ast.walk(tree)
+            if isinstance(node, ast.Import) for alias in node.names
+            if alias.name == "threading" and alias.asname}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if _is_worker_module(alias.name):
+                        yield self._worker(rel_path, node, alias.name)
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                if _is_worker_module(node.module) or (
+                        node.module == "concurrent" and "futures" in names):
+                    yield self._worker(rel_path, node, node.module)
+                elif node.module == "threading":
+                    if names & _THREAD_STARTERS:
+                        yield self._thread(rel_path, node)
+                    if names & {"Lock", "RLock"} and not raw_locks_ok:
+                        yield self._raw_lock(rel_path, node)
+            elif isinstance(node, ast.Attribute) and \
+                    isinstance(node.value, ast.Name) and \
+                    node.value.id in threading_names:
+                if node.attr in _THREAD_STARTERS:
+                    yield self._thread(rel_path, node)
+                elif node.attr in ("Lock", "RLock") and not raw_locks_ok:
+                    yield self._raw_lock(rel_path, node)
+
+    def _thread(self, rel_path, node):
+        return self.violation(
+            rel_path, node,
+            "threading.Thread/Timer — the package starts no thread; run"
+            " the work on the caller's thread")
+
+    def _worker(self, rel_path, node, module):
+        return self.violation(
+            rel_path, node,
+            f"{module} — the package starts no executor or process; run"
+            " the work on the caller's thread")
+
+    def _raw_lock(self, rel_path, node):
+        return self.violation(
+            rel_path, node,
+            "raw threading.Lock()/RLock() — unnamed locks are invisible"
+            " to the runtime sanitizer; use repro.util.sync.new_lock(name)"
+            " / new_rlock(name)")
