@@ -587,6 +587,7 @@ def cmd_bench(args) -> int:
     import json as _json
 
     from repro.perf.bench import (
+        KIND,
         compare_benchmarks,
         load_benchmarks,
         merge_benchmarks,
@@ -632,15 +633,16 @@ def cmd_bench(args) -> int:
         from repro.nn.blas import blas_threads
         print(_json.dumps({"schema": "condor-bench/v1",
                            "blas_threads": blas_threads(),
-                           "results": [asdict(r) for r in results],
+                           "results": [dict(asdict(r), kind=KIND[r.op])
+                                       for r in results],
                            "violations": violations}, indent=2))
     else:
-        table = TextTable(["op", "model", "wall (s)", "cycles",
+        table = TextTable(["op", "model", "kind", "wall (s)", "cycles",
                            "cache hits", "speedup"],
                           float_format="{:.4g}")
         for r in results:
             table.add_row([
-                r.op, r.model, r.wall_s,
+                r.op, r.model, KIND[r.op], r.wall_s,
                 r.cycles if r.cycles is not None else "-",
                 r.cache_hits if r.cache_hits is not None else "-",
                 f"{r.speedup_vs_baseline:.2f}x"

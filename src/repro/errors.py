@@ -256,8 +256,8 @@ class AnalysisError(CondorError):
 
 class SanitizerError(CondorError):
     """The runtime lock sanitizer caught a fatal lock misuse — a thread
-    re-acquiring a non-reentrant lock it already holds.  Raised instead
-    of letting the real lock deadlock the process."""
+    re-acquiring a lock it already holds.  Raised instead of letting the
+    real lock deadlock the process."""
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ the in-memory object maps ``layer name → blob name → ndarray``.
 
 from __future__ import annotations
 
-import itertools
 import json
 from pathlib import Path
 
@@ -20,28 +19,19 @@ from repro.ir.network import Network
 
 _MANIFEST = "weights.json"
 
-#: Process-unique tokens so caches keyed on a store never collide across
-#: store instances (``id()`` can be recycled after garbage collection).
-_STORE_TOKENS = itertools.count()
-
 
 class WeightStore:
     """Blobs for the learnable layers of a network.
 
-    Every store carries a process-unique :attr:`token`, a per-layer
-    mutation counter (:meth:`version_of`) and a store-wide one
-    (:attr:`generation`), both bumped by :meth:`set`, so the
-    execution-plan cache (:mod:`repro.nn.plan`) — which bakes packed
-    weight views into compiled plans — can key plans on
-    ``(token, layer, version)`` and recompile automatically when a
-    layer's blobs are replaced, and an engine can tell with one compare
-    that none were.
+    Every store carries a mutation counter (:attr:`generation`),
+    bumped by :meth:`set`.  Compiled passes (:mod:`repro.nn.plan`) bake
+    packed weight views into their plans, so an engine keys its pass on
+    the generation: one compare tells it no blob was replaced, and a
+    replaced blob makes it recompile.
     """
 
     def __init__(self, blobs: dict[str, dict[str, np.ndarray]] | None = None):
         self._blobs: dict[str, dict[str, np.ndarray]] = {}
-        self._token = next(_STORE_TOKENS)
-        self._versions: dict[str, int] = {}
         self._generation = 0
         if blobs:
             for layer, named in blobs.items():
@@ -51,23 +41,13 @@ class WeightStore:
     # -- access ---------------------------------------------------------------
 
     @property
-    def token(self) -> int:
-        """Process-unique identity of this store (stable for its lifetime)."""
-        return self._token
-
-    @property
     def generation(self) -> int:
         """Store-wide mutation counter: bumped by every :meth:`set`."""
         return self._generation
 
-    def version_of(self, layer: str) -> int:
-        """Mutation counter for ``layer`` (0 until its first :meth:`set`)."""
-        return self._versions.get(layer, 0)
-
     def set(self, layer: str, blob: str, array: np.ndarray) -> None:
         array = np.asarray(array, dtype=np.float32)
         self._blobs.setdefault(layer, {})[blob] = array
-        self._versions[layer] = self._versions.get(layer, 0) + 1
         self._generation += 1
 
     def get(self, layer: str, blob: str) -> np.ndarray:

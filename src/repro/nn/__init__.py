@@ -21,7 +21,7 @@ from repro.nn.functional import (
 from repro.nn.engine import ReferenceEngine
 from repro.nn.plan import (
     ExecutionPlan,
-    PlanCache,
+    PlanLedger,
     compile_plan,
     default_plan_cache,
 )
@@ -38,7 +38,7 @@ __all__ = [
     "softmax",
     "tanh",
     "ExecutionPlan",
-    "PlanCache",
+    "PlanLedger",
     "ReferenceEngine",
     "compile_plan",
     "default_plan_cache",

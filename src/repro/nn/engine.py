@@ -10,9 +10,9 @@ A pass executes one of two ways, with bit-identical outputs:
   from :mod:`repro.nn.functional` that re-derive geometry on every call;
 * the **planned** path — the network is compiled once per (input shape,
   dtype, weight generation) into a :class:`repro.nn.plan.CompiledPass`
-  (per-layer plans from a process-wide LRU cache, fused conv→max-pool
-  stages) that binds once per thread and batch size, on scratch every
-  pass of the thread shares, and replays a flat list of numpy calls.
+  (one plan per layer, fused conv→max-pool stages) that the engine
+  memoizes, binds once per thread and batch size, on scratch every
+  pass of the thread shares, and replays as a flat list of numpy calls.
 
 Plans are on by default; ``ReferenceEngine(..., use_plans=False)`` runs
 the oracle.  The engine allocates nothing shape-derived — all scratch
@@ -44,13 +44,7 @@ from repro.ir.layers import (
 from repro.ir.network import Network
 from repro.nn import functional as F
 from repro.nn.blas import blas_threads
-from repro.nn.plan import (
-    ACTIVATIONS,
-    CompiledPass,
-    PlanCache,
-    compile_pass,
-    default_plan_cache,
-)
+from repro.nn.plan import ACTIVATIONS, LEDGER, CompiledPass, compile_pass
 from repro.obs import current_recorder, span
 
 #: Stands in for a span while no recorder is active (reusable).
@@ -105,26 +99,20 @@ def run_layer(layer: Layer, weights: WeightStore,
 class ReferenceEngine:
     """Forward inference over a network with a weight store.
 
-    ``plan_cache`` defaults to the process-wide cache, which is safe to
-    share across threads — compiled passes bind on per-thread scratch;
-    pass a private
-    :class:`~repro.nn.plan.PlanCache` only to isolate cache statistics
-    or eviction behaviour.  ``use_plans=False`` runs the oracle kernels
+    An engine is safe to share across threads — its compiled pass binds
+    on per-thread scratch.  ``use_plans=False`` runs the oracle kernels
     instead of compiled plans.
     """
 
     def __init__(self, net: Network, weights: WeightStore, *,
-                 plan_cache: PlanCache | None = None,
                  use_plans: bool = True):
         weights.validate(net)
         blas_threads()
         self.net = net
         self.weights = weights
-        self.plan_cache = plan_cache if plan_cache is not None \
-            else default_plan_cache()
         self._use_plans = use_plans
-        #: ((weight generation, input shape, dtype), pass) — the
-        #: steady-state fast path that skips the cache dict entirely.
+        #: ((weight generation, input shape, dtype), pass): the only
+        #: plan cache, one tuple compare per warm pass.
         self._memo: tuple[tuple, CompiledPass] | None = None
 
     # -- execution plans ------------------------------------------------------
@@ -133,17 +121,16 @@ class ReferenceEngine:
         """The compiled pass for ``x``'s per-sample shape and dtype.
 
         A warm pass is one tuple compare against the memo; it reports
-        one plan-cache hit per layer.  A new shape, dtype or weight
-        generation recompiles from the shared LRU cache, which itself
-        recompiles only the layers whose weights changed.
+        one plan hit per layer.  A new shape, dtype or weight generation
+        compiles the whole pass again.
         """
         key = (self.weights.generation, x.shape[1:], x.dtype)
         memo = self._memo
         if memo is not None and memo[0] == key:
-            self.plan_cache.record_hit(len(memo[1].plans))
+            LEDGER.record_hit(len(memo[1].plans))
             return memo[1]
         compiled = compile_pass(self.net.layers, key[1], x.dtype,
-                                self.weights, self.plan_cache)
+                                self.weights)
         self._memo = (key, compiled)
         return compiled
 
@@ -155,21 +142,6 @@ class ReferenceEngine:
         only: compiled passes have no per-layer hook.
         """
         return out
-
-    def plan_stats(self) -> dict:
-        """Plan-cache counters + this engine's resolution state."""
-        stats = self.plan_cache.stats()
-        stats["plans_active"] = self._use_plans
-        memo = self._memo
-        stats["resolved_layers"] = 0 if memo is None \
-            else len(memo[1].plans)
-        return stats
-
-    def invalidate_plans(self) -> int:
-        """Drop this engine's compiled pass and its store's cached
-        plans."""
-        self._memo = None
-        return self.plan_cache.invalidate(store=self.weights)
 
     # -- network-level API ----------------------------------------------------
 
@@ -206,9 +178,10 @@ class ReferenceEngine:
         output is bit-identical to running sample ``i`` alone.
         """
         batch = np.asarray(batch, dtype=np.float32)
-        if batch.ndim != 4:
+        if batch.ndim != 4 or batch.shape[0] < 1:
             raise ShapeError(
-                f"run_batch expects (N, C, H, W), got {batch.shape}")
+                f"run_batch expects (N, C, H, W) with N >= 1, got"
+                f" {batch.shape}")
         return self._execute(batch, self._use_plans)
 
     def forward_batch(self, batch: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ compiled result — this module compiles in two levels:
 
 * each layer once into an :class:`ExecutionPlan`: the window-gather
   geometry, pre-packed weight matrices and pre-broadcast bias columns.
-  Plans are immutable and live in the shared :class:`PlanCache`;
+  Plans are immutable, and each belongs to the pass compiled with it;
 * each network once into a :class:`CompiledPass`, which **binds** its
   plans per (thread, batch size): :meth:`ExecutionPlan.bind` takes the
   plan's scratch for ``N`` rows from the thread's :class:`Arena`,
@@ -53,19 +53,21 @@ whose accumulation order *would* change under a gathered copy (``mean``
 pairs partial sums differently on contiguous data than on a strided
 view), so avg-pool plans replay the stride-trick kernel unchanged.
 
-:class:`PlanCache` is a bounded LRU keyed by (weight-store token,
-per-layer weight version, layer config, input shape, dtype).  Mutating a
-layer's blobs through :meth:`~repro.frontend.weights.WeightStore.set`
-bumps its version, so stale plans can never be replayed; they age out of
-the LRU.  The ``condor_plan_cache_*`` series read its counts at collect
-time.
+The engine memoizes its :class:`CompiledPass` per (weight generation,
+input shape, dtype) and compiles a new one, every layer afresh, when
+any of them changes; :meth:`~repro.frontend.weights.WeightStore.set`
+bumps the generation, so a stale plan is never replayed.  There is no
+second, per-layer cache: every fleet slot unpacks its own weight store,
+so plans could only ever be shared between engines over one store.
+:data:`LEDGER` counts layers compiled (misses) and layers replayed by
+warm passes (hits); the ``condor_plan_cache_{hits,misses}_total``
+series read it at collect time.
 
 Plans hold no mutable state, so engines on different threads may share
-one :class:`PlanCache` — including the process-wide
-:func:`default_plan_cache`.  Arenas and the bindings over them are
-per thread.  A buffer lives while some binding views it: an arena
-holds its buffers weakly, and a :class:`CompiledPass` holds its
-bindings, so both go with the last engine that used them.
+one pass.  Arenas and the bindings over them are per thread.  A buffer
+lives while some binding views it: an arena holds its buffers weakly,
+and a :class:`CompiledPass` holds its bindings, so both go with the
+last engine that used them.
 """
 
 from __future__ import annotations
@@ -73,7 +75,6 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from collections import OrderedDict
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -97,7 +98,7 @@ from repro.ir.shapes import TensorShape
 from repro.nn import functional as F
 from repro.nn.blas import blas_threads
 from repro.obs import REGISTRY, span
-from repro.util.sync import new_rlock
+from repro.util.sync import new_lock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.frontend.weights import WeightStore
@@ -108,13 +109,12 @@ __all__ = [
     "Arena",
     "CompiledPass",
     "ExecutionPlan",
-    "PlanCache",
+    "LEDGER",
+    "PlanLedger",
     "compile_pass",
     "compile_plan",
     "default_plan_cache",
 ]
-
-DEFAULT_CAPACITY = 256
 
 #: Output width from which conv plans copy windows in two stages
 #: instead of gathering them by an index map (measured crossover on the
@@ -136,22 +136,13 @@ ACTIVATIONS = {
 
 PLAN_HITS = REGISTRY.counter(
     "condor_plan_cache_hits_total",
-    "Execution-plan cache hits (plan replayed without recompiling)")
+    "Layers replayed by warm compiled passes (no compile)")
 PLAN_MISSES = REGISTRY.counter(
     "condor_plan_cache_misses_total",
-    "Execution-plan cache misses (a plan had to be compiled)")
+    "Layers compiled into execution plans")
 PLAN_COMPILES = REGISTRY.counter(
     "condor_plan_compiles_total",
     "Execution plans compiled, by layer kind")
-PLAN_EVICTIONS = REGISTRY.counter(
-    "condor_plan_cache_evictions_total",
-    "Execution plans evicted by the LRU capacity bound")
-PLAN_INVALIDATIONS = REGISTRY.counter(
-    "condor_plan_cache_invalidations_total",
-    "Execution plans dropped by explicit invalidation")
-PLAN_ENTRIES = REGISTRY.gauge(
-    "condor_plan_cache_entries",
-    "Execution plans currently cached (all caches in the process)")
 PLAN_COMPILE_SECONDS = REGISTRY.histogram(
     "condor_plan_compile_seconds",
     "Wall seconds spent compiling execution plans")
@@ -672,6 +663,7 @@ def compile_plan(layer: Layer, in_shape: tuple[int, ...],
         plan = _compile(layer, tuple(in_shape), dtype, weights)
     PLAN_COMPILE_SECONDS.observe(time.perf_counter() - start)
     PLAN_COMPILES.inc(kind=plan.kind)
+    LEDGER.record_miss()
     return plan
 
 
@@ -780,163 +772,48 @@ class CompiledPass:
 
 
 def compile_pass(layers: Sequence[Layer], in_shape: tuple[int, ...],
-                 dtype: np.dtype, store: "WeightStore",
-                 cache: "PlanCache") -> CompiledPass:
-    """Look up (or compile) every layer's plan, each on its producer's
-    output shape and dtype, and group them into a
-    :class:`CompiledPass`."""
+                 dtype: np.dtype, store: "WeightStore") -> CompiledPass:
+    """Compile every layer's plan, each on its producer's output shape
+    and dtype, and group them into a :class:`CompiledPass`."""
     plans = []
     for layer in layers:
-        plan = cache.lookup(layer, in_shape, store, dtype)
+        plan = compile_plan(layer, in_shape, store, dtype)
         plans.append(plan)
         in_shape, dtype = plan.out_shape, plan.out_dtype
     return CompiledPass(plans)
 
 
-# -- the cache ----------------------------------------------------------------
+# -- the ledger ---------------------------------------------------------------
 
 
-class PlanCache:
-    """Bounded LRU of compiled execution plans.
+class PlanLedger:
+    """Process-wide plan counts: ``misses`` (layers compiled) and
+    ``hits`` (layers replayed by warm passes, which the engine reports
+    one call per pass)."""
 
-    Keys are ``(store token, layer weight version, layer, input shape,
-    dtype)`` — layers are frozen dataclasses, so the layer itself hashes
-    its full configuration (kind, kernel, stride, pad, activation).  The
-    weight version makes stale plans unreachable the moment a blob is
-    replaced; :meth:`invalidate` additionally drops them eagerly.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_CAPACITY):
-        if capacity < 1:
-            raise ValueError(f"plan cache capacity must be >= 1,"
-                             f" got {capacity}")
-        self.capacity = capacity
-        self._plans: OrderedDict[tuple, ExecutionPlan] = OrderedDict()
-        self._lock = new_rlock("nn.plan.PlanCache")
-        self._stats = {"hits": 0, "misses": 0, "compiles": 0,
-                       "evictions": 0, "invalidations": 0}
-        self._compile_seconds = 0.0
-        with _CACHES_LOCK:
-            _CACHES.append((self._stats, self._lock, weakref.ref(self)))
-
-    @staticmethod
-    def _key(layer: Layer, in_shape: tuple[int, ...],
-             store: "WeightStore", dtype: np.dtype) -> tuple:
-        return (store.token, store.version_of(layer.name), layer,
-                tuple(in_shape), dtype.str)
+    def __init__(self):
+        self._lock = new_lock("nn.plan.PlanLedger")
+        self._counts = {"hits": 0, "misses": 0}
 
     def record_hit(self, count: int) -> None:
-        """Count ``count`` replays served without touching the cache
-        dict (the engine memoizes its :class:`CompiledPass` and reports
-        one hit per layer of each warm pass in a single call)."""
         with self._lock:
-            self._stats["hits"] += count
+            self._counts["hits"] += count
 
-    def lookup(self, layer: Layer, in_shape: tuple[int, ...],
-               store: "WeightStore",
-               dtype: np.dtype | type = np.float32) -> ExecutionPlan:
-        """Return the cached plan for this configuration, compiling on
-        miss and evicting the least recently used entry when full."""
-        dtype = np.dtype(dtype)
-        key = self._key(layer, in_shape, store, dtype)
+    def record_miss(self) -> None:
         with self._lock:
-            plan = self._plans.get(key)
-            if plan is not None:
-                self._plans.move_to_end(key)
-                self._stats["hits"] += 1
-                return plan
-            self._stats["misses"] += 1
-        start = time.perf_counter()
-        plan = compile_plan(layer, in_shape, store, dtype)
-        elapsed = time.perf_counter() - start
-        with self._lock:
-            self._stats["compiles"] += 1
-            self._compile_seconds += elapsed
-            if key not in self._plans:
-                self._plans[key] = plan
-            while len(self._plans) > self.capacity:
-                self._plans.popitem(last=False)
-                self._stats["evictions"] += 1
-        return plan
-
-    def invalidate(self, store: "WeightStore | None" = None,
-                   layer: str | None = None) -> int:
-        """Drop cached plans for ``store`` and/or ``layer`` (both
-        ``None`` drops everything).  Returns the number dropped."""
-        with self._lock:
-            doomed = [
-                key for key, plan in self._plans.items()
-                if (store is None or key[0] == store.token)
-                and (layer is None or plan.layer_name == layer)
-            ]
-            for key in doomed:
-                del self._plans[key]
-            self._stats["invalidations"] += len(doomed)
-        return len(doomed)
-
-    def clear(self) -> None:
-        self.invalidate()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._plans)
+            self._counts["misses"] += 1
 
     def stats(self) -> dict:
-        """Counters + current size (the ``plan_stats`` payload)."""
         with self._lock:
-            out = dict(self._stats)
-            out["entries"] = len(self._plans)
-            out["capacity"] = self.capacity
-            out["compile_seconds"] = self._compile_seconds
-        return out
+            return dict(self._counts)
 
 
-#: ``(_stats, _lock, weakref)`` of every cache ever built: the counters
-#: sum all stats (staying monotonic), the entries gauge live sizes.  The
-#: (reentrant) lock also serializes creating the default cache.
-_CACHES: list[tuple[dict, object, weakref.ref]] = []
-_CACHES_LOCK = new_rlock("nn.plan.caches")
+LEDGER = PlanLedger()
+PLAN_HITS.add_source(lambda: {(): LEDGER.stats()["hits"]})
+PLAN_MISSES.add_source(lambda: {(): LEDGER.stats()["misses"]})
 
 
-def _caches() -> list[tuple[dict, object, weakref.ref]]:
-    with _CACHES_LOCK:
-        return list(_CACHES)
-
-
-def _stat_source(stat: str):
-    def read() -> dict:
-        total = 0
-        for stats, lock, _ in _caches():
-            with lock:
-                total += stats[stat]
-        return {(): total}
-    return read
-
-
-PLAN_HITS.add_source(_stat_source("hits"))
-PLAN_MISSES.add_source(_stat_source("misses"))
-PLAN_EVICTIONS.add_source(_stat_source("evictions"))
-PLAN_INVALIDATIONS.add_source(_stat_source("invalidations"))
-PLAN_ENTRIES.set_function(lambda: sum(
-    len(cache) for *_, ref in _caches() if (cache := ref()) is not None))
-
-_DEFAULT_CACHE: PlanCache | None = None
-
-
-def default_plan_cache() -> PlanCache:
-    """The process-wide cache engines share unless given their own.
-
-    Double-checked initialization: the steady-state path is a single
-    unlocked read (the cache is published only after ``PlanCache()``
-    returns, so a non-None value is always fully constructed), and
-    racing first calls serialize on the module lock so exactly one
-    instance is ever built.
-    """
-    global _DEFAULT_CACHE
-    cache = _DEFAULT_CACHE
-    if cache is not None:
-        return cache
-    with _CACHES_LOCK:
-        if _DEFAULT_CACHE is None:
-            _DEFAULT_CACHE = PlanCache()
-        return _DEFAULT_CACHE
+def default_plan_cache() -> PlanLedger:
+    """The process-wide :data:`LEDGER`, which the
+    ``condor_plan_cache_*`` series read."""
+    return LEDGER

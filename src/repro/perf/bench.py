@@ -22,8 +22,9 @@ Per-op semantics:
 * ``engine-steady`` — warm-cache execution-plan replay
   (:mod:`repro.nn.plan`) against the unplanned kernels on the same
   batch, after a compile pass.  ``speedup_vs_baseline`` is the
-  unplanned/planned ratio, ``cache_hits`` the plan-cache hits of the
-  timed replays; outputs are asserted bit-identical first.
+  unplanned/planned ratio, ``cache_hits`` the plan hits (layers
+  replayed) of the timed replays; outputs are asserted bit-identical
+  first.
 * ``dse`` — a memoized :func:`repro.dse.explore` against the
   evaluate-from-scratch baseline (``memoize=False``).  ``cycles`` is the
   best initiation interval, ``cache_hits`` the evaluation-cache hits of
@@ -54,6 +55,10 @@ The speedup-row timed loops run under
 explorer emit are charged to the ``obs-overhead`` row only, not booked
 as a phantom regression in every other row.
 
+Each op's figure is either *measured* (a host wall-clock ratio) or
+*modeled* (virtual device time or simulated cycles, exact per seed);
+:data:`KIND` labels the rows, and ``condor bench`` prints the label.
+
 ``compare_benchmarks`` diffs a fresh run against a committed baseline:
 ``cycles`` growth or ``speedup_vs_baseline`` decay beyond the threshold
 is a violation; ``wall_s`` is informational only (it is machine-bound,
@@ -78,7 +83,7 @@ from repro.frontend.weights import WeightStore
 from repro.hw.accelerator import build_accelerator
 from repro.nn.blas import blas_threads
 from repro.nn.engine import ReferenceEngine
-from repro.nn.plan import PlanCache
+from repro.nn.plan import LEDGER
 from repro.obs import SpanRecorder, no_recording, recording, span
 from repro.obs.spans import DISABLE_ENV
 
@@ -90,6 +95,17 @@ ENGINE_BATCH = 32
 
 #: Absolute ceiling on the ``obs-overhead`` instrumented/plain ratio.
 OBS_OVERHEAD_LIMIT = 1.05
+
+#: Whether each op's figure is a host wall-clock ratio (``measured``) or
+#: comes from modeled device time or simulated cycles (``modeled``).
+KIND = {
+    "engine": "measured",
+    "engine-steady": "measured",
+    "dse": "measured",
+    "obs-overhead": "measured",
+    "serve": "modeled",
+    "sim": "modeled",
+}
 
 
 def _zoo_builders() -> dict[str, Callable]:
@@ -144,7 +160,7 @@ def bench_engine(name: str, *, batch: int = ENGINE_BATCH,
     A single sample is a batch of one, so both sides run the same
     kernels and the ratio measures batch amortization of the per-layer
     dispatch.  Both run the unplanned kernels (``use_plans=False``); the
-    plan-cache win is the separate ``engine-steady`` row.
+    compiled-plan win is the separate ``engine-steady`` row.
     """
     with span("bench.engine", model=name, batch=batch):
         model, weights = _build(name)
@@ -187,7 +203,7 @@ def bench_engine_steady(name: str, *, batch: int = ENGINE_BATCH,
     over, so every layer replays a compiled plan (precomputed gather
     maps, packed weights, reused scratch — :mod:`repro.nn.plan`).  The
     first pass compiles and is excluded; ``cache_hits`` reports the plan
-    cache hits accumulated over the timed replays, and outputs are
+    hits (one per layer per pass) of the timed replays, and outputs are
     asserted bit-identical to the unplanned path before any number is
     reported.
     """
@@ -195,8 +211,7 @@ def bench_engine_steady(name: str, *, batch: int = ENGINE_BATCH,
         model, weights = _build(name)
         net = model.network
         unplanned = ReferenceEngine(net, weights, use_plans=False)
-        planned = ReferenceEngine(net, weights, plan_cache=PlanCache(),
-                                  use_plans=True)
+        planned = ReferenceEngine(net, weights, use_plans=True)
         rng = np.random.default_rng(rng_seed)
         images = rng.normal(size=(batch,) + net.input_shape().as_tuple()) \
             .astype(np.float32)
@@ -210,13 +225,14 @@ def bench_engine_steady(name: str, *, batch: int = ENGINE_BATCH,
                 " a wrong answer")
 
         ratios, fast_times = [], []
+        hits_before = LEDGER.stats()["hits"]
         with no_recording():
             for _ in range(max(1, reps)):
                 base_s = _best_of(lambda: unplanned.run_batch(images), 1)
                 fast_s = _best_of(lambda: planned.run_batch(images), 1)
                 ratios.append(base_s / fast_s)
                 fast_times.append(fast_s)
-        hits = int(planned.plan_stats()["hits"])
+        hits = LEDGER.stats()["hits"] - hits_before
     return BenchResult(op="engine-steady", model=name,
                        wall_s=float(np.median(fast_times)),
                        cycles=None, cache_hits=hits,
@@ -323,8 +339,7 @@ def bench_obs_overhead(name: str, *, batch: int = ENGINE_BATCH,
     """
     model, weights = _build(name)
     net = model.network
-    engine = ReferenceEngine(net, weights, plan_cache=PlanCache(),
-                             use_plans=True)
+    engine = ReferenceEngine(net, weights, use_plans=True)
     rng = np.random.default_rng(rng_seed)
     images = rng.normal(size=(batch,) + net.input_shape().as_tuple()) \
         .astype(np.float32)

@@ -150,7 +150,7 @@ class Kernel:
         self.args: dict[int, object] = {}
         #: (weights buffer, its generation, engine) of the last "fast"
         #: mode launch — steady-state serving re-enqueues with the same
-        #: weights, so the engine and its warm plan cache are reused
+        #: weights, so the engine and its compiled pass are reused
         self._engine: tuple[Buffer, int, ReferenceEngine] | None = None
 
     def set_arg(self, index: int, value: object) -> None:

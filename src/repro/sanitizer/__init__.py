@@ -8,7 +8,6 @@ from repro.errors import SanitizerError
 from repro.sanitizer.lockcheck import (
     Finding,
     InstrumentedLock,
-    InstrumentedRLock,
     STATE,
     SanitizerState,
 )
@@ -18,7 +17,6 @@ __all__ = [
     "ENABLE_ENV",
     "Finding",
     "InstrumentedLock",
-    "InstrumentedRLock",
     "STATE",
     "SanitizerError",
     "SanitizerState",

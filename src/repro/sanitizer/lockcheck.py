@@ -1,9 +1,9 @@
 """Runtime lock sanitizer — TSan-style dynamic checking of lock usage.
 
 With ``REPRO_TSAN=1`` in the environment, the :mod:`repro.util.sync`
-factories hand out :class:`InstrumentedLock` / :class:`InstrumentedRLock`
-wrappers instead of plain :mod:`threading` primitives.  Every acquire
-and release reports into the process-wide :data:`STATE`, which keeps:
+factory hands out :class:`InstrumentedLock` wrappers instead of plain
+:class:`threading.Lock` objects.  Every acquire and release reports
+into the process-wide :data:`STATE`, which keeps:
 
 * the per-thread *held stack* (which named locks this thread holds, in
   acquisition order);
@@ -18,8 +18,8 @@ and release reports into the process-wide :data:`STATE`, which keeps:
     ``A`` — two threads interleaving those paths can deadlock.  Nesting
     two distinct *instances* of the same lock name is reported the same
     way (same-rank nesting deadlocks against a peer doing the reverse).
-  - ``double-acquire`` (error): a thread re-acquiring a non-reentrant
-    lock it already holds.  The real lock would block forever, so the
+  - ``double-acquire`` (error): a thread re-acquiring a lock it
+    already holds.  The real lock would block forever, so the
     wrapper raises :class:`~repro.errors.SanitizerError` instead of
     deadlocking the suite.
   - ``slow-hold`` (warning): a lock held longer than the state's
@@ -44,7 +44,6 @@ __all__ = [
     "DEFAULT_HOLD_SECONDS",
     "Finding",
     "InstrumentedLock",
-    "InstrumentedRLock",
     "MAX_FINDINGS",
     "STATE",
     "SanitizerState",
@@ -109,27 +108,23 @@ class SanitizerState:
 
     # -- the acquire/release protocol (called by the wrappers) ---------------
 
-    def before_acquire(self, lock, *, reentrant: bool) -> None:
+    def before_acquire(self, lock) -> None:
         """Checks that must run *before* blocking on the real lock."""
         stack = self._stack()
         thread = threading.current_thread().name
-        if not reentrant:
-            for entry in stack:
-                if entry[0] is lock:
-                    finding = Finding(
-                        "double-acquire", "error", lock.name, thread,
-                        "thread re-acquired a non-reentrant lock it"
-                        " already holds; a real Lock would deadlock here")
-                    self._record(finding)
-                    raise SanitizerError(finding.render())
+        for entry in stack:
+            if entry[0] is lock:
+                finding = Finding(
+                    "double-acquire", "error", lock.name, thread,
+                    "thread re-acquired a lock it already holds; a real"
+                    " Lock would deadlock here")
+                self._record(finding)
+                raise SanitizerError(finding.render())
         name = lock.name
         with self._mu:
             self._acquires += 1
             self._lock_names.add(name)
-            for entry in stack:
-                held_lock, held_name = entry[0], entry[1]
-                if held_lock is lock:
-                    continue  # RLock re-entry: no new ordering information
+            for _, held_name, _ in stack:
                 if held_name == name:
                     self._record_locked(Finding(
                         "order-inversion", "error", name, thread,
@@ -247,9 +242,8 @@ STATE = SanitizerState()
 
 
 class InstrumentedLock:
-    """A named, checked, non-reentrant mutex (drop-in for Lock)."""
+    """A named, checked mutex (drop-in for Lock)."""
 
-    reentrant = False
     __slots__ = ("name", "_inner", "_state")
 
     def __init__(self, name: str, state: SanitizerState | None = None):
@@ -258,7 +252,7 @@ class InstrumentedLock:
         self._state = state if state is not None else STATE
 
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
-        self._state.before_acquire(self, reentrant=self.reentrant)
+        self._state.before_acquire(self)
         ok = self._inner.acquire(blocking, timeout)
         if ok:
             self._state.after_acquire(self)
@@ -281,19 +275,3 @@ class InstrumentedLock:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"
 
-
-class InstrumentedRLock(InstrumentedLock):
-    """A named, checked, reentrant mutex (drop-in for RLock)."""
-
-    reentrant = True
-    __slots__ = ()
-
-    def __init__(self, name: str, state: SanitizerState | None = None):
-        super().__init__(name, state)
-        self._inner = threading.RLock()
-
-    def locked(self) -> bool:  # RLock has no .locked() before 3.12
-        if self._inner.acquire(blocking=False):
-            self._inner.release()
-            return False
-        return True

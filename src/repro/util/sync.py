@@ -3,8 +3,7 @@
 Locks created here carry a *name* (a string literal at the creation
 site, e.g. ``"obs.metrics.MetricsRegistry"``).  Names identify a lock's
 *role* rather than its instance: every metric shares the name
-``"obs.metrics.Metric"``, every plan cache ``"nn.plan.PlanCache"``.
-That makes two things possible:
+``"obs.metrics.Metric"``.  That makes two things possible:
 
 * the runtime lock sanitizer (:mod:`repro.sanitizer.lockcheck`) builds
   its observed lock-order graph over names;
@@ -12,10 +11,11 @@ That makes two things possible:
   model") is stated in terms of the same names, so tests can compare
   the two directly.
 
-Under ``REPRO_TSAN=1`` (read at lock-creation time) the factories
-return instrumented wrappers that track per-thread held-sets and report
-order inversions, double acquires and slow holds; otherwise they return
-plain :mod:`threading` primitives with zero overhead.
+Under ``REPRO_TSAN=1`` (read at lock-creation time) the factory
+returns an instrumented wrapper that tracks per-thread held-sets and
+reports order inversions, double acquires and slow holds; otherwise it
+returns a plain :class:`threading.Lock` with zero overhead.  Every lock
+is non-reentrant.
 
 Direct ``threading.Lock()`` construction elsewhere in ``src/repro`` is
 flagged by the ``thread-free`` lint rule (``python -m tools.lint``) —
@@ -30,7 +30,6 @@ import threading
 __all__ = [
     "ENABLE_ENV",
     "new_lock",
-    "new_rlock",
     "tsan_enabled",
 ]
 
@@ -48,11 +47,3 @@ def new_lock(name: str):
         from repro.sanitizer.lockcheck import InstrumentedLock
         return InstrumentedLock(name)
     return threading.Lock()
-
-
-def new_rlock(name: str):
-    """A named reentrant mutex (instrumented under ``REPRO_TSAN=1``)."""
-    if tsan_enabled():
-        from repro.sanitizer.lockcheck import InstrumentedRLock
-        return InstrumentedRLock(name)
-    return threading.RLock()

@@ -21,7 +21,7 @@ from repro.ir.layers import (
 )
 from repro.ir.network import chain
 from repro.nn.engine import ReferenceEngine
-from repro.nn.plan import ARENA_ROWS, Arena, PlanCache
+from repro.nn.plan import ARENA_ROWS, Arena
 
 IN_SHAPE = (3, 13, 11)
 
@@ -46,9 +46,8 @@ def _net():
 
 def test_two_engines_interleave_every_batch_size_on_one_arena():
     net = _net()
-    cache = PlanCache()
     stores = [WeightStore.initialize(net, seed=s) for s in (1, 2)]
-    engines = [ReferenceEngine(net, s, plan_cache=cache) for s in stores]
+    engines = [ReferenceEngine(net, s) for s in stores]
     oracles = [ReferenceEngine(net, s, use_plans=False) for s in stores]
     sizes = list(range(1, ARENA_ROWS + 1)) + [2 * ARENA_ROWS + 5]
     rng = np.random.default_rng(5)

@@ -10,7 +10,6 @@ from repro.frontend.weights import WeightStore
 from repro.frontend.zoo import lenet_model
 from repro.nn import blas
 from repro.nn.engine import ReferenceEngine
-from repro.nn.plan import PlanCache
 from repro.obs.manifest import build_manifest
 from repro.perf.bench import BenchResult, write_benchmarks
 
@@ -20,7 +19,7 @@ def _lenet_pass():
     weights = WeightStore.initialize(net, seed=3)
     images = np.random.default_rng(3).normal(
         size=(3,) + net.input_shape().as_tuple()).astype(np.float32)
-    planned = ReferenceEngine(net, weights, plan_cache=PlanCache())
+    planned = ReferenceEngine(net, weights)
     oracle = ReferenceEngine(net, weights, use_plans=False)
     return planned.run_batch(images), oracle.run_batch(images)
 

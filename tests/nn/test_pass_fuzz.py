@@ -27,7 +27,6 @@ from repro.ir.layers import (
 from repro.ir.network import chain
 from repro.ir.shapes import TensorShape
 from repro.nn.engine import ReferenceEngine
-from repro.nn.plan import PlanCache
 
 ACTIVATIONS = st.sampled_from(list(Activation))
 
@@ -107,7 +106,7 @@ def networks(draw):
 @given(networks(), st.integers(0, 2**16))
 def test_planned_pass_matches_oracle(net, seed):
     weights = WeightStore.initialize(net, seed)
-    planned = ReferenceEngine(net, weights, plan_cache=PlanCache())
+    planned = ReferenceEngine(net, weights)
     oracle = ReferenceEngine(net, weights, use_plans=False)
     images = np.random.default_rng(seed).normal(
         size=(3,) + net.input_shape().as_tuple()).astype(np.float32)

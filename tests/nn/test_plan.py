@@ -1,6 +1,6 @@
-"""The execution-plan cache: bit-identical replay, LRU bounds,
-weight-mutation invalidation, dtype keying, batch-size invariance, and
-parity with the unplanned oracle.
+"""Execution plans: bit-identical replay, the engine memo and its
+weight-mutation rebind, the plan ledger, dtype keying, batch-size
+invariance, and parity with the unplanned oracle.
 
 Every equivalence assertion here is ``np.array_equal`` — plans replay
 the exact arithmetic of the unplanned kernels (gathers are pure data
@@ -28,7 +28,6 @@ from repro.ir.network import chain
 from repro.nn.engine import ReferenceEngine, run_layer
 from repro.nn.plan import (
     ARENA_ROWS,
-    PlanCache,
     compile_pass,
     compile_plan,
     default_plan_cache,
@@ -44,9 +43,8 @@ def _images(net, batch, seed=0):
 
 
 def _engines(net, weights):
-    """A planned engine (private cache) and the unplanned oracle."""
-    planned = ReferenceEngine(net, weights, plan_cache=PlanCache(),
-                              use_plans=True)
+    """A planned engine and the unplanned oracle."""
+    planned = ReferenceEngine(net, weights, use_plans=True)
     oracle = ReferenceEngine(net, weights, use_plans=False)
     return planned, oracle
 
@@ -132,7 +130,7 @@ def test_index_map_rejects_oversized_window():
                                ceil_mode=False), (1, 3, 3), WeightStore())
 
 
-# -- the cache itself ---------------------------------------------------------
+# -- compiling and counting ---------------------------------------------------
 
 
 def _conv_setup(f=2, c=1, hw=6, k=3):
@@ -145,52 +143,35 @@ def _conv_setup(f=2, c=1, hw=6, k=3):
     return layer, store, (c, hw, hw)
 
 
-def test_lookup_hits_and_misses():
-    layer, store, in_shape = _conv_setup()
-    cache = PlanCache(capacity=4)
-    first = cache.lookup(layer, in_shape, store)
-    again = cache.lookup(layer, in_shape, store)
-    assert again is first
-    stats = cache.stats()
-    assert stats["misses"] == stats["compiles"] == 1
-    assert stats["hits"] == 1
-    assert stats["entries"] == len(cache) == 1
-
-
-def test_lru_capacity_and_eviction():
-    layer, store, _ = _conv_setup(hw=8)
-    cache = PlanCache(capacity=2)
-    shapes = [(1, 8, 8), (1, 10, 10), (1, 12, 12)]
-    plans = [cache.lookup(layer, s, store) for s in shapes]
-    assert len(cache) == 2
-    assert cache.stats()["evictions"] == 1
-    # the oldest shape was evicted: looking it up again recompiles
-    assert cache.lookup(layer, shapes[0], store) is not plans[0]
-    # the most recent one is still cached
-    assert cache.lookup(layer, shapes[2], store) is plans[2]
-
-
-def test_lru_touch_on_hit():
-    layer, store, _ = _conv_setup(hw=8)
-    cache = PlanCache(capacity=2)
-    a = cache.lookup(layer, (1, 8, 8), store)
-    cache.lookup(layer, (1, 10, 10), store)
-    assert cache.lookup(layer, (1, 8, 8), store) is a  # touch a
-    cache.lookup(layer, (1, 12, 12), store)  # evicts the 10x10 plan
-    assert cache.lookup(layer, (1, 8, 8), store) is a
+def test_lookup_hits_and_misses(zoo_model, zoo_weights):
+    """The ledger counts every layer of a cold pass as a miss and every
+    layer of a warm (memoized) pass as a hit."""
+    net = zoo_model("tc1").network
+    engine = ReferenceEngine(net, zoo_weights("tc1"), use_plans=True)
+    images = _images(net, 2, seed=11)
+    before = default_plan_cache().stats()
+    assert set(before) == {"hits", "misses"}
+    engine.run_batch(images)
+    cold = default_plan_cache().stats()
+    assert cold["misses"] - before["misses"] == len(net.layers)
+    assert cold["hits"] == before["hits"]
+    engine.run_batch(images)
+    warm = default_plan_cache().stats()
+    assert warm["misses"] == cold["misses"]
+    assert warm["hits"] - cold["hits"] == len(net.layers)
 
 
 def test_weight_mutation_invalidates():
     layer, store, in_shape = _conv_setup()
-    cache = PlanCache(capacity=8)
     x = np.random.default_rng(6).normal(size=(1,) + in_shape) \
         .astype(np.float32)
-    before = cache.lookup(layer, in_shape, store).run_batch(x).copy()
+    plan = compile_plan(layer, in_shape, store)
+    before = plan.run_batch(x).copy()
     store.set("conv", "weights",
               2.0 * store.get("conv", "weights"))
-    replanned = cache.lookup(layer, in_shape, store)
-    assert cache.stats()["misses"] == 2  # version bump forced a recompile
-    after = replanned.run_batch(x)
+    # a plan packs its weights when compiled: it keeps the old blobs
+    assert np.array_equal(plan.run_batch(x), before)
+    after = compile_plan(layer, in_shape, store).run_batch(x)
     expected = F.conv2d(x, store.get("conv", "weights"),
                         store.get("conv", "bias"))
     assert np.array_equal(after, expected)
@@ -216,8 +197,7 @@ def test_engine_sees_weight_mutation(zoo_model, zoo_weights):
 
 def test_weight_set_rebinds_the_pass(zoo_model, zoo_weights):
     """``WeightStore.set`` bumps the store generation: the next pass
-    rebinds every batch size it had bound, recompiling only the mutated
-    layer."""
+    recompiles the whole network and rebinds every batch size it runs."""
     net = zoo_model("tc1").network
     weights = WeightStore(
         {layer: dict(zoo_weights("tc1").blobs(layer))
@@ -226,7 +206,7 @@ def test_weight_set_rebinds_the_pass(zoo_model, zoo_weights):
     images = _images(net, 3, seed=15)
     for n in (1, 3):
         planned.run_batch(images[:n])
-    misses = planned.plan_cache.stats()["misses"]
+    misses = default_plan_cache().stats()["misses"]
     generation = weights.generation
     weights.set("conv2", "bias", weights.get("conv2", "bias") - 1.0)
     assert weights.generation == generation + 1
@@ -234,7 +214,8 @@ def test_weight_set_rebinds_the_pass(zoo_model, zoo_weights):
     for n in (1, 3):
         assert np.array_equal(planned.run_batch(images[:n]),
                               fresh_oracle.run_batch(images[:n])), n
-    assert planned.plan_cache.stats()["misses"] == misses + 1
+    assert default_plan_cache().stats()["misses"] == \
+        misses + len(net.layers)
 
 
 def test_traced_pass_spans_one_layer_span_per_stage(zoo_model,
@@ -259,11 +240,9 @@ def test_traced_pass_spans_one_layer_span_per_stage(zoo_model,
 
 def test_dtype_keys_separate_plans():
     layer, store, in_shape = _conv_setup()
-    cache = PlanCache(capacity=8)
-    p32 = cache.lookup(layer, in_shape, store, np.float32)
-    p64 = cache.lookup(layer, in_shape, store, np.float64)
-    assert p32 is not p64
-    assert len(cache) == 2
+    p32 = compile_plan(layer, in_shape, store, np.float32)
+    p64 = compile_plan(layer, in_shape, store, np.float64)
+    assert (p32.dtype, p64.dtype) == (np.float32, np.float64)
     x = np.random.default_rng(8).normal(size=(1,) + in_shape)
     out64 = p64.run_batch(x.astype(np.float64))
     assert out64.dtype == np.float64
@@ -292,7 +271,7 @@ def test_pass_chains_each_producers_dtype():
             store.set(layer.name, blob,
                       rng.normal(size=shape).astype(np.float32))
     compiled = compile_pass(net.layers, in_shape, np.dtype(np.float16),
-                            store, PlanCache())
+                            store)
     # data, conv read float16; pool .. prob read float32
     assert [p.dtype.name for p in compiled.plans] == \
         ["float16"] * 2 + ["float32"] * 6
@@ -342,49 +321,20 @@ def test_bind_rejects_a_source_it_would_misread():
         plan.bind(2, np.zeros((2,) + in_shape, np.float64))
 
 
-def test_store_tokens_separate_plans():
-    layer, store_a, in_shape = _conv_setup()
-    _, store_b, _ = _conv_setup()
-    cache = PlanCache(capacity=8)
-    pa = cache.lookup(layer, in_shape, store_a)
-    pb = cache.lookup(layer, in_shape, store_b)
-    assert pa is not pb and len(cache) == 2
-
-
-def test_invalidate_by_store_and_layer():
-    layer, store, in_shape = _conv_setup()
-    other_layer = ConvLayer(name="conv2", num_output=1, kernel=(3, 3))
-    store.set("conv2", "weights",
-              np.ones((1, 1, 3, 3), dtype=np.float32))
-    store.set("conv2", "bias", np.zeros(1, dtype=np.float32))
-    cache = PlanCache(capacity=8)
-    cache.lookup(layer, in_shape, store)
-    cache.lookup(other_layer, in_shape, store)
-    assert cache.invalidate(store=store, layer="conv") == 1
-    assert len(cache) == 1
-    assert cache.invalidate() == 1  # drop everything
-    assert len(cache) == 0
-    assert cache.stats()["invalidations"] == 2
-
-
-def test_engine_invalidate_plans(zoo_model, zoo_weights):
+def test_store_tokens_separate_plans(zoo_model, zoo_weights):
+    """Two engines over one network and two stores (two fleet slots)
+    each compute with their own weights."""
     net = zoo_model("tc1").network
-    cache = PlanCache()
-    engine = ReferenceEngine(net, zoo_weights("tc1"), plan_cache=cache,
-                             use_plans=True)
-    engine.forward(_images(net, 1, seed=9)[0])
-    assert len(cache) > 0
-    dropped = engine.invalidate_plans()
-    assert dropped == cache.stats()["invalidations"] > 0
-    assert len(cache) == 0
-    assert engine.plan_stats()["resolved_layers"] == 0
-
-
-def test_capacity_validation():
-    assert PlanCache().capacity == 256
-    assert PlanCache(capacity=3).capacity == 3
-    with pytest.raises(ValueError):
-        PlanCache(capacity=0)
+    first = zoo_weights("tc1")
+    second = WeightStore({layer: {blob: array * 2.0 for blob, array
+                                  in first.blobs(layer).items()}
+                          for layer in first.layers()})
+    images = _images(net, 2, seed=17)
+    for store in (first, second, first):
+        planned = ReferenceEngine(net, store, use_plans=True)
+        oracle = ReferenceEngine(net, store, use_plans=False)
+        assert np.array_equal(planned.run_batch(images),
+                              oracle.run_batch(images))
 
 
 # -- the unplanned oracle -----------------------------------------------------
@@ -394,13 +344,11 @@ def test_use_plans_false_parity(zoo_model, zoo_weights):
     net = zoo_model("lenet").network
     weights = zoo_weights("lenet")
     images = _images(net, 2, seed=10)
-    disabled = ReferenceEngine(net, weights, plan_cache=PlanCache(),
-                               use_plans=False)
-    assert disabled.plan_stats()["plans_active"] is False
+    disabled = ReferenceEngine(net, weights, use_plans=False)
+    before = default_plan_cache().stats()
     expected = disabled.run_batch(images)
-    assert len(disabled.plan_cache) == 0  # nothing was compiled
-    planned = ReferenceEngine(net, weights, plan_cache=PlanCache())
-    assert planned.plan_stats()["plans_active"] is True
+    assert default_plan_cache().stats() == before  # nothing compiled
+    planned = ReferenceEngine(net, weights)
     assert np.array_equal(planned.run_batch(images), expected)
 
 
@@ -418,8 +366,7 @@ def test_batch_size_invariance(name, use_plans, zoo_model, zoo_weights):
     after every other size wrote past its rows.
     """
     net = zoo_model(name).network
-    engine = ReferenceEngine(net, zoo_weights(name), plan_cache=PlanCache(),
-                             use_plans=use_plans)
+    engine = ReferenceEngine(net, zoo_weights(name), use_plans=use_plans)
     sizes = (1, 2, 3, 5, 8, 2 * ARENA_ROWS + 3, 1)
     assert max(sizes) > ARENA_ROWS
     images = _images(net, max(sizes), seed=13)
@@ -449,24 +396,17 @@ def test_planned_fc_applies_every_activation():
                               oracle.run_batch(images)), kind
 
 
-# -- stats & defaults ---------------------------------------------------------
-
-
-def test_plan_stats_shape(zoo_model, zoo_weights):
+@pytest.mark.parametrize("use_plans", [True, False],
+                         ids=["planned", "oracle"])
+def test_empty_batch_rejected(use_plans, zoo_model, zoo_weights):
+    """Both paths reject N=0 with the same error before running."""
     net = zoo_model("tc1").network
-    engine = ReferenceEngine(net, zoo_weights("tc1"),
-                             plan_cache=PlanCache(), use_plans=True)
-    images = _images(net, 2, seed=11)
-    engine.run_batch(images)
-    engine.run_batch(images)
-    stats = engine.plan_stats()
-    assert stats["plans_active"] is True
-    assert stats["misses"] == stats["compiles"] == len(net.layers)
-    assert stats["resolved_layers"] == len(net.layers)
-    # second pass replayed every layer from the memo
-    assert stats["hits"] >= len(net.layers)
-    assert stats["capacity"] >= 1
-    assert stats["compile_seconds"] >= 0.0
+    engine = ReferenceEngine(net, zoo_weights("tc1"), use_plans=use_plans)
+    with pytest.raises(ShapeError, match="N >= 1"):
+        engine.run_batch(_images(net, 0))
+
+
+# -- the ledger ---------------------------------------------------------------
 
 
 @pytest.mark.parametrize("mode", ["untraced", "recording", "threads"])
@@ -480,11 +420,10 @@ def test_warm_passes_count_one_hit_per_layer(mode, zoo_model, zoo_weights):
     from repro.obs import recording
 
     net = zoo_model("tc1").network
-    engine = ReferenceEngine(net, zoo_weights("tc1"),
-                             plan_cache=PlanCache(), use_plans=True)
+    engine = ReferenceEngine(net, zoo_weights("tc1"), use_plans=True)
     images = _images(net, 3, seed=12)
     engine.run_batch(images)  # cold pass: compiles, no memo hits
-    hits_before = engine.plan_cache.stats()["hits"]
+    hits_before = default_plan_cache().stats()["hits"]
     metric_before = PLAN_HITS.total()
     passes = 6
     if mode == "threads":
@@ -505,31 +444,8 @@ def test_warm_passes_count_one_hit_per_layer(mode, zoo_model, zoo_weights):
         for _ in range(passes):
             engine.run_batch(images)
     expected = passes * len(net.layers)
-    assert engine.plan_cache.stats()["hits"] - hits_before == expected
+    assert default_plan_cache().stats()["hits"] - hits_before == expected
     assert PLAN_HITS.total() - metric_before == expected
-
-
-def test_entries_gauge_counts_only_live_caches(zoo_model, zoo_weights):
-    # the gauge sums the live caches' sizes when read, so the plans of a
-    # collected cache stop counting
-    import gc
-
-    from repro.nn.plan import PLAN_ENTRIES
-
-    net = zoo_model("tc1").network
-    gc.collect()
-    before = PLAN_ENTRIES.value()
-    engines = [ReferenceEngine(net, zoo_weights("tc1"),
-                               plan_cache=PlanCache(), use_plans=True)
-               for _ in range(3)]
-    for engine in engines:
-        engine.run_batch(_images(net, 2))
-    compiled = sum(len(e.plan_cache) for e in engines)
-    assert compiled > 0
-    assert PLAN_ENTRIES.value() == before + compiled
-    del engines, engine
-    gc.collect()
-    assert PLAN_ENTRIES.value() == before
 
 
 def test_default_cache_is_shared():

@@ -1,6 +1,5 @@
-"""Concurrency guarantees of the plan layer: double-checked default
-cache init and shared-cache replay from many threads (bit-identical to
-serial).
+"""Concurrency guarantees of the plan layer: replay from many threads
+(bit-identical to serial), with the shared plan ledger losing no count.
 
 Runs meaningfully both ways: plain (plain locks) and under
 ``REPRO_TSAN=1`` (CI), where every lock below is instrumented and the
@@ -12,10 +11,9 @@ import threading
 
 import numpy as np
 
-import repro.nn.plan as plan_mod
 from repro.frontend.weights import WeightStore
 from repro.nn.engine import ReferenceEngine
-from repro.nn.plan import ARENA_ROWS, PlanCache, default_plan_cache
+from repro.nn.plan import ARENA_ROWS, compile_plan, default_plan_cache
 
 THREADS = 8
 
@@ -43,30 +41,11 @@ def _run_threads(n, fn):
         raise errors[0]
 
 
-def test_default_cache_first_call_race(monkeypatch):
-    """16 threads racing the very first ``default_plan_cache()`` call
-    must agree on one instance, constructed exactly once."""
-    monkeypatch.setattr(plan_mod, "_DEFAULT_CACHE", None)
-    inits = []
-    original = PlanCache.__init__
-
-    def counting(self, *args, **kwargs):
-        inits.append(id(self))
-        original(self, *args, **kwargs)
-
-    monkeypatch.setattr(PlanCache, "__init__", counting)
-    got = [None] * 16
-    _run_threads(16, lambda i: got.__setitem__(i, default_plan_cache()))
-    assert all(c is got[0] for c in got)
-    assert len(inits) == 1
-    assert plan_mod._DEFAULT_CACHE is got[0]
-
-
 def test_shared_default_cache_threaded_replay_bit_identical(
-        monkeypatch, zoo_model, zoo_weights):
-    """N engines in N threads sharing the (fresh) default plan cache
-    replay bit-identically to the serial unplanned oracle."""
-    monkeypatch.setattr(plan_mod, "_DEFAULT_CACHE", None)
+        zoo_model, zoo_weights):
+    """N engines in N threads replay bit-identically to the serial
+    unplanned oracle, and the shared ledger counts every compile and
+    every warm replay."""
     net = zoo_model("tc1").network
     store = zoo_weights("tc1")
     rng = np.random.default_rng(42)
@@ -75,10 +54,11 @@ def test_shared_default_cache_threaded_replay_bit_identical(
     oracle = ReferenceEngine(net, store, use_plans=False)
     expected = [oracle.forward(img) for img in images]
     results = [None] * THREADS
+    before = default_plan_cache().stats()
 
     def work(i):
-        # every thread constructs its own engine; all of them share
-        # default_plan_cache() (first caller compiles, rest replay)
+        # every thread constructs its own engine, which compiles its
+        # pass once and replays it for the other images
         engine = ReferenceEngine(net, store)
         results[i] = [engine.forward(img) for img in images]
 
@@ -87,12 +67,11 @@ def test_shared_default_cache_threaded_replay_bit_identical(
         for got, want in zip(outs, expected):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
-    cache = default_plan_cache()
-    stats = cache.stats()
-    # every layer compiled at least once, and the shared cache served
-    # the other threads' replays
-    assert stats["entries"] > 0
-    assert stats["hits"] > 0
+    after = default_plan_cache().stats()
+    layers = len(net.layers)
+    assert after["misses"] - before["misses"] == THREADS * layers
+    assert after["hits"] - before["hits"] == \
+        THREADS * (len(images) - 1) * layers
 
 
 def test_single_plan_concurrent_replay_bit_identical():
@@ -107,8 +86,7 @@ def test_single_plan_concurrent_replay_bit_identical():
               rng.normal(size=(3, 2, 3, 3)).astype(np.float32))
     store.set("conv", "bias",
               rng.normal(size=(3,)).astype(np.float32))
-    cache = PlanCache()
-    plan = cache.lookup(layer, (2, 10, 10), store)
+    plan = compile_plan(layer, (2, 10, 10), store)
     inputs = rng.normal(size=(THREADS, 1, 2, 10, 10)).astype(np.float32)
     # plan.run_batch returns the (per-thread) scratch output buffer,
     # which the next run overwrites: copy anything kept across calls
@@ -131,7 +109,7 @@ def test_shared_engine_cycles_batch_sizes_across_threads(zoo_model,
     other replays: every output is bit-identical to the oracle."""
     net = zoo_model("tc1").network
     store = zoo_weights("tc1")
-    engine = ReferenceEngine(net, store, plan_cache=PlanCache())
+    engine = ReferenceEngine(net, store)
     oracle = ReferenceEngine(net, store, use_plans=False)
     sizes = (1, 2, 3, 5, 8, 4, 1, 7, ARENA_ROWS + 3, 6)
     assert max(sizes) > ARENA_ROWS

@@ -25,7 +25,6 @@ from repro.nn import functional as F
 from repro.nn.engine import ReferenceEngine, run_layer
 from repro.nn.plan import (
     STRIDED_MIN_OW,
-    PlanCache,
     compile_pass,
     compile_plan,
 )
@@ -188,7 +187,7 @@ def test_fused_pair_matches_oracle(case_id, in_shape, conv, pool, fused,
     net = _pair_net(in_shape, conv, pool, activation)
     store = _conv_store(conv, in_shape)
     compiled = compile_pass(net.layers, in_shape, np.dtype(np.float32),
-                            store, PlanCache())
+                            store)
     assert compiled.stage_names == (
         ("data", "conv+pool") if fused else ("data", "conv", "pool"))
     oracle = ReferenceEngine(net, store, use_plans=False)
@@ -240,7 +239,7 @@ def test_bias_after_pool_edges(biases, activation):
               np.ones((len(biases), 1, 1, 1), np.float32))
     store.set("conv", "bias", np.array(biases, np.float32))
     compiled = compile_pass(net.layers, in_shape, np.dtype(np.float32),
-                            store, PlanCache())
+                            store)
     assert compiled.stage_names == ("data", "conv+pool")
     conv_out = F.conv2d(image, store.get("conv", "weights"))
     for value in (0.0, np.inf, -np.inf, 1e-40, -1e-40):

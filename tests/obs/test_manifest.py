@@ -139,7 +139,7 @@ class TestManifest:
                                           "samples": len(rows)}
         assert all("metrics" in r for r in rows)
 
-    def test_no_obs_flow_skips_sampler_and_recording(
+    def test_no_obs_flow_writes_no_timeseries_and_records_nothing(
             self, tmp_path, monkeypatch):
         """REPRO_NO_OBS=1: the flow still succeeds and writes a (bare)
         manifest, but no spans are recorded and no timeseries exists."""
@@ -190,20 +190,19 @@ class TestMetricsCoverage:
             assert name in text
 
     def test_plan_cache_counters_reach_manifest(self, tmp_path):
-        """Running the planned engine bumps the plan-cache metrics and
+        """Running the planned engine moves the plan-ledger metrics and
         they flow into the ``telemetry.json`` metrics block (the
         manifest snapshots the whole registry)."""
         import numpy as np
 
         from repro.frontend.weights import WeightStore
         from repro.nn.engine import ReferenceEngine
-        from repro.nn.plan import PlanCache
         from repro.obs.manifest import build_manifest
         from repro.obs.spans import SpanRecorder
 
         net = tc1_model().network
         engine = ReferenceEngine(net, WeightStore.initialize(net),
-                                 plan_cache=PlanCache(), use_plans=True)
+                                 use_plans=True)
         image = np.zeros(net.input_shape().as_tuple(), dtype=np.float32)
         engine.forward(image)
         engine.forward(image)
@@ -222,7 +221,6 @@ class TestMetricsCoverage:
         for name in ("condor_plan_cache_hits_total",
                      "condor_plan_cache_misses_total",
                      "condor_plan_compiles_total",
-                     "condor_plan_cache_entries",
                      "condor_plan_compile_seconds"):
             assert name in metrics
 

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import BenchError
 from repro.perf.bench import (
     FULL_SUITE,
+    KIND,
     OBS_OVERHEAD_LIMIT,
     QUICK_SUITE,
     SCHEMA,
@@ -136,6 +137,40 @@ def test_run_bench_op_filter(monkeypatch):
          if op == "engine-steady"]
     with pytest.raises(BenchError, match="unknown bench op"):
         run_bench(quick=True, ops={"warp-drive"})
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_rows_are_labelled_modeled_or_measured(fmt, monkeypatch, tmp_path,
+                                               capsys):
+    """Every op carries one label, shown as a table column and as
+    ``kind`` on each JSON row; the written file keeps the v1 schema."""
+    import repro.perf.bench as bench_mod
+    from repro.cli import main
+
+    assert KIND == {"engine": "measured", "engine-steady": "measured",
+                    "dse": "measured", "obs-overhead": "measured",
+                    "serve": "modeled", "sim": "modeled"}
+    assert set(KIND) == set(bench_mod._OPS)
+    for op in KIND:
+        monkeypatch.setitem(
+            bench_mod._OPS, op,
+            lambda model, _op=op, **kw: _result(op=_op, model=model))
+    out_path = tmp_path / "bench.json"
+    assert main(["bench", "--quick", "--op", "serve", "--op", "dse",
+                 "--format", fmt, "--output", str(out_path)]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        rows = json.loads(out)["results"]
+        assert {(r["op"], r["kind"]) for r in rows} == \
+            {("serve", "modeled"), ("dse", "measured")}
+    else:
+        header, _, *lines = [[cell.strip() for cell in line.split("|")]
+                             for line in out.splitlines()]
+        assert header[:3] == ["op", "model", "kind"]
+        assert {(line[0], line[2]) for line in lines} == \
+            {("serve", "modeled"), ("dse", "measured")}
+    assert [r.op for r in load_benchmarks(out_path)] == \
+        ["dse", "dse", "serve"]
 
 
 def test_merge_benchmarks_overlays_by_key():

@@ -5,7 +5,8 @@ paths must stay inside the documented lock hierarchy
 
 The instrumentation here is surgical: a private
 :class:`~repro.sanitizer.SanitizerState` plus instrumented locks swapped
-into real objects (a plan cache, a registry and the metrics they touch),
+into real objects (the plan ledger, a registry and the metrics they
+touch),
 so the test is deterministic and independent of the ``REPRO_TSAN``
 environment.  A final test covers the whole suite: when it runs under
 ``REPRO_TSAN=1``, every edge the global realm observed must be
@@ -17,12 +18,7 @@ import pytest
 
 from repro.frontend.weights import WeightStore
 from repro.ir.layers import ConvLayer
-from repro.sanitizer import (
-    STATE,
-    InstrumentedLock,
-    InstrumentedRLock,
-    SanitizerState,
-)
+from repro.sanitizer import STATE, InstrumentedLock, SanitizerState
 from repro.util.sync import tsan_enabled
 
 METRIC = "obs.metrics.Metric"
@@ -40,38 +36,34 @@ def _conv_setup(hw=6):
     return layer, store, (1, hw, hw)
 
 
-def test_plan_cache_edge_observed_and_documented(monkeypatch):
-    # the cache's counts are read by the registry at collect time, so
-    # no metric lock is ever taken under the cache lock; the exports
-    # take the cache lock only after releasing the metric's
+def test_plan_ledger_edge_observed_and_documented(monkeypatch):
+    # the ledger's counts are read by the registry at collect time, so
+    # no metric lock is ever taken under the ledger lock; the exports
+    # take the ledger lock only after releasing the metric's
     from repro.nn import plan as plan_mod
 
     state = SanitizerState()
-    monkeypatch.setattr(plan_mod, "new_rlock",
-                        lambda name: InstrumentedRLock(name, state))
-    cache = plan_mod.PlanCache(capacity=2)
-    for metric in (plan_mod.PLAN_HITS, plan_mod.PLAN_MISSES,
-                   plan_mod.PLAN_ENTRIES, plan_mod.PLAN_EVICTIONS,
-                   plan_mod.PLAN_INVALIDATIONS):
+    ledger = "nn.plan.PlanLedger"
+    monkeypatch.setattr(plan_mod.LEDGER, "_lock",
+                        InstrumentedLock(ledger, state))
+    metrics = (plan_mod.PLAN_HITS, plan_mod.PLAN_MISSES,
+               plan_mod.PLAN_COMPILES, plan_mod.PLAN_COMPILE_SECONDS)
+    for metric in metrics:
         monkeypatch.setattr(metric, "_lock",
                             InstrumentedLock(METRIC, state))
     layer, store, in_shape = _conv_setup()
-    cache.lookup(layer, in_shape, store)   # miss
-    cache.lookup(layer, in_shape, store)   # hit
-    cache.lookup(layer, (1, 8, 8), store)
-    cache.lookup(layer, (1, 10, 10), store)  # eviction path
-    cache.invalidate(store)
-    assert ("nn.plan.PlanCache", METRIC) not in state.order_edges()
-    assert plan_mod.PLAN_EVICTIONS.total() >= 1
+    plan_mod.compile_plan(layer, in_shape, store)   # a miss
+    plan_mod.LEDGER.record_hit(3)
+    assert (ledger, METRIC) not in state.order_edges()
     before = state.acquire_count()
-    for metric in (plan_mod.PLAN_HITS, plan_mod.PLAN_ENTRIES):
+    for metric in metrics:
         metric.snapshot()
         metric.expose()
         metric.scalar_samples()
     assert state.acquire_count() > before
-    assert "nn.plan.PlanCache" in state.lock_names()
+    assert ledger in state.lock_names()
     assert state.order_edges() == set()
-    assert ("nn.plan.PlanCache", METRIC) not in HIERARCHY
+    assert (ledger, METRIC) not in HIERARCHY
     assert state.error_count() == 0
 
 

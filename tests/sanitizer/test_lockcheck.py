@@ -6,17 +6,12 @@ import threading
 import pytest
 
 from repro.errors import SanitizerError
-from repro.sanitizer import (
-    InstrumentedLock,
-    InstrumentedRLock,
-    SanitizerState,
-)
-from repro.util.sync import ENABLE_ENV, new_lock, new_rlock, tsan_enabled
+from repro.sanitizer import InstrumentedLock, SanitizerState
+from repro.util.sync import ENABLE_ENV, new_lock, tsan_enabled
 
 
-def _locks(state, *names, rlock=()):
-    return [InstrumentedRLock(n, state) if n in rlock
-            else InstrumentedLock(n, state) for n in names]
+def _locks(state, *names):
+    return [InstrumentedLock(n, state) for n in names]
 
 
 def test_acquire_release_bookkeeping():
@@ -39,18 +34,6 @@ def test_nested_acquire_records_order_edge():
         with b:
             assert state.held_names() == ["A", "B"]
     assert state.order_edges() == {("A", "B")}
-    assert state.findings() == []
-
-
-def test_rlock_reentry_is_clean():
-    state = SanitizerState()
-    (r,) = _locks(state, "R", rlock={"R"})
-    with r:
-        with r:
-            assert state.held_names() == ["R", "R"]
-        assert state.held_names() == ["R"]
-    assert state.held_names() == []
-    assert state.order_edges() == set()  # re-entry orders nothing
     assert state.findings() == []
 
 
@@ -98,7 +81,7 @@ def test_transitive_inversion_detected():
 
 
 def test_same_name_distinct_instances_nesting_flagged():
-    # two PlanCache instances nested = same-rank nesting: a peer thread
+    # two metric locks nested = same-rank nesting: a peer thread
     # nesting them the other way round deadlocks
     state = SanitizerState()
     first, second = _locks(state, "cache", "cache")
@@ -186,7 +169,5 @@ def test_factory_env_gating(monkeypatch):
     monkeypatch.setenv(ENABLE_ENV, "1")
     assert tsan_enabled()
     lock = new_lock("x")
-    rlock = new_rlock("y")
     assert isinstance(lock, InstrumentedLock)
-    assert isinstance(rlock, InstrumentedRLock)
-    assert (lock.name, rlock.name) == ("x", "y")
+    assert lock.name == "x"

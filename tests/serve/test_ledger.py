@@ -1,6 +1,6 @@
 """One ledger per subsystem.
 
-The server, the fleet and the plan caches count their own events; the
+The server, the fleet and the plan ledger count their own events; the
 registry's ``condor_serve_*``, ``condor_fleet_*`` and
 ``condor_plan_cache_*`` counters read those counts at collect time.  So
 after any traffic — faults, shedding, failed and padded flushes
@@ -44,10 +44,8 @@ COUNTERS = (
     "condor_fleet_reloads_total",
     "condor_plan_cache_hits_total",
     "condor_plan_cache_misses_total",
-    "condor_plan_cache_evictions_total",
-    "condor_plan_cache_invalidations_total",
 )
-PLAN_STATS = ("hits", "misses", "evictions", "invalidations")
+PLAN_STATS = ("hits", "misses")
 
 
 def _series() -> dict:

@@ -553,5 +553,4 @@ class ThreadFreeRule(LintRule):
         return self.violation(
             rel_path, node,
             "raw threading.Lock()/RLock() — unnamed locks are invisible"
-            " to the runtime sanitizer; use repro.util.sync.new_lock(name)"
-            " / new_rlock(name)")
+            " to the runtime sanitizer; use repro.util.sync.new_lock(name)")
