@@ -28,6 +28,7 @@ from repro.ir.network import chain
 from repro.nn.engine import ReferenceEngine, run_layer
 from repro.nn.plan import (
     ARENA_ROWS,
+    PlanLedger,
     compile_pass,
     compile_plan,
     default_plan_cache,
@@ -159,6 +160,22 @@ def test_lookup_hits_and_misses(zoo_model, zoo_weights):
     warm = default_plan_cache().stats()
     assert warm["misses"] == cold["misses"]
     assert warm["hits"] - cold["hits"] == len(net.layers)
+
+
+def test_plan_stats_shape():
+    """A ledger's stats are its two counts, starting at zero, and each
+    call returns a copy the caller may not write through."""
+    ledger = PlanLedger()
+    assert ledger.stats() == {"hits": 0, "misses": 0}
+    ledger.record_miss()
+    ledger.record_miss()
+    ledger.record_hit(5)
+    stats = ledger.stats()
+    assert stats == {"hits": 5, "misses": 2}
+    assert all(type(v) is int for v in stats.values())
+    stats["hits"] = 0
+    assert ledger.stats()["hits"] == 5
+    assert isinstance(default_plan_cache(), PlanLedger)
 
 
 def test_weight_mutation_invalidates():
