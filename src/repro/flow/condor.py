@@ -90,7 +90,7 @@ _STEPS_FAILED = REGISTRY.counter(
     "condor_flow_steps_failed_total", "Flow steps that raised")
 _RUNS = REGISTRY.counter(
     "condor_flow_runs_total", "Flow runs by final status")
-_STEP_SECONDS = REGISTRY.histogram(
+_STEP_SECONDS = REGISTRY.summary(
     "condor_flow_step_seconds", "Wall time per flow step")
 _STEPS_SKIPPED = REGISTRY.counter(
     "condor_flow_steps_skipped_total",

@@ -51,6 +51,16 @@ from repro.obs import current_recorder, span
 _NO_SPAN = contextlib.nullcontext()
 
 
+def as_batch(batch: np.ndarray) -> np.ndarray:
+    """``batch`` as a float32 (N, C, H, W) array with N >= 1."""
+    batch = np.asarray(batch, dtype=np.float32)
+    if batch.ndim != 4 or batch.shape[0] < 1:
+        raise ShapeError(
+            f"run_batch expects (N, C, H, W) with N >= 1, got"
+            f" {batch.shape}")
+    return batch
+
+
 def run_layer(layer: Layer, weights: WeightStore,
               x: np.ndarray) -> np.ndarray:
     """Execute one layer on an (N, C, H, W) batch with the oracle kernels."""
@@ -177,12 +187,7 @@ class ReferenceEngine:
         amortizes the per-layer dispatch over the batch; row ``i`` of the
         output is bit-identical to running sample ``i`` alone.
         """
-        batch = np.asarray(batch, dtype=np.float32)
-        if batch.ndim != 4 or batch.shape[0] < 1:
-            raise ShapeError(
-                f"run_batch expects (N, C, H, W) with N >= 1, got"
-                f" {batch.shape}")
-        return self._execute(batch, self._use_plans)
+        return self._execute(as_batch(batch), self._use_plans)
 
     def forward_batch(self, batch: np.ndarray) -> np.ndarray:
         """Run an (N, C, H, W) batch (alias of :meth:`run_batch`)."""

@@ -143,7 +143,7 @@ PLAN_MISSES = REGISTRY.counter(
 PLAN_COMPILES = REGISTRY.counter(
     "condor_plan_compiles_total",
     "Execution plans compiled, by layer kind")
-PLAN_COMPILE_SECONDS = REGISTRY.histogram(
+PLAN_COMPILE_SECONDS = REGISTRY.summary(
     "condor_plan_compile_seconds",
     "Wall seconds spent compiling execution plans")
 

@@ -7,13 +7,12 @@ went (fpgaConvNet-style per-stage reports).  This package is the single
 front door for that:
 
 * :mod:`repro.obs.spans` — hierarchical timed spans with contextvar
-  parent tracking (``span(...)`` context manager, ``@traced()``
-  decorator, ``recording()`` to activate a collector); a thread starts
-  with an empty context, so it sees the caller's span only when run in
-  ``contextvars.copy_context()``;
-* :mod:`repro.obs.metrics` — process-wide counters / gauges /
-  histograms / summaries with Prometheus text exposition, JSON
-  snapshots, streaming p50/p95/p99 and span-linked exemplars;
+  parent tracking (``span(...)`` context manager, ``recording()`` to
+  activate a collector); a thread starts with an empty context, so it
+  sees the caller's span only when run in ``contextvars.copy_context()``;
+* :mod:`repro.obs.metrics` — process-wide counters, collect-time
+  gauges and summaries (the one distribution type, with streaming
+  p50/p95/p99) with Prometheus text exposition and JSON snapshots;
 * :mod:`repro.obs.quantiles` — the mergeable O(1)-memory
   :class:`QuantileSketch` behind every quantile above;
 * :mod:`repro.obs.manifest` — the per-run ``telemetry.json`` and
@@ -58,7 +57,6 @@ from repro.obs.metrics import (
     REGISTRY,
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     Summary,
 )
@@ -72,7 +70,6 @@ from repro.obs.spans import (
     obs_disabled,
     recording,
     span,
-    traced,
 )
 
 __all__ = [
@@ -81,7 +78,6 @@ __all__ = [
     "TIMESERIES_NAME",
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "QuantileSketch",
     "Span",
@@ -105,7 +101,6 @@ __all__ = [
     "span_report",
     "summarize_timeseries",
     "timeseries_row",
-    "traced",
     "write_chrome_trace",
     "write_manifest",
     "write_timeseries",

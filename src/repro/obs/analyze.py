@@ -3,9 +3,8 @@
 Three read-only views over what a run left behind:
 
 * :func:`span_report` — per-span-name count / total / p50 / p95 / p99
-  from a ``telemetry.json`` manifest, preferring the streaming-sketch
-  ``span_summaries`` block (O(1)-memory quantiles recorded live) and
-  falling back to walking the span tree for schema-1 manifests;
+  from a ``telemetry.json`` manifest's ``span_summaries`` block (the
+  O(1)-memory streaming sketches recorded live);
 * :func:`diff_manifests` — compare two manifests and flag latency and
   metric regressions beyond configurable thresholds (the CI bench job
   can fail on these);
@@ -51,61 +50,28 @@ def load_timeseries(path: Path | str) -> list[dict[str, Any]]:
 # -- span report --------------------------------------------------------------
 
 
-def _nearest_rank(sorted_vals: list[float], q: float) -> float:
-    idx = max(0, min(len(sorted_vals) - 1,
-                     math.ceil(q * len(sorted_vals)) - 1))
-    return sorted_vals[idx]
-
-
-def _tree_durations(nodes: list[dict[str, Any]],
-                    out: dict[str, list[float]]) -> None:
-    for node in nodes:
-        out.setdefault(node["name"], []).append(node["seconds"])
-        _tree_durations(node.get("children") or [], out)
-
-
 def span_report(manifest: dict[str, Any]) -> list[dict[str, Any]]:
     """Per-span-name latency rows, heaviest total first.
 
     Each row: ``name, count, total_s, mean_s, min_s, max_s, p50_s,
-    p95_s, p99_s``.  Quantiles come from the manifest's streaming
-    sketches when present (schema >= 2), else exactly from the tree.
+    p95_s, p99_s``, from the manifest's streaming sketches.
     """
     rows: list[dict[str, Any]] = []
-    summaries = manifest.get("span_summaries") or {}
-    if summaries:
-        for name, summary in summaries.items():
-            count = summary.get("count", 0)
-            total = summary.get("sum", 0.0)
-            quantiles = summary.get("quantiles") or {}
-            rows.append({
-                "name": name,
-                "count": count,
-                "total_s": total,
-                "mean_s": total / count if count else 0.0,
-                "min_s": summary.get("min"),
-                "max_s": summary.get("max"),
-                "p50_s": quantiles.get("0.5"),
-                "p95_s": quantiles.get("0.95"),
-                "p99_s": quantiles.get("0.99"),
-            })
-    else:
-        durations: dict[str, list[float]] = {}
-        _tree_durations(manifest.get("spans") or [], durations)
-        for name, vals in durations.items():
-            vals.sort()
-            total = sum(vals)
-            rows.append({
-                "name": name,
-                "count": len(vals),
-                "total_s": total,
-                "mean_s": total / len(vals),
-                "min_s": vals[0],
-                "max_s": vals[-1],
-                "p50_s": _nearest_rank(vals, 0.50),
-                "p95_s": _nearest_rank(vals, 0.95),
-                "p99_s": _nearest_rank(vals, 0.99),
-            })
+    for name, summary in (manifest.get("span_summaries") or {}).items():
+        count = summary.get("count", 0)
+        total = summary.get("sum", 0.0)
+        quantiles = summary.get("quantiles") or {}
+        rows.append({
+            "name": name,
+            "count": count,
+            "total_s": total,
+            "mean_s": total / count if count else 0.0,
+            "min_s": summary.get("min"),
+            "max_s": summary.get("max"),
+            "p50_s": quantiles.get("0.5"),
+            "p95_s": quantiles.get("0.95"),
+            "p99_s": quantiles.get("0.99"),
+        })
     rows.sort(key=lambda r: r["total_s"], reverse=True)
     return rows
 
@@ -126,7 +92,7 @@ def _metric_scalars(metrics: dict[str, Any]) -> dict[str, float]:
         kind = snap.get("type")
         if kind in ("counter", "gauge"):
             out[name] = sum(v.get("value", 0.0) for v in values)
-        elif kind in ("histogram", "summary"):
+        elif kind in ("histogram", "summary"):  # older manifests: histogram
             out[f"{name}_count"] = float(
                 sum(v.get("count", 0) for v in values))
             out[f"{name}_sum"] = sum(v.get("sum", 0.0) for v in values)

@@ -1,5 +1,4 @@
-"""A small process-wide metrics registry (counters, gauges, histograms,
-summaries).
+"""A small process-wide metrics registry (counters, gauges, summaries).
 
 Instrumented modules declare their metrics once at import time against the
 default :data:`REGISTRY` and bump them from hot paths; the registry
@@ -14,16 +13,14 @@ Labels are passed as keyword arguments at update time::
 
 A subsystem that counts its own events lets the registry read those
 counts at collect time instead of pushing each event twice: counters
-and summaries take *sources* (``add_source``), gauges take functions
-(``set_function``), so the hot path makes no metric update at all.
+and summaries take *sources* (``add_source``), so the hot path makes no
+metric update at all.  Gauges are collect-time only: each series is a
+function (``set_function``) read when the gauge is.
 
-:class:`Summary` and :class:`Histogram` additionally stream every
+:class:`Summary` is the one distribution type: it streams every
 observation through a :class:`~repro.obs.quantiles.QuantileSketch`, so
 accurate p50/p95/p99 are available with O(1) memory (``.quantile()``,
-the ``summary`` exposition type).  Observations made while a span is
-open record an *exemplar* — the worst value seen so far plus the span
-that produced it — so a p99 outlier in a report points straight at its
-trace.
+the ``summary`` exposition type).
 
 The default :data:`REGISTRY` honours the ``REPRO_NO_OBS=1`` kill switch
 (updates become no-ops); explicitly constructed registries do not.
@@ -37,33 +34,22 @@ enough to emit directly, and the registry stays importable everywhere.
 
 from __future__ import annotations
 
-import bisect
 import copy
 import math
-import time
 from typing import Any, Callable, Iterator, Mapping
 
-from repro.obs.quantiles import (
-    DEFAULT_QUANTILES,
-    DEFAULT_SKETCH_K,
-    QuantileSketch,
-)
-from repro.obs.spans import current_span, obs_disabled
+from repro.obs.quantiles import DEFAULT_QUANTILES, QuantileSketch
+from repro.obs.spans import obs_disabled
 from repro.util.sync import new_lock
 
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "Summary",
     "MetricsRegistry",
     "REGISTRY",
     "ledger_source",
 ]
-
-#: Default histogram buckets (seconds-flavoured, like Prometheus').
-DEFAULT_BUCKETS: tuple[float, ...] = (
-    .005, .01, .025, .05, .1, .25, .5, 1., 2.5, 5., 10., 30., 60.)
 
 _LabelKey = tuple[tuple[str, str], ...]
 
@@ -89,15 +75,6 @@ def _fmt(value: float) -> str:
     if float(value).is_integer():
         return str(int(value))
     return repr(float(value))
-
-
-def _exemplar(value: float) -> dict[str, Any] | None:
-    """Link ``value`` to the innermost open span, if any."""
-    sp = current_span()
-    if sp is None:
-        return None
-    return {"span_id": sp.span_id, "span": sp.name,
-            "value": value, "ts": time.time()}
 
 
 class _Metric:
@@ -130,8 +107,8 @@ class _Metric:
 
         The public locked accessor behind
         :meth:`MetricsRegistry.scalars`; subclasses define the collapse
-        (counters/gauges sum label sets, histograms/summaries expose
-        ``_count`` and ``_sum``).
+        (counters/gauges sum label sets, summaries expose ``_count``
+        and ``_sum``).
         """
         raise NotImplementedError
 
@@ -230,70 +207,41 @@ def ledger_source(ledger: Mapping[tuple, float], lock, kind: str,
 
 
 class Gauge(_Metric):
-    """A value that can go up and down (set-only semantics plus inc/dec).
+    """A collect-time value: each series is whatever a function returns.
 
-    A series may instead be *collect-time* (:meth:`set_function`): its
-    value is whatever a callable returns when the gauge is read or
-    exported.  The callable runs outside this metric's lock, so it may
-    take its owner's locks; returning ``None`` (say, a weakly held owner
-    was collected) omits the series.  A later ``set``/``inc`` on the
-    same labels replaces the callable with a pushed value.
+    :meth:`set_function` declares a series; its callable runs whenever
+    the gauge is read or exported, outside this metric's lock, so it may
+    take its owner's locks.  Returning ``None`` (say, a weakly held
+    owner was collected) omits the series.
     """
 
     kind = "gauge"
-    #: function series are wiring, not recorded samples: ``clear_values``
-    #: (and so ``MetricsRegistry.reset``) keeps them, like declarations
-    _store_attrs = ("_values",)
 
     def __init__(self, name: str, help: str = ""):
         super().__init__(name, help)
-        self._values: dict[_LabelKey, float] = {}
         self._functions: dict[_LabelKey, Callable[[], float | None]] = {}
-
-    def set(self, value: float, **labels: Any) -> None:
-        if self._off():
-            return
-        key = _label_key(labels)
-        with self._lock:
-            self._functions.pop(key, None)
-            self._values[key] = float(value)
-
-    def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        if self._off():
-            return
-        key = _label_key(labels)
-        with self._lock:
-            self._functions.pop(key, None)
-            self._values[key] = self._values.get(key, 0.0) + amount
-
-    def dec(self, amount: float = 1.0, **labels: Any) -> None:
-        self.inc(-amount, **labels)
 
     def set_function(self, fn: Callable[[], float | None],
                      **labels: Any) -> None:
         """Read this series from ``fn()`` at collect time.
 
         Registration is a declaration, not an update, so it is not
-        gated by the kill switch (reads never are).
+        gated by the kill switch (reads never are), and
+        :meth:`MetricsRegistry.reset` keeps it.
         """
-        key = _label_key(labels)
         with self._lock:
-            self._values.pop(key, None)
-            self._functions[key] = fn
+            self._functions[_label_key(labels)] = fn
 
     def value(self, **labels: Any) -> float:
-        key = _label_key(labels)
         with self._lock:
-            fn = self._functions.get(key)
-            if fn is None:
-                return self._values.get(key, 0.0)
-        value = fn()
+            fn = self._functions.get(_label_key(labels))
+        value = None if fn is None else fn()
         return 0.0 if value is None else float(value)
 
     def _series(self) -> dict[_LabelKey, float]:
         with self._lock:
-            series = dict(self._values)
             functions = list(self._functions.items())
+        series = {}
         for key, fn in functions:
             value = fn()
             if value is not None:
@@ -305,131 +253,11 @@ class Gauge(_Metric):
     scalar_samples = Counter.scalar_samples
 
 
-class Histogram(_Metric):
-    """Cumulative-bucket histogram (Prometheus semantics).
-
-    Bucket bounds are the *finite* upper edges; the implicit ``+Inf``
-    bucket is always emitted exactly once (a non-finite bound passed by
-    a caller is dropped rather than duplicating it).  Counts are stored
-    per-bucket and cumulated at exposition, so ``observe`` is one
-    bisect + one increment.  Every observation also feeds a streaming
-    :class:`QuantileSketch` per label set, making ``quantile()``
-    accurate far beyond bucket resolution.
-    """
-
-    kind = "histogram"
-    _store_attrs = ("_counts", "_sums", "_sketches", "_exemplars")
-
-    def __init__(self, name: str, help: str = "",
-                 buckets: tuple[float, ...] = DEFAULT_BUCKETS):
-        super().__init__(name, help)
-        self.buckets = tuple(sorted(
-            {float(b) for b in buckets if math.isfinite(b)}))
-        #: label key -> per-bucket counts (non-cumulative) + overflow slot
-        self._counts: dict[_LabelKey, list[int]] = {}
-        self._sums: dict[_LabelKey, float] = {}
-        self._sketches: dict[_LabelKey, QuantileSketch] = {}
-        self._exemplars: dict[_LabelKey, dict[str, Any]] = {}
-
-    def observe(self, value: float, **labels: Any) -> None:
-        if self._off():
-            return
-        value = float(value)
-        if math.isnan(value):
-            return  # NaN orders arbitrarily; dropping beats poisoning
-        key = _label_key(labels)
-        with self._lock:
-            counts = self._counts.get(key)
-            if counts is None:
-                counts = self._counts[key] = \
-                    [0] * (len(self.buckets) + 1)
-                self._sketches[key] = QuantileSketch()
-            counts[bisect.bisect_left(self.buckets, value)] += 1
-            self._sums[key] = self._sums.get(key, 0.0) + value
-            self._sketches[key].observe(value)
-            prev = self._exemplars.get(key)
-            if prev is None or value >= prev["value"]:
-                ex = _exemplar(value)
-                if ex is not None:
-                    self._exemplars[key] = ex
-
-    def count(self, **labels: Any) -> int:
-        with self._lock:
-            counts = self._counts.get(_label_key(labels))
-            return sum(counts) if counts else 0
-
-    def sum(self, **labels: Any) -> float:
-        with self._lock:
-            return self._sums.get(_label_key(labels), 0.0)
-
-    def quantile(self, q: float, **labels: Any) -> float | None:
-        """Streaming quantile estimate for one label set (``None``
-        before any observation)."""
-        with self._lock:
-            sketch = self._sketches.get(_label_key(labels))
-            return None if sketch is None else sketch.quantile(q)
-
-    def scalar_samples(self) -> dict[str, float]:
-        with self._lock:
-            return {
-                f"{self.name}_count": float(
-                    sum(sum(c) for c in self._counts.values())),
-                f"{self.name}_sum": sum(self._sums.values()),
-            }
-
-    def _cumulative(self, counts: list[int]) -> list[int]:
-        """Running totals per finite bucket, then the +Inf total."""
-        out: list[int] = []
-        cum = 0
-        for c in counts[:-1]:
-            cum += c
-            out.append(cum)
-        out.append(cum + counts[-1])
-        return out
-
-    def expose(self) -> list[str]:
-        lines = self.header()
-        with self._lock:
-            for key in sorted(self._counts):
-                cumulative = self._cumulative(self._counts[key])
-                for bound, count in zip(self.buckets, cumulative):
-                    le = (("le", _fmt(bound)),)
-                    lines.append(f"{self.name}_bucket"
-                                 f"{_render_labels(key, le)} {count}")
-                lines.append(f"{self.name}_bucket"
-                             f"{_render_labels(key, (('le', '+Inf'),))}"
-                             f" {cumulative[-1]}")
-                lines.append(f"{self.name}_sum{_render_labels(key)}"
-                             f" {_fmt(self._sums[key])}")
-                lines.append(f"{self.name}_count{_render_labels(key)}"
-                             f" {cumulative[-1]}")
-        return lines
-
-    def snapshot(self) -> dict[str, Any]:
-        values = []
-        with self._lock:
-            for k in sorted(self._counts):
-                cumulative = self._cumulative(self._counts[k])
-                entry: dict[str, Any] = {
-                    "labels": dict(k),
-                    "counts": cumulative,
-                    "sum": self._sums[k],
-                    "count": cumulative[-1],
-                    "quantiles": self._sketches[k].snapshot()["quantiles"],
-                }
-                if k in self._exemplars:
-                    entry["exemplar"] = dict(self._exemplars[k])
-                values.append(entry)
-        return {"type": self.kind, "help": self.help,
-                "buckets": list(self.buckets), "values": values}
-
-
 class Summary(_Metric):
     """Streaming-quantile summary (Prometheus ``summary`` semantics).
 
-    Unlike :class:`Histogram` there are no predeclared buckets: each
-    label set owns a :class:`QuantileSketch` and the exposition reports
-    the configured quantiles directly::
+    Each label set owns a :class:`QuantileSketch` and the exposition
+    reports :data:`~repro.obs.quantiles.DEFAULT_QUANTILES` directly::
 
         condor_request_seconds{quantile="0.5"} 0.0123
         condor_request_seconds{quantile="0.99"} 0.0871
@@ -438,16 +266,11 @@ class Summary(_Metric):
     """
 
     kind = "summary"
-    _store_attrs = ("_sketches", "_exemplars")
+    _store_attrs = ("_sketches",)
 
-    def __init__(self, name: str, help: str = "",
-                 quantiles: tuple[float, ...] = DEFAULT_QUANTILES,
-                 sketch_k: int = DEFAULT_SKETCH_K):
+    def __init__(self, name: str, help: str = ""):
         super().__init__(name, help)
-        self.quantiles = tuple(quantiles)
-        self._sketch_k = int(sketch_k)
         self._sketches: dict[_LabelKey, QuantileSketch] = {}
-        self._exemplars: dict[_LabelKey, dict[str, Any]] = {}
         self._sources: list[Callable[[], Mapping[tuple, Any]]] = []
 
     def observe(self, value: float, **labels: Any) -> None:
@@ -460,16 +283,10 @@ class Summary(_Metric):
         with self._lock:
             sketch = self._sketches.get(key)
             if sketch is None:
-                sketch = self._sketches[key] = \
-                    QuantileSketch(self._sketch_k)
+                sketch = self._sketches[key] = QuantileSketch()
             sketch.observe(value)
-            prev = self._exemplars.get(key)
-            if prev is None or value >= prev["value"]:
-                ex = _exemplar(value)
-                if ex is not None:
-                    self._exemplars[key] = ex
 
-    #: sources return ``{label pairs: sketch copy}`` (no exemplars)
+    #: sources return ``{label pairs: sketch copy}``
     add_source = Counter.add_source
     _sourced = Counter._sourced
 
@@ -486,8 +303,7 @@ class Summary(_Metric):
 
     def _sketch(self, labels: dict[str, Any]) -> QuantileSketch:
         """One label set's sketch (empty before any observation)."""
-        return self._collect().get(_label_key(labels)) or \
-            QuantileSketch(self._sketch_k)
+        return self._collect().get(_label_key(labels)) or QuantileSketch()
 
     def count(self, **labels: Any) -> int:
         return self._sketch(labels).count
@@ -499,19 +315,23 @@ class Summary(_Metric):
         return self._sketch(labels).quantile(q)
 
     def scalar_samples(self) -> dict[str, float]:
-        sketches = self._collect().values()
-        return {
-            f"{self.name}_count": float(sum(s.count for s in sketches)),
-            f"{self.name}_sum": sum(s.sum for s in sketches),
-        }
+        """Counts and sums added up in place: no sketch is copied."""
+        with self._lock:
+            count = sum(s.count for s in self._sketches.values())
+            total = sum(s.sum for s in self._sketches.values())
+        for _, sketch in self._sourced():
+            count += sketch.count
+            total += sketch.sum
+        return {f"{self.name}_count": float(count),
+                f"{self.name}_sum": total}
 
     def expose(self) -> list[str]:
         lines = self.header()
         sketches = self._collect()
         for key in sorted(sketches):
             sketch = sketches[key]
-            estimates = sketch.quantiles(self.quantiles)
-            for q in self.quantiles:
+            estimates = sketch.quantiles()
+            for q in DEFAULT_QUANTILES:
                 ql = (("quantile", _fmt(q)),)
                 lines.append(f"{self.name}{_render_labels(key, ql)}"
                              f" {_fmt(estimates[q])}")
@@ -523,17 +343,10 @@ class Summary(_Metric):
 
     def snapshot(self) -> dict[str, Any]:
         sketches = self._collect()
-        with self._lock:
-            exemplars = dict(self._exemplars)
-        values = []
-        for k in sorted(sketches):
-            entry: dict[str, Any] = {"labels": dict(k)}
-            entry.update(sketches[k].snapshot(self.quantiles))
-            if k in exemplars:
-                entry["exemplar"] = dict(exemplars[k])
-            values.append(entry)
+        values = [{"labels": dict(k), **sketches[k].snapshot()}
+                  for k in sorted(sketches)]
         return {"type": self.kind, "help": self.help,
-                "quantiles": list(self.quantiles), "values": values}
+                "quantiles": list(DEFAULT_QUANTILES), "values": values}
 
 
 class MetricsRegistry:
@@ -548,8 +361,7 @@ class MetricsRegistry:
         self._lock = new_lock("obs.metrics.MetricsRegistry")
         self._gated = gated
 
-    def _declare(self, cls: type, name: str, help: str,
-                 **kwargs: Any) -> Any:
+    def _declare(self, cls: type, name: str, help: str) -> Any:
         with self._lock:
             existing = self._metrics.get(name)
             if existing is not None:
@@ -558,7 +370,7 @@ class MetricsRegistry:
                         f"metric {name!r} already registered as"
                         f" {existing.kind}, not {cls.kind}")
                 return existing
-            metric = cls(name, help, **kwargs)
+            metric = cls(name, help)
             metric._gated = self._gated
             self._metrics[name] = metric
             return metric
@@ -569,15 +381,8 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._declare(Gauge, name, help)
 
-    def histogram(self, name: str, help: str = "",
-                  buckets: tuple[float, ...] = DEFAULT_BUCKETS) \
-            -> Histogram:
-        return self._declare(Histogram, name, help, buckets=buckets)
-
-    def summary(self, name: str, help: str = "",
-                quantiles: tuple[float, ...] = DEFAULT_QUANTILES) \
-            -> Summary:
-        return self._declare(Summary, name, help, quantiles=quantiles)
+    def summary(self, name: str, help: str = "") -> Summary:
+        return self._declare(Summary, name, help)
 
     def get(self, name: str) -> _Metric | None:
         with self._lock:
@@ -629,8 +434,7 @@ class MetricsRegistry:
         per-step ``timeseries.jsonl`` row.
 
         Counters and gauges collapse to the sum over label sets;
-        histograms and summaries contribute ``<name>_count`` and
-        ``<name>_sum``.  Each metric's :meth:`~_Metric.scalar_samples`
+        summaries contribute ``<name>_count`` and ``<name>_sum``.  Each metric's :meth:`~_Metric.scalar_samples`
         reads under its own lock, so this is safe against concurrent
         updates from callers' threads without the registry ever
         touching another object's private lock.

@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import functools
 import itertools
 import os
 import threading
 import time
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -48,7 +47,6 @@ __all__ = [
     "obs_disabled",
     "recording",
     "span",
-    "traced",
 ]
 
 #: Kill switch: ``REPRO_NO_OBS=1`` turns the whole telemetry layer off —
@@ -229,11 +227,6 @@ class SpanRecorder:
         return [node(r) for r in
                 sorted(self.roots(), key=lambda s: s.start_perf)]
 
-    def to_dicts(self) -> list[dict[str, Any]]:
-        """All spans flat, in start order (parent_id links the tree)."""
-        return [s.to_dict() for s in
-                sorted(self._spans_view(), key=lambda s: s.start_perf)]
-
     def sketch(self, name: str) -> QuantileSketch | None:
         """The streaming duration sketch for one span name."""
         with self._lock:
@@ -334,29 +327,3 @@ class span:
         _current.reset(self._token)
         self._rec._close(sp)
         return False
-
-
-def traced(name: str | None = None, **attrs: Any) -> Callable:
-    """Decorator form of :func:`span`.
-
-    >>> @traced()
-    ... def convert(model): ...
-
-    records a span named after the function (``module.qualname`` with the
-    ``repro.`` prefix dropped) on every call.
-    """
-
-    def decorate(fn: Callable) -> Callable:
-        label = name
-        if label is None:
-            module = fn.__module__.removeprefix("repro.")
-            label = f"{module}.{fn.__qualname__}"
-
-        @functools.wraps(fn)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            with span(label, **attrs):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate

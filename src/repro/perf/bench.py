@@ -534,6 +534,15 @@ def write_benchmarks(results: list[BenchResult], path: str | Path) -> Path:
     return path
 
 
+def _stored_fields(row: dict) -> dict:
+    """``row`` without the ``kind`` label ``condor bench --format json``
+    adds; a ``kind`` other than :data:`KIND` of the row's op stays, so
+    the row is rejected as malformed."""
+    if "kind" in row and row["kind"] == KIND.get(row.get("op")):
+        return {k: v for k, v in row.items() if k != "kind"}
+    return row
+
+
 def load_benchmarks(path: str | Path) -> list[BenchResult]:
     path = Path(path)
     try:
@@ -548,7 +557,8 @@ def load_benchmarks(path: str | Path) -> list[BenchResult]:
             if isinstance(doc, dict) else
             f"{path} is not a {SCHEMA!r} benchmark file")
     try:
-        return [BenchResult(**row) for row in doc["results"]]
+        return [BenchResult(**_stored_fields(row))
+                for row in doc["results"]]
     except (KeyError, TypeError) as exc:
         raise BenchError(f"malformed benchmark row in {path}: {exc}") \
             from exc

@@ -15,7 +15,7 @@ import numpy as np
 from repro.frontend.weights import WeightStore
 from repro.ir.layers import Layer, SoftmaxLayer
 from repro.ir.network import Network
-from repro.nn.engine import ReferenceEngine
+from repro.nn.engine import ReferenceEngine, as_batch
 from repro.quant.scheme import QuantScheme, fake_quantize, quantize
 
 
@@ -109,7 +109,7 @@ class QuantizedEngine(ReferenceEngine):
         deliberately: the activation grid uses a dynamic per-tensor
         scale, so a whole-batch pass would calibrate one scale across
         the batch and change every sample's rounding."""
-        batch = np.asarray(batch, dtype=np.float32)
+        batch = as_batch(batch)
         run = super().run_batch
         return np.stack([run(fake_quantize(sample[None], self.scheme))[0]
                          for sample in batch])

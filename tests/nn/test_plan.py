@@ -33,6 +33,7 @@ from repro.nn.plan import (
     compile_plan,
     default_plan_cache,
 )
+from repro.quant import QuantizedEngine, QuantScheme
 
 _BATCH = {"tc1": 5, "lenet": 4, "cifar10": 3, "vgg16": 2}
 
@@ -413,12 +414,16 @@ def test_planned_fc_applies_every_activation():
                               oracle.run_batch(images)), kind
 
 
-@pytest.mark.parametrize("use_plans", [True, False],
-                         ids=["planned", "oracle"])
-def test_empty_batch_rejected(use_plans, zoo_model, zoo_weights):
-    """Both paths reject N=0 with the same error before running."""
+@pytest.mark.parametrize("path", ["planned", "oracle", "quantized"])
+def test_empty_batch_rejected(path, zoo_model, zoo_weights):
+    """Every path rejects N=0 with the same error before running."""
     net = zoo_model("tc1").network
-    engine = ReferenceEngine(net, zoo_weights("tc1"), use_plans=use_plans)
+    if path == "quantized":
+        engine = QuantizedEngine(net, zoo_weights("tc1"),
+                                 QuantScheme(bits=8))
+    else:
+        engine = ReferenceEngine(net, zoo_weights("tc1"),
+                                 use_plans=path == "planned")
     with pytest.raises(ShapeError, match="N >= 1"):
         engine.run_batch(_images(net, 0))
 

@@ -20,10 +20,9 @@ def _summary(count, total, p50, p95, p99, lo=None, hi=None):
                           "0.99": p99}}
 
 
-def _manifest(summaries=None, spans=None, metrics=None, rss=None,
-              status="succeeded"):
+def _manifest(summaries=None, metrics=None, rss=None, status="succeeded"):
     doc = {"schema": 2, "run": {"status": status},
-           "span_summaries": summaries or {}, "spans": spans or [],
+           "span_summaries": summaries or {}, "spans": [],
            "metrics": metrics or {}}
     if rss is not None:
         doc["process"] = {"peak_rss_bytes": rss}
@@ -46,19 +45,6 @@ class TestSpanReport:
         assert layer["p95_s"] == 0.05
         assert layer["p99_s"] == 0.09
         assert layer["max_s"] == 0.1
-
-    def test_falls_back_to_span_tree(self):
-        spans = [{"name": "root", "seconds": 1.0, "children": [
-            {"name": "leaf", "seconds": 0.25},
-            {"name": "leaf", "seconds": 0.75},
-        ]}]
-        rows = span_report(_manifest(spans=spans))
-        by_name = {r["name"]: r for r in rows}
-        assert by_name["leaf"]["count"] == 2
-        assert by_name["leaf"]["total_s"] == 1.0
-        assert by_name["leaf"]["p50_s"] == 0.25
-        assert by_name["leaf"]["max_s"] == 0.75
-        assert by_name["root"]["count"] == 1
 
     def test_empty_manifest(self):
         assert span_report(_manifest()) == []

@@ -2,14 +2,13 @@
 
 import copy
 import json
-import math
 import re
 import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.obs import REGISTRY, MetricsRegistry, recording, span
+from repro.obs import REGISTRY, MetricsRegistry
 
 
 @pytest.fixture
@@ -66,17 +65,13 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self, registry):
-        g = registry.gauge("depth")
-        g.set(5)
-        g.inc()
-        g.dec(2)
-        assert g.value() == 4
-
     def test_labelled(self, registry):
         g = registry.gauge("occupancy")
-        g.set(7, fifo="c1")
+        g.set_function(lambda: 7, fifo="c1")
+        g.set_function(lambda: 2, fifo="c2")
         assert g.value(fifo="c1") == 7
+        assert g.value(fifo="c2") == 2
+        assert g.value(fifo="c3") == 0.0
 
 
 class TestGaugeFunction:
@@ -86,7 +81,7 @@ class TestGaugeFunction:
         g = registry.gauge("live_depth", "Live depth")
         state = {"depth": 3}
         g.set_function(lambda: state["depth"], server="a")
-        g.set(9, server="b")
+        g.set_function(lambda: 9, server="b")
         assert g.value(server="a") == 3
         state["depth"] = 5
         assert g.value(server="a") == 5
@@ -105,23 +100,12 @@ class TestGaugeFunction:
         assert g.snapshot()["values"] == []
         assert registry.scalars()["gone_depth"] == 0.0
 
-    def test_set_replaces_the_function_and_vice_versa(self, registry):
-        g = registry.gauge("swap_depth")
-        g.set_function(lambda: 4)
-        g.set(2)
-        assert g.value() == 2
-        g.set_function(lambda: 6)
-        assert g.value() == 6
-        assert g.snapshot()["values"] == [{"labels": {}, "value": 6.0}]
-
     def test_reset_keeps_function_series(self, registry):
         # a function series is wiring, not a recorded sample: reset
-        # drops pushed values but the live series keeps reading
+        # keeps it reading
         g = registry.gauge("kept_depth")
-        g.set(7, server="pushed")
         g.set_function(lambda: 3, server="live")
         registry.reset()
-        assert g.value(server="pushed") == 0.0
         assert g.value(server="live") == 3
         assert [v["labels"] for v in g.snapshot()["values"]] == \
             [{"server": "live"}]
@@ -130,7 +114,7 @@ class TestGaugeFunction:
         g = registry.gauge("reentrant_depth")
         # a callable that reads the gauge itself would deadlock if the
         # gauge held its (non-reentrant) lock while calling it
-        g.set(1, server="other")
+        g.set_function(lambda: 1, server="other")
         g.set_function(lambda: g.value(server="other") + 1,
                        server="self")
         assert g.value(server="self") == 2
@@ -143,51 +127,6 @@ class TestGaugeFunction:
         assert g.value(probe="x") == 4
 
 
-class TestHistogram:
-    def test_observe_counts_and_sum(self, registry):
-        h = registry.histogram("latency_seconds",
-                               buckets=(0.1, 1.0, 10.0))
-        for v in (0.05, 0.5, 5.0, 50.0):
-            h.observe(v)
-        assert h.count() == 4
-        assert h.sum() == pytest.approx(55.55)
-
-    def test_cumulative_buckets(self, registry):
-        h = registry.histogram("x", buckets=(1.0, 2.0))
-        h.observe(0.5)
-        h.observe(1.5)
-        h.observe(99.0)
-        text = registry.to_prometheus()
-        assert 'x_bucket{le="1"} 1' in text
-        assert 'x_bucket{le="2"} 2' in text
-        assert 'x_bucket{le="+Inf"} 3' in text
-        assert "x_count 3" in text
-
-    def test_explicit_inf_bucket_not_duplicated(self, registry):
-        """A caller passing +Inf (or a duplicate bound) must still get
-        exactly one +Inf line — Prometheus scrapers reject dupes."""
-        h = registry.histogram(
-            "y", buckets=(1.0, 1.0, math.inf, float("nan"), 2.0))
-        assert h.buckets == (1.0, 2.0)
-        h.observe(99.0)
-        text = registry.to_prometheus()
-        assert text.count('le="+Inf"') == 1
-        assert 'y_bucket{le="+Inf"} 1' in text
-
-    def test_streaming_quantile(self, registry):
-        h = registry.histogram("lat_seconds", buckets=(1.0,))
-        for v in range(1, 101):
-            h.observe(v / 100.0)
-        assert h.quantile(0.5) == pytest.approx(0.5, abs=0.02)
-        assert h.quantile(0.99) == pytest.approx(0.99, abs=0.02)
-        assert h.quantile(0.5, missing="labels") is None
-
-    def test_nan_observation_dropped(self, registry):
-        h = registry.histogram("z", buckets=(1.0,))
-        h.observe(float("nan"))
-        assert h.count() == 0
-
-
 class TestSummary:
     def test_observe_and_quantiles(self, registry):
         s = registry.summary("req_seconds", "Request latency")
@@ -198,14 +137,34 @@ class TestSummary:
         assert s.quantile(0.5) == pytest.approx(0.5, abs=0.01)
         assert s.quantile(0.99) == pytest.approx(0.99, abs=0.01)
 
+    def test_observe_counts_and_sum(self, registry):
+        s = registry.summary("latency_seconds")
+        for v in (0.05, 0.5, 5.0, 50.0):
+            s.observe(v)
+        assert s.count() == 4
+        assert s.sum() == pytest.approx(55.55)
+
+    def test_streaming_quantile(self, registry):
+        s = registry.summary("lat_seconds")
+        for v in range(1, 101):
+            s.observe(v / 100.0)
+        assert s.quantile(0.5) == pytest.approx(0.5, abs=0.02)
+        assert s.quantile(0.99) == pytest.approx(0.99, abs=0.02)
+        assert s.quantile(0.5, missing="labels") is None
+
+    def test_nan_observation_dropped(self, registry):
+        s = registry.summary("z_seconds")
+        s.observe(float("nan"))
+        assert s.count() == 0
+        assert s.snapshot()["values"] == []
+
     def test_exposition_format(self, registry):
-        s = registry.summary("api_seconds", "API latency",
-                             quantiles=(0.5, 0.99))
+        s = registry.summary("api_seconds", "API latency")
         s.observe(0.25, verb="get")
         text = registry.to_prometheus()
         assert "# TYPE api_seconds summary" in text
-        assert 'api_seconds{verb="get",quantile="0.5"} 0.25' in text
-        assert 'api_seconds{verb="get",quantile="0.99"} 0.25' in text
+        for q in ("0.5", "0.9", "0.95", "0.99"):
+            assert f'api_seconds{{verb="get",quantile="{q}"}} 0.25' in text
         assert 'api_seconds_sum{verb="get"} 0.25' in text
         assert 'api_seconds_count{verb="get"} 1' in text
 
@@ -217,8 +176,8 @@ class TestSummary:
         assert snap["values"][0]["count"] == 1
         assert snap["values"][0]["quantiles"]["0.5"] == 1.0
 
-    def test_kind_mismatch_with_histogram(self, registry):
-        registry.histogram("mixed_seconds")
+    def test_kind_mismatch_with_counter(self, registry):
+        registry.counter("mixed_seconds")
         with pytest.raises(ValueError, match="already registered"):
             registry.summary("mixed_seconds")
 
@@ -341,18 +300,6 @@ class TestSummarySource:
 
 
 class TestExemplars:
-    def test_worst_observation_links_to_span(self, registry):
-        h = registry.histogram("ex_seconds", buckets=(1.0,))
-        with recording():
-            with span("slow.op") as sp:
-                h.observe(0.2)
-                h.observe(0.9)  # worst: becomes the exemplar
-                h.observe(0.5)
-        entry = h.snapshot()["values"][0]
-        assert entry["exemplar"]["value"] == 0.9
-        assert entry["exemplar"]["span"] == "slow.op"
-        assert entry["exemplar"]["span_id"] == sp.span_id
-
     def test_no_span_no_exemplar(self, registry):
         s = registry.summary("plain_seconds")
         s.observe(1.0)
@@ -363,10 +310,10 @@ class TestScalars:
     def test_flat_view_of_every_kind(self, registry):
         registry.counter("c_total").inc(2, kind="a")
         registry.counter("c_total").inc(3, kind="b")
-        registry.gauge("g_entries").set(7)
-        h = registry.histogram("h_seconds", buckets=(1.0,))
-        h.observe(0.5)
-        h.observe(2.0)
+        registry.gauge("g_entries").set_function(lambda: 7)
+        h = registry.summary("h_seconds")
+        h.observe(0.5, step="a")
+        h.observe(2.0, step="b")
         registry.summary("s_seconds").observe(4.0)
         flat = registry.scalars()
         assert flat["c_total"] == 5
@@ -376,15 +323,37 @@ class TestScalars:
         assert flat["s_seconds_count"] == 1
         assert flat["s_seconds_sum"] == pytest.approx(4.0)
 
+    def test_summary_read_copies_no_sketch(self, registry, monkeypatch):
+        """One row per flow step reads every summary: the counts and
+        sums are added up in place, pushed series and sources alike."""
+        from types import SimpleNamespace
+
+        from repro.obs import QuantileSketch, metrics
+
+        s = registry.summary("copy_free_seconds")
+        s.observe(1.0, server="pushed")
+        owned = QuantileSketch()
+        owned.observe(2.0)
+        owned.observe(4.0)
+        s.add_source(lambda: {(("server", "sourced"),): owned})
+
+        def deepcopy(*args, **kwargs):
+            raise AssertionError("scalars() copied a sketch")
+        monkeypatch.setattr(metrics, "copy",
+                            SimpleNamespace(deepcopy=deepcopy))
+        flat = registry.scalars()
+        assert flat["copy_free_seconds_count"] == 3.0
+        assert flat["copy_free_seconds_sum"] == 7.0
+
 
 class TestExpositionRoundTrip:
     def test_text_format_parses_back(self, registry):
-        """Satellite check: the exposition is valid Prometheus text —
-        every sample line parses, histogram series are complete and
-        +Inf appears exactly once per label set."""
+        """The exposition is valid Prometheus text: every sample line
+        parses, no series repeats, and summaries carry quantile, sum
+        and count lines per label set."""
         registry.counter("rt_total", "Round trip").inc(2, verb="put")
-        registry.gauge("rt_entries").set(3)
-        h = registry.histogram("rt_seconds", buckets=(0.1, 1.0))
+        registry.gauge("rt_entries").set_function(lambda: 3)
+        h = registry.summary("rt_seconds")
         h.observe(0.05, step="a")
         h.observe(5.0, step="a")
         registry.summary("rt_sum_seconds").observe(0.25)
@@ -406,8 +375,10 @@ class TestExpositionRoundTrip:
 
         assert parsed['rt_total{verb="put"}'] == 2
         assert parsed["rt_entries"] == 3
-        assert parsed['rt_seconds_bucket{step="a",le="+Inf"}'] == 2
+        assert parsed['rt_seconds{step="a",quantile="0.99"}'] == 5.0
+        assert parsed['rt_seconds_sum{step="a"}'] == 5.05
         assert parsed['rt_seconds_count{step="a"}'] == 2
+        assert not any("_bucket" in series for series in parsed)
         assert parsed['rt_sum_seconds{quantile="0.5"}'] == 0.25
 
 
@@ -415,14 +386,18 @@ class TestKillSwitch:
     def test_default_registry_gated(self, monkeypatch):
         c = REGISTRY.counter("condor_gate_probe_total")
         before = c.total()
+        s = REGISTRY.summary("condor_gate_probe_seconds")
+        observed = s.count()
         monkeypatch.setenv("REPRO_NO_OBS", "1")
         c.inc()
-        REGISTRY.gauge("condor_gate_probe_entries").set(5)
+        s.observe(1.0)
         assert c.total() == before
-        assert REGISTRY.get("condor_gate_probe_entries").value() == 0
+        assert s.count() == observed
         monkeypatch.delenv("REPRO_NO_OBS")
         c.inc()
+        s.observe(1.0)
         assert c.total() == before + 1
+        assert s.count() == observed + 1
 
     def test_private_registry_stays_live(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_OBS", "1")
@@ -445,10 +420,14 @@ class TestExposition:
 
     def test_json_snapshot_roundtrips(self, registry):
         registry.counter("a_total").inc(5)
-        registry.histogram("b_seconds", buckets=(1.0,)).observe(0.5)
+        registry.summary("b_seconds").observe(0.5)
+        registry.gauge("c_entries").set_function(lambda: 2)
         snap = json.loads(json.dumps(registry.to_dict()))
         assert snap["a_total"]["values"][0]["value"] == 5
+        assert snap["b_seconds"]["type"] == "summary"
         assert snap["b_seconds"]["values"][0]["count"] == 1
+        assert snap["b_seconds"]["values"][0]["quantiles"]["0.5"] == 0.5
+        assert snap["c_entries"]["values"][0]["value"] == 2
 
     def test_reset_zeroes_but_keeps_declarations(self, registry):
         c = registry.counter("z_total")

@@ -206,6 +206,33 @@ class TestPersistence:
         with pytest.raises(BenchError, match="cannot read"):
             load_benchmarks(tmp_path / "absent.json")
 
+    def test_stdout_document_loads_as_baseline(self, tmp_path,
+                                               monkeypatch, capsys):
+        """``condor bench --format json`` rows carry their op's ``kind``
+        label; the printed document loads as a ``--baseline``."""
+        import repro.perf.bench as bench_mod
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)  # the default --output/--baseline
+        for op in KIND:
+            monkeypatch.setitem(
+                bench_mod._OPS, op,
+                lambda model, _op=op, **kw: _result(op=_op, model=model))
+        assert main(["bench", "--quick", "--op", "serve", "--op", "sim",
+                     "--format", "json", "--output", ""]) == 0
+        path = tmp_path / "stdout.json"
+        path.write_text(capsys.readouterr().out)
+        rows = json.loads(path.read_text())["results"]
+        assert [(r.op, r.model) for r in load_benchmarks(path)] == \
+            [(r["op"], r["model"]) for r in rows]
+        assert main(["bench", "--quick", "--op", "sim", "--baseline",
+                     str(path), "--output", ""]) == 0
+        # a kind other than the op's own is an unexpected key
+        rows[0]["kind"] = "measured"
+        path.write_text(json.dumps({"schema": SCHEMA, "results": rows}))
+        with pytest.raises(BenchError, match="malformed"):
+            load_benchmarks(path)
+
     def test_malformed_row_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(

@@ -197,10 +197,7 @@ class TestFailureAndLanes:
             monkeypatch.setattr(cls, name, wrapper)
 
         for cls, name in [(metrics.Counter, "inc"),
-                          (metrics.Gauge, "set"),
-                          (metrics.Gauge, "inc"),
                           (metrics.Gauge, "set_function"),
-                          (metrics.Histogram, "observe"),
                           (metrics.Summary, "observe")]:
             counting(cls, name)
         switch_reads = []

@@ -242,8 +242,8 @@ def test_metric_name(tmp_path):
         "reg.counter('cache_hits_total', 'missing prefix')\n"
         "reg.gauge('condor_plan_cache_entries', 'ok')\n"
         "reg.gauge('condor_Plan_Cache', 'bad case + suffix')\n"
-        "reg.histogram('condor_flow_step_seconds', 'ok')\n"
-        "reg.histogram('condor_flow_step_ms', 'bad unit')\n"
+        "reg.summary('condor_flow_step_seconds', 'ok')\n"
+        "reg.summary('condor_flow_step_ms', 'bad unit')\n"
         "reg.summary('condor_eval_seconds', 'ok')\n"
         "reg.summary(name, 'dynamic names are not checked')\n"
         "table.summary()  # unrelated call, no args\n",

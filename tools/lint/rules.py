@@ -363,7 +363,6 @@ _METRIC_SUFFIXES = {
     "counter": ("_total",),
     "gauge": ("_entries", "_bytes", "_seconds", "_ratio", "_count",
               "_percent"),
-    "histogram": ("_seconds", "_bytes", "_cycles", "_ratio"),
     "summary": ("_seconds", "_bytes", "_cycles", "_ratio"),
 }
 
