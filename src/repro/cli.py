@@ -266,7 +266,6 @@ def cmd_chaos(args) -> int:
             if fleet is not None and not fleet["bit_correct"]:
                 status = "error"
                 error = "fleet exercise outputs diverged from golden"
-            stats = flow.boundary_stats
             runs.append({
                 "network": model.network.name,
                 "seed": seed,
@@ -274,7 +273,7 @@ def cmd_chaos(args) -> int:
                 "error": error,
                 "faults": plan.stats(),
                 "fleet": fleet,
-                "resilience": stats.to_dict() if stats else {},
+                "resilience": flow.resilience,
             })
 
     survived = [r for r in runs if r["status"] in ("ok", "partial")]
@@ -1006,9 +1005,9 @@ def build_parser() -> argparse.ArgumentParser:
                             " merges into --output instead of replacing"
                             " it")
     bench.add_argument("--output", metavar="PATH",
-                       default="BENCH_perf.json",
-                       help="write results here (default:"
-                            " BENCH_perf.json; empty string to skip)")
+                       help="write results here (default: write"
+                            " nothing; refresh the committed baseline"
+                            " with --output BENCH_perf.json)")
     bench.add_argument("--baseline", metavar="PATH",
                        default="BENCH_perf.json",
                        help="baseline to diff against (default:"

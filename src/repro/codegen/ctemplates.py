@@ -30,10 +30,5 @@ def indent(code: str, levels: int = 1) -> str:
     return textwrap.indent(code, "    " * levels)
 
 
-def c_array(name: str, values_len: int, ctype: str = "float") -> str:
-    """Declare an on-chip array (weights / line buffers)."""
-    return f"static {ctype} {name}[{values_len}];"
-
-
 def stream_arg(name: str, ctype: str = "float") -> str:
     return f"hls::stream<{ctype}> &{name}"

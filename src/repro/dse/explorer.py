@@ -41,12 +41,6 @@ class DSEPoint:
     ii_cycles: int
     resources: ResourceVector
 
-    def dominates(self, other: "DSEPoint") -> bool:
-        return (self.ii_cycles <= other.ii_cycles and
-                self.resources.dsp <= other.resources.dsp and
-                (self.ii_cycles < other.ii_cycles or
-                 self.resources.dsp < other.resources.dsp))
-
 
 @dataclass
 class DSEResult:

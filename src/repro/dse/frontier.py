@@ -16,16 +16,7 @@ definition as the test oracle.
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol
-
-
-class FrontierPoint(Protocol):
-    """Anything with the explorer's two objectives."""
-
-    ii_cycles: int
-
-    @property
-    def resources(self): ...
+from typing import Iterable
 
 
 def _key(point) -> tuple[int, float]:

@@ -106,6 +106,9 @@ _LEDGER_METRICS = (
     (_RELOADS, "reload"),
 )
 
+#: Seed for the golden probe input used by recovery checks.
+_PROBE_SEED = 7
+
 #: Failure types that trigger failover (everything else propagates —
 #: a shape error is the caller's bug, not slot weather).
 FAILOVER_ERRORS = (DeviceLostError, WatchdogTimeoutError,
@@ -129,8 +132,6 @@ class FleetConfig:
     max_attempts: int = 12
     #: Largest batch a submission may carry (sizes the device buffers).
     capacity: int = 8
-    #: Seed for the golden probe input used by recovery checks.
-    probe_seed: int = 7
 
 
 @dataclass(frozen=True)
@@ -180,7 +181,7 @@ class FleetManager:
             self._packed.tobytes()).hexdigest()
         self._in_size = int(np.prod(self.net.input_shape().as_tuple()))
         self._out_size = self.net.output_shape().size
-        rng = np.random.default_rng(self.config.probe_seed)
+        rng = np.random.default_rng(_PROBE_SEED)
         self._probe_in = rng.standard_normal(
             (1,) + self.net.input_shape().as_tuple()).astype(np.float32)
         self._probe_out = self.golden.forward_batch(self._probe_in) \
@@ -198,8 +199,8 @@ class FleetManager:
         #: ``(action, label)`` counts, e.g. ``("failover", "DeviceLostError")``
         self._actions: Counter[tuple[str, str]] = Counter()
         for metric, action, *label in _LEDGER_METRICS:
-            metric.add_source(
-                ledger_source(self._actions, self._lock, action, *label))
+            metric.add_source(ledger_source(self._actions, action, *label),
+                              lock=self._lock, owner=self)
         self.slots: list[ManagedSlot] = []
         for j, instance in enumerate(self.instances):
             for slot in instance.slots:

@@ -50,13 +50,12 @@ from repro.hw.perf import (
 )
 from repro.hw.resources import device_for_board
 from repro.resilience import (
-    BoundaryStats,
     Checkpoint,
     CheckpointStore,
     breaker_states,
     chain_digest,
-    collecting_stats,
     file_digest,
+    ledger,
 )
 from repro.toolchain.assemble import AssemblyResult, build_network_ip
 from repro.toolchain.hls import VivadoHLS
@@ -71,7 +70,6 @@ from repro.toolchain.xclbin import Xclbin, read_xclbin, write_xclbin
 from repro.obs import (
     REGISTRY,
     SpanRecorder,
-    append_ledger,
     build_manifest,
     obs_disabled,
     recording,
@@ -244,8 +242,10 @@ class CondorFlow:
         #: unconditionally; this only controls whether they are read.
         self.resume = resume
         self.checkpoints = CheckpointStore(self.workdir)
-        #: Retry/breaker accounting of the most recent :meth:`run`.
-        self.boundary_stats: BoundaryStats | None = None
+        #: Boundary calls, retries, give-ups and breaker rejections of
+        #: the most recent :meth:`run`, by boundary: the difference of
+        #: the process-wide resilience ledger across the run.
+        self.resilience: dict[str, dict[str, int]] = {}
         #: Span recorder of the most recent :meth:`run` (telemetry on).
         self.recorder: SpanRecorder | None = None
         self._steps: list[StepRecord] = []
@@ -402,9 +402,17 @@ class CondorFlow:
         manifest — plus a ``timeseries.jsonl`` with one metrics row at
         flow start and one per step — in the working directory, even
         when a step fails, so failed runs stay diagnosable.
+
+        :attr:`resilience` counts every boundary event in the process
+        while the run lasts, so runs on several caller threads at once
+        see each other's events.
         """
+        start = ledger.counts()
         if not self.telemetry:
-            return self._execute(inputs)
+            try:
+                return self._pipeline(inputs)
+            finally:
+                self.resilience = ledger.since(start)
         self.recorder = SpanRecorder()
         self._rows = None if obs_disabled() else [timeseries_row("start")]
         started_wall = time.time()
@@ -415,7 +423,7 @@ class CondorFlow:
         try:
             with recording(self.recorder), \
                     span("condor.flow", workdir=str(self.workdir)):
-                result = self._execute(inputs)
+                result = self._pipeline(inputs)
             status = "partial" if result.degraded else "ok"
             return result
         except BaseException as exc:
@@ -424,6 +432,7 @@ class CondorFlow:
             error = f"{type(exc).__name__}: {exc}"
             raise
         finally:
+            self.resilience = ledger.since(start)
             _RUNS.inc(status=status)
             series = (write_timeseries(self.workdir, self._rows)
                       if self._rows else None)
@@ -432,7 +441,6 @@ class CondorFlow:
                 started_wall=started_wall,
                 seconds=time.perf_counter() - t0)
             path = write_manifest(self.workdir, manifest)
-            append_ledger(manifest)
             if result is not None:
                 result.telemetry_path = path
 
@@ -458,9 +466,8 @@ class CondorFlow:
                   "detail": s.detail, "skipped": s.skipped}
                  for s in self._steps]
         snapshots: dict = {}
-        stats = self.boundary_stats
-        if stats is not None and (stats.calls or stats.any_activity):
-            snapshots["resilience"] = stats.to_dict()
+        if any(self.resilience.values()):
+            snapshots["resilience"] = dict(self.resilience)
         # the breaker realm is process-wide and outlives this run's
         # boundary calls, so snapshot it whenever it is non-empty
         breakers = breaker_states()
@@ -498,11 +505,6 @@ class CondorFlow:
         return build_manifest(
             recorder=self.recorder, workdir=self.workdir, run=run,
             steps=steps, snapshots=snapshots)
-
-    def _execute(self, inputs: FlowInputs) -> FlowResult:
-        with collecting_stats() as stats:
-            self.boundary_stats = stats
-            return self._pipeline(inputs)
 
     def _pipeline(self, inputs: FlowInputs) -> FlowResult:
         self._steps = []

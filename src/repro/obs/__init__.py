@@ -17,8 +17,7 @@ front door for that:
   :class:`QuantileSketch` behind every quantile above;
 * :mod:`repro.obs.manifest` — the per-run ``telemetry.json`` and
   ``timeseries.jsonl`` (one registry snapshot per flow step) written by
-  :class:`~repro.flow.condor.CondorFlow`, plus the opt-in
-  ``benchmarks/runs.jsonl`` ledger;
+  :class:`~repro.flow.condor.CondorFlow`;
 * :mod:`repro.obs.analyze` — offline reports/diffs over those
   artifacts (the ``condor obs`` subcommand);
 * :mod:`repro.obs.chrometrace` — trace-event JSON for
@@ -44,10 +43,8 @@ from repro.obs.chrometrace import (
 from repro.obs.manifest import (
     MANIFEST_NAME,
     TIMESERIES_NAME,
-    append_ledger,
     build_manifest,
     git_sha,
-    ledger_enabled,
     peak_rss_bytes,
     timeseries_row,
     write_manifest,
@@ -83,14 +80,12 @@ __all__ = [
     "Span",
     "SpanRecorder",
     "Summary",
-    "append_ledger",
     "build_manifest",
     "chrome_trace",
     "current_recorder",
     "current_span",
     "diff_manifests",
     "git_sha",
-    "ledger_enabled",
     "no_recording",
     "obs_disabled",
     "peak_rss_bytes",

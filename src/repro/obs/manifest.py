@@ -1,4 +1,4 @@
-"""Per-run manifests and the benchmark ledger.
+"""Per-run manifests and per-step metric rows.
 
 Every :class:`~repro.flow.condor.CondorFlow` run writes a
 ``telemetry.json`` into its working directory: the span tree, per-step
@@ -13,10 +13,6 @@ Next to it the flow writes ``timeseries.jsonl``: one
 :func:`timeseries_row` at flow start and one at the end of every step,
 each the registry's scalar view plus peak RSS, so a run can be read
 stage by stage.
-
-Setting ``REPRO_BENCH_LEDGER=1`` additionally appends a one-line JSON
-summary of each run to ``benchmarks/runs.jsonl`` (path overridable via
-``REPRO_BENCH_LEDGER_PATH``), seeding a perf trajectory across commits.
 """
 
 from __future__ import annotations
@@ -40,22 +36,16 @@ __all__ = [
     "peak_rss_bytes",
     "build_manifest",
     "write_manifest",
-    "append_ledger",
-    "ledger_enabled",
     "timeseries_row",
     "write_timeseries",
 ]
 
 MANIFEST_NAME = "telemetry.json"
 TIMESERIES_NAME = "timeseries.jsonl"
-#: Schema 2 (this PR): ``host.hostname``, ``git_sha``,
-#: ``span_summaries`` (per-span-name streaming quantiles), span dicts
-#: carry ``thread_id``, and ledger lines are attributable
-#: (schema/git_sha/hostname).
+#: Schema 2: ``host.hostname``, ``git_sha``, ``span_summaries``
+#: (per-span-name streaming quantiles), and span dicts carry
+#: ``thread_id``.
 MANIFEST_SCHEMA = 2
-LEDGER_ENV = "REPRO_BENCH_LEDGER"
-LEDGER_PATH_ENV = "REPRO_BENCH_LEDGER_PATH"
-DEFAULT_LEDGER = Path("benchmarks") / "runs.jsonl"
 
 
 @functools.lru_cache(maxsize=1)
@@ -185,43 +175,3 @@ def write_timeseries(workdir: Path | str,
             fh.write(json.dumps(row) + "\n")
     return path
 
-
-def ledger_enabled() -> bool:
-    return os.environ.get(LEDGER_ENV, "") == "1"
-
-
-def ledger_path() -> Path:
-    return Path(os.environ.get(LEDGER_PATH_ENV, str(DEFAULT_LEDGER)))
-
-
-def append_ledger(manifest: dict[str, Any]) -> Path | None:
-    """Append a one-line summary of ``manifest`` to the run ledger.
-
-    No-op (returns ``None``) unless ``REPRO_BENCH_LEDGER=1``.
-    """
-    if not ledger_enabled():
-        return None
-    run = manifest.get("run", {})
-    process = manifest.get("process", {})
-    line = {
-        "ts": manifest.get("written_at"),
-        "schema": manifest.get("schema"),
-        "git_sha": manifest.get("git_sha"),
-        "hostname": (manifest.get("host") or {}).get("hostname"),
-        "network": run.get("network"),
-        "board": run.get("board"),
-        "status": run.get("status"),
-        "seconds": run.get("seconds"),
-        "steps": len(manifest.get("steps", [])),
-        "skipped_steps": sum(1 for s in manifest.get("steps", [])
-                             if s.get("skipped")),
-        "degraded_step": run.get("degraded_step"),
-        "span_count": process.get("span_count"),
-        "peak_rss_bytes": process.get("peak_rss_bytes"),
-        "gflops": (manifest.get("performance") or {}).get("gflops"),
-    }
-    path = ledger_path()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a") as fh:
-        fh.write(json.dumps(line) + "\n")
-    return path

@@ -14,8 +14,9 @@ Labels are passed as keyword arguments at update time::
 A subsystem that counts its own events lets the registry read those
 counts at collect time instead of pushing each event twice: counters
 and summaries take *sources* (``add_source``), so the hot path makes no
-metric update at all.  Gauges are collect-time only: each series is a
-function (``set_function``) read when the gauge is.
+metric update at all.  A source tied to an owner leaves with it, its
+final counts kept in the totals.  Gauges are collect-time only: each
+series is a function (``set_function``) read when the gauge is.
 
 :class:`Summary` is the one distribution type: it streams every
 observation through a :class:`~repro.obs.quantiles.QuantileSketch`, so
@@ -34,9 +35,11 @@ enough to emit directly, and the registry stays importable everywhere.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import math
-from typing import Any, Callable, Iterator, Mapping
+import weakref
+from typing import Any, Callable, Mapping
 
 from repro.obs.quantiles import DEFAULT_QUANTILES, QuantileSketch
 from repro.obs.spans import obs_disabled
@@ -120,7 +123,89 @@ class _Metric:
         return lines
 
 
-class Counter(_Metric):
+#: Stands in for an owner's lock when a source takes its own.
+_NO_LOCK = contextlib.nullcontext()
+
+
+class _Sourced(_Metric):
+    """A metric that also reads counts its owners keep (sources)."""
+
+    def __init__(self, name: str, help: str = ""):
+        super().__init__(name, help)
+        #: ``(fn, lock, weak owner or None)`` per source
+        self._sources: list[tuple] = []
+
+    def add_source(self, fn: Callable[[], Mapping[tuple, Any]], *,
+                   lock=None, owner: object = None) -> None:
+        """Add ``fn()``, ``{label pairs: value}``, to every read.
+
+        ``fn`` runs outside this metric's lock and, when one is given,
+        under ``lock`` (its owner's), so it may return the owner's live
+        state; it must not read this metric.  ``owner`` is held weakly,
+        and ``fn`` should hold the owner's ledger, not the owner, and
+        leave locking to ``lock``: each registration first folds the
+        final counts of sources whose owner was collected into this
+        metric's own values and drops them.  So the source list stays
+        at the live owners (plus those dropped since the last
+        registration), and the totals stay monotonic.  Registering is
+        not an update: the kill switch does not gate it.
+        """
+        self._retire()
+        ref = None if owner is None else weakref.ref(owner)
+        with self._lock:
+            self._sources.append(
+                (fn, _NO_LOCK if lock is None else lock, ref))
+
+    def _retire(self) -> None:
+        """Fold the final counts of the sources whose owner was
+        collected into this metric's own values, and drop them.  No
+        one writes a collected owner's ledger, so it is read without
+        the owner's lock."""
+        with self._lock:
+            live = []
+            for source in self._sources:
+                fn, _, ref = source
+                if ref is not None and ref() is None:
+                    self._fold(self._final(fn()))
+                else:
+                    live.append(source)
+            self._sources = live
+
+    def _gather(self, own: Callable[[], Any],
+                read: Callable[[Mapping], Any]) -> tuple[Any, list]:
+        """``own()`` under this metric's lock, and ``read(fn())`` of
+        every source under the source's lock.  The values and the
+        source list are taken together, so a source retired meanwhile
+        is counted once."""
+        with self._lock:
+            mine = own()
+            sources = [(fn, lock) for fn, lock, _ in self._sources]
+        readings = []
+        for fn, lock in sources:
+            with lock:
+                readings.append(read(fn()))
+        return mine, readings
+
+    def _merged(self, own: Callable[[], dict]) -> dict:
+        """``own()``, a copy of this metric's values, with every
+        source's reading folded in."""
+        merged, readings = self._gather(own, self._final)
+        for final in readings:
+            self._fold(final, merged)
+        return merged
+
+    def _final(self, reading: Mapping) -> list:
+        """A source's reading as ``[(label key, value)]``, owned by
+        this metric."""
+        raise NotImplementedError
+
+    def _fold(self, final: list, into: dict | None = None) -> None:
+        """Add a ``_final`` list to ``into``, by default this metric's
+        own values (lock held)."""
+        raise NotImplementedError
+
+
+class Counter(_Sourced):
     """Monotonically increasing value: pushed increments plus sources."""
 
     kind = "counter"
@@ -130,7 +215,6 @@ class Counter(_Metric):
     def __init__(self, name: str, help: str = ""):
         super().__init__(name, help)
         self._values: dict[_LabelKey, float] = {}
-        self._sources: list[Callable[[], Mapping[tuple, Any]]] = []
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         if amount < 0:
@@ -142,24 +226,15 @@ class Counter(_Metric):
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
-    def add_source(self, fn: Callable[[], Mapping[tuple, Any]]) -> None:
-        """Add ``fn()``, ``{label pairs: value}``, to every read.
+    def _final(self, reading: Mapping) -> list:
+        return [(_label_key(dict(labels)), count)
+                for labels, count in reading.items()]
 
-        ``fn`` runs outside this metric's lock, so it may take its
-        owner's lock (but must not read this metric).  It should hold
-        the owner's ledger, not the owner, so a collected owner's counts
-        stay in the totals and they stay monotonic.  Registering is not
-        an update: the kill switch does not gate it.
-        """
-        with self._lock:
-            self._sources.append(fn)
-
-    def _sourced(self) -> Iterator[tuple[_LabelKey, Any]]:
-        with self._lock:
-            sources = list(self._sources)
-        for fn in sources:
-            for labels, value in fn().items():
-                yield _label_key(dict(labels)), value
+    def _fold(self, final: list, into: dict | None = None) -> None:
+        into = self._values if into is None else into
+        for key, count in final:
+            if count:
+                into[key] = into.get(key, 0.0) + count
 
     def value(self, **labels: Any) -> float:
         return self._series().get(_label_key(labels), 0.0)
@@ -170,12 +245,7 @@ class Counter(_Metric):
 
     def _series(self) -> dict[_LabelKey, float]:
         """Pushed values plus the sources' nonzero counts."""
-        with self._lock:
-            series = dict(self._values)
-        for key, count in self._sourced():
-            if count:
-                series[key] = series.get(key, 0.0) + count
-        return series
+        return self._merged(lambda: dict(self._values))
 
     def scalar_samples(self) -> dict[str, float]:
         return {self.name: sum(self._series().values())}
@@ -194,15 +264,14 @@ class Counter(_Metric):
                            for k, v in sorted(self._series().items())]}
 
 
-def ledger_source(ledger: Mapping[tuple, float], lock, kind: str,
+def ledger_source(ledger: Mapping[tuple, float], kind: str,
                   *labels: str) -> Callable[[], dict[tuple, float]]:
     """A :meth:`Counter.add_source` over the ``kind`` entries of a
-    ledger ``{(kind, *label values): count}`` guarded by ``lock``."""
+    ledger ``{(kind, *label values): count}``; register it with the
+    ledger's lock as ``lock``."""
     def read() -> dict[tuple, float]:
-        with lock:
-            entries = [(key[1:], n) for key, n in ledger.items()
-                       if key[0] == kind]
-        return {tuple(zip(labels, values)): n for values, n in entries}
+        return {tuple(zip(labels, key[1:])): n
+                for key, n in ledger.items() if key[0] == kind}
     return read
 
 
@@ -253,7 +322,7 @@ class Gauge(_Metric):
     scalar_samples = Counter.scalar_samples
 
 
-class Summary(_Metric):
+class Summary(_Sourced):
     """Streaming-quantile summary (Prometheus ``summary`` semantics).
 
     Each label set owns a :class:`QuantileSketch` and the exposition
@@ -271,7 +340,6 @@ class Summary(_Metric):
     def __init__(self, name: str, help: str = ""):
         super().__init__(name, help)
         self._sketches: dict[_LabelKey, QuantileSketch] = {}
-        self._sources: list[Callable[[], Mapping[tuple, Any]]] = []
 
     def observe(self, value: float, **labels: Any) -> None:
         if self._off():
@@ -286,20 +354,24 @@ class Summary(_Metric):
                 sketch = self._sketches[key] = QuantileSketch()
             sketch.observe(value)
 
-    #: sources return ``{label pairs: sketch copy}``
-    add_source = Counter.add_source
-    _sourced = Counter._sourced
+    # sources return ``{label pairs: sketch}``, which may be the
+    # owner's live sketches: a read copies one before merging it
+
+    def _final(self, reading: Mapping) -> list:
+        return [(_label_key(dict(labels)), copy.deepcopy(sketch))
+                for labels, sketch in reading.items()]
+
+    def _fold(self, final: list, into: dict | None = None) -> None:
+        into = self._sketches if into is None else into
+        for key, sketch in final:
+            if key in into:
+                into[key].merge(sketch)
+            elif sketch.count:
+                into[key] = sketch
 
     def _collect(self) -> dict[_LabelKey, QuantileSketch]:
         """Pushed sketches copied under the lock, sources merged in."""
-        with self._lock:
-            sketches = copy.deepcopy(self._sketches)
-        for key, sketch in self._sourced():
-            if key in sketches:
-                sketches[key].merge(sketch)
-            elif sketch.count:
-                sketches[key] = sketch
-        return sketches
+        return self._merged(lambda: copy.deepcopy(self._sketches))
 
     def _sketch(self, labels: dict[str, Any]) -> QuantileSketch:
         """One label set's sketch (empty before any observation)."""
@@ -316,12 +388,14 @@ class Summary(_Metric):
 
     def scalar_samples(self) -> dict[str, float]:
         """Counts and sums added up in place: no sketch is copied."""
-        with self._lock:
-            count = sum(s.count for s in self._sketches.values())
-            total = sum(s.sum for s in self._sketches.values())
-        for _, sketch in self._sourced():
-            count += sketch.count
-            total += sketch.sum
+        def tally(sketches: Mapping) -> tuple[int, float]:
+            return (sum(s.count for s in sketches.values()),
+                    sum(s.sum for s in sketches.values()))
+        (count, total), readings = self._gather(
+            lambda: tally(self._sketches), tally)
+        for n, subtotal in readings:
+            count += n
+            total += subtotal
         return {f"{self.name}_count": float(count),
                 f"{self.name}_sum": total}
 

@@ -17,16 +17,17 @@ survive that weather instead of discarding completed work:
   injection (``condor chaos``);
 * :mod:`repro.resilience.boundary` — :func:`run_boundary`, the harness
   the production cloud/toolchain edges call through;
+* :mod:`repro.resilience.ledger` — the one process-wide count of every
+  call, retry, give-up and breaker event, which the
+  ``condor_resilience_*`` series read at collect time and each flow
+  run's ``resilience`` block takes the difference of;
 * :mod:`repro.resilience.checkpoint` — the per-step checkpoint store
   behind ``condor build --resume``.
 """
 
 from repro.resilience.boundary import (
-    BoundaryStats,
     breaker_for,
     breaker_states,
-    collecting_stats,
-    current_stats,
     inject_faults,
     reset_breakers,
     run_boundary,
@@ -53,7 +54,6 @@ from repro.resilience.retry import DEFAULT_POLICY, RetryPolicy, is_transient
 
 __all__ = [
     "ALL_BOUNDARIES",
-    "BoundaryStats",
     "CLOUD_BOUNDARIES",
     "Checkpoint",
     "CheckpointStore",
@@ -71,8 +71,6 @@ __all__ = [
     "breaker_for",
     "breaker_states",
     "chain_digest",
-    "collecting_stats",
-    "current_stats",
     "file_digest",
     "inject_faults",
     "is_transient",

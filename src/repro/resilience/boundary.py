@@ -14,19 +14,17 @@ the ``describe-fpga-images`` poll loop, HLS csynth, ``xocc`` link and
 
 :func:`inject_faults` installs a plan for a dynamic extent and swaps in
 a fresh breaker realm, so chaos runs never poison the process-wide
-breakers (and vice versa).
+breakers (and vice versa).  Each call, retry, give-up and breaker
+rejection is counted once, in :mod:`repro.resilience.ledger`.
 """
 
 from __future__ import annotations
 
 import contextlib
-import contextvars
-from collections import Counter
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
 from typing import Any
 
-from repro.errors import CircuitOpenError
+from repro.resilience import ledger
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.clock import VirtualClock
 from repro.resilience.faults import FaultPlan, _activate, active_plan
@@ -34,11 +32,8 @@ from repro.resilience.retry import DEFAULT_POLICY, RetryPolicy, is_transient
 from repro.util.sync import new_lock
 
 __all__ = [
-    "BoundaryStats",
     "breaker_for",
     "breaker_states",
-    "collecting_stats",
-    "current_stats",
     "inject_faults",
     "reset_breakers",
     "run_boundary",
@@ -85,54 +80,6 @@ def breaker_states() -> dict[str, dict]:
     }
 
 
-@dataclass
-class BoundaryStats:
-    """Per-run resilience accounting (collected via contextvar)."""
-
-    retries: Counter = field(default_factory=Counter)
-    giveups: Counter = field(default_factory=Counter)
-    breaker_rejections: Counter = field(default_factory=Counter)
-    calls: Counter = field(default_factory=Counter)
-
-    @property
-    def total_retries(self) -> int:
-        return sum(self.retries.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "calls": dict(sorted(self.calls.items())),
-            "retries": dict(sorted(self.retries.items())),
-            "giveups": dict(sorted(self.giveups.items())),
-            "breaker_rejections":
-                dict(sorted(self.breaker_rejections.items())),
-        }
-
-    @property
-    def any_activity(self) -> bool:
-        return bool(self.retries or self.giveups
-                    or self.breaker_rejections)
-
-
-_stats: contextvars.ContextVar[BoundaryStats | None] = \
-    contextvars.ContextVar("repro_resilience_stats", default=None)
-
-
-def current_stats() -> BoundaryStats | None:
-    return _stats.get()
-
-
-@contextlib.contextmanager
-def collecting_stats(stats: BoundaryStats | None = None) \
-        -> Iterator[BoundaryStats]:
-    """Collect boundary accounting for the dynamic extent."""
-    collected = stats if stats is not None else BoundaryStats()
-    token = _stats.set(collected)
-    try:
-        yield collected
-    finally:
-        _stats.reset(token)
-
-
 @contextlib.contextmanager
 def inject_faults(plan: FaultPlan) -> Iterator[FaultPlan]:
     """Arm a fault plan for the dynamic extent.
@@ -162,17 +109,10 @@ def run_boundary(boundary: str, fn: Callable[[], Any], *,
     breaker = breaker if breaker is not None \
         else breaker_for(boundary, clock=clock)
     clock = clock if clock is not None else breaker.clock
-    stats = _stats.get()
-    if stats is not None:
-        stats.calls[boundary] += 1
+    ledger.record("call", boundary)
 
     def attempt() -> Any:
-        try:
-            breaker.allow()
-        except CircuitOpenError:
-            if stats is not None:
-                stats.breaker_rejections[boundary] += 1
-            raise
+        breaker.allow()
         plan = active_plan()
         try:
             if plan is not None:
@@ -185,14 +125,4 @@ def run_boundary(boundary: str, fn: Callable[[], Any], *,
         breaker.record_success()
         return result
 
-    def on_retry(attempt_no: int, exc: BaseException) -> None:
-        if stats is not None:
-            stats.retries[boundary] += 1
-
-    try:
-        return policy.call(attempt, boundary=boundary, clock=clock,
-                           on_retry=on_retry)
-    except Exception as exc:
-        if stats is not None and is_transient(exc):
-            stats.giveups[boundary] += 1
-        raise
+    return policy.call(attempt, boundary=boundary, clock=clock)

@@ -9,20 +9,13 @@ not weather and must not poison the boundary for later, unrelated calls.
 from __future__ import annotations
 
 from repro.errors import CircuitOpenError
-from repro.obs import REGISTRY
+from repro.resilience import ledger
 from repro.resilience.clock import DEFAULT_CLOCK, VirtualClock
 from repro.util.logging import get_logger
 
 __all__ = ["CircuitBreaker"]
 
 _log = get_logger("resilience.breaker")
-
-_OPENED = REGISTRY.counter(
-    "condor_resilience_breaker_opened_total",
-    "Circuit breakers tripped open, by boundary")
-_REJECTED = REGISTRY.counter(
-    "condor_resilience_breaker_rejected_total",
-    "Calls rejected by an open circuit breaker, by boundary")
 
 CLOSED = "closed"
 OPEN = "open"
@@ -74,7 +67,7 @@ class CircuitBreaker:
         """Admit or reject the next call (raises when open)."""
         state = self.state
         if state == OPEN:
-            _REJECTED.inc(boundary=self.boundary)
+            ledger.record("rejected", self.boundary)
             remaining = self.recovery_s - (self.clock.now - self._opened_at)
             raise CircuitOpenError(
                 self.boundary,
@@ -98,7 +91,7 @@ class CircuitBreaker:
                 self._failures >= self.failure_threshold:
             if self._state != OPEN:
                 self._opened_count += 1
-                _OPENED.inc(boundary=self.boundary)
+                ledger.record("opened", self.boundary)
                 _log.warning(
                     "breaker %s: open after %d consecutive failure(s)",
                     self.boundary, self._failures)

@@ -21,20 +21,13 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import TransientError
-from repro.obs import REGISTRY
+from repro.resilience import ledger
 from repro.resilience.clock import DEFAULT_CLOCK, VirtualClock
 from repro.util.logging import get_logger
 
 __all__ = ["RetryPolicy", "is_transient"]
 
 _log = get_logger("resilience.retry")
-
-_RETRIES = REGISTRY.counter(
-    "condor_resilience_retries_total",
-    "Attempts re-run after a transient failure, by boundary")
-_GIVEUPS = REGISTRY.counter(
-    "condor_resilience_giveups_total",
-    "Retry loops that exhausted their attempts, by boundary")
 
 
 def is_transient(exc: BaseException) -> bool:
@@ -79,16 +72,14 @@ class RetryPolicy:
             attempt += 1
 
     def call(self, fn: Callable[[], Any], *, boundary: str = "",
-             clock: VirtualClock | None = None,
-             retryable: Callable[[BaseException], bool] = is_transient,
-             on_retry: Callable[[int, BaseException], None] | None = None) \
-            -> Any:
+             clock: VirtualClock | None = None) -> Any:
         """Run ``fn`` under this policy.
 
         Transient failures are retried up to ``max_attempts`` total
         attempts, sleeping the backoff schedule on ``clock`` between
         attempts.  The final failure is re-raised *unchanged*, so callers
-        keep the typed ``repro.errors`` hierarchy.
+        keep the typed ``repro.errors`` hierarchy.  Each retry and
+        give-up is counted in the resilience ledger.
         """
         clock = clock if clock is not None else DEFAULT_CLOCK
         delays = self.delays(boundary)
@@ -97,17 +88,15 @@ class RetryPolicy:
             try:
                 return fn()
             except Exception as exc:
-                if not retryable(exc) or attempt >= self.max_attempts:
-                    if retryable(exc):
-                        _GIVEUPS.inc(boundary=boundary or "-")
+                if not is_transient(exc) or attempt >= self.max_attempts:
+                    if is_transient(exc):
+                        ledger.record("giveup", boundary or "-")
                         _log.warning(
                             "boundary %s: giving up after %d attempt(s):"
                             " %s", boundary or "-", attempt, exc)
                     raise
                 delay = next(delays)
-                _RETRIES.inc(boundary=boundary or "-")
-                if on_retry is not None:
-                    on_retry(attempt, exc)
+                ledger.record("retry", boundary or "-")
                 _log.info(
                     "boundary %s: attempt %d/%d failed (%s); retrying"
                     " after %.2fs (virtual)", boundary or "-", attempt,

@@ -31,7 +31,6 @@ every flush decision deterministic under the
 from __future__ import annotations
 
 import collections
-import copy
 import itertools
 import weakref
 from dataclasses import dataclass
@@ -77,6 +76,13 @@ _QUEUE_DEPTH = REGISTRY.gauge(
 _SLOTS = REGISTRY.gauge(
     "condor_serve_slots_count",
     "Fleet slots (serving lanes) attached to the server")
+#: Each counter's kind in the ledger, and its label names.
+_LEDGER_METRICS = (
+    (_REQUESTS, "done", "tenant", "status"),
+    (_SHED, "shed", "tenant", "reason"),
+    (_BATCHES, "batch", "trigger", "size"),
+    (_PADDED, "padded"),
+)
 
 
 def _tally(ledger: dict, kind: str, field: int) -> dict:
@@ -129,22 +135,16 @@ class InferenceServer:
         #: ``("batch", trigger, bucket)``, ``("padded",)`` counts
         self._ledger: collections.Counter[tuple] = collections.Counter()
         self.latency_sketch = QuantileSketch()
-        # read at collect time; the server itself is held only weakly
-        name = self.config.name
+        # read at collect time under the server's lock; the server is
+        # held only weakly, and its final counts outlive it
         ledger, lock, sketch = self._ledger, self._lock, \
             self.latency_sketch
-        _REQUESTS.add_source(
-            ledger_source(ledger, lock, "done", "tenant", "status"))
-        _SHED.add_source(
-            ledger_source(ledger, lock, "shed", "tenant", "reason"))
-        _BATCHES.add_source(
-            ledger_source(ledger, lock, "batch", "trigger", "size"))
-        _PADDED.add_source(ledger_source(ledger, lock, "padded"))
-
-        def latency() -> dict:
-            with lock:
-                return {(("server", name),): copy.deepcopy(sketch)}
-        _LATENCY.add_source(latency)
+        for metric, kind, *labels in _LEDGER_METRICS:
+            metric.add_source(ledger_source(ledger, kind, *labels),
+                              lock=lock, owner=self)
+        name = self.config.name
+        _LATENCY.add_source(lambda: {(("server", name),): sketch},
+                            lock=lock, owner=self)
         server = weakref.ref(self)
         _QUEUE_DEPTH.set_function(
             lambda: None if (s := server()) is None else s.batcher.depth,

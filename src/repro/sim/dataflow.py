@@ -142,22 +142,6 @@ def _sink_process(acc: Accelerator, in_ch: Channel, batch: int,
         done_at.append(sim.now)
 
 
-def _ingest_image(in_ch: Channel, shape: tuple[int, int, int],
-                  lanes: int = 1):
-    """Sub-generator: receive one (C, H, W) activation, paying stream
-    cycles (per group of ``lanes`` channels), and return it."""
-    c, h, w = shape
-    x = np.empty((c, h, w), dtype=np.float32)
-    for ci in range(c):
-        paced = ci % lanes == 0
-        for r in range(h):
-            row = yield Get(in_ch)
-            x[ci, r] = row
-            if paced:
-                yield Delay(w)
-    return x
-
-
 def _emit_maps(out_ch: Channel, maps: np.ndarray):
     """Sub-generator: stream a (F, H, W) activation row-by-row (the cycles
     were already charged by the compute that produced it)."""

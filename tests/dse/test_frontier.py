@@ -5,7 +5,11 @@ import random
 import pytest
 
 from repro.dse.explorer import DSEPoint, explore
-from repro.dse.frontier import ParetoFrontier, brute_force_frontier
+from repro.dse.frontier import (
+    ParetoFrontier,
+    _dominates,
+    brute_force_frontier,
+)
 from repro.hw.mapping import MappingConfig
 from repro.hw.resources import ResourceVector
 
@@ -76,4 +80,4 @@ def test_explorer_trace_matches_brute_force(model_name, zoo_model):
     frontier = result.pareto_frontier
     assert frontier == sorted(frontier, key=lambda p: p.ii_cycles)
     for p in frontier:
-        assert not any(q.dominates(p) for q in result.explored)
+        assert not any(_dominates(q, p) for q in result.explored)

@@ -47,9 +47,8 @@ class TestChaosSurvival:
         assert fired == set(ALL_BOUNDARIES)
         # ... and the artifact is bit-identical to the fault-free build
         assert result.xclbin_path.read_bytes() == ref_bytes
-        stats = flow.boundary_stats
-        assert stats is not None
-        assert stats.total_retries >= len(ALL_BOUNDARIES)
+        assert sum(flow.resilience["retries"].values()) >= \
+            len(ALL_BOUNDARIES)
 
     def test_corrupted_upload_caught_and_retried(self, tmp_path,
                                                  reference):
@@ -60,7 +59,7 @@ class TestChaosSurvival:
         with inject_faults(plan):
             result = flow.run(aws_inputs())
         assert not result.degraded
-        assert flow.boundary_stats.retries["cloud.upload"] == 1
+        assert flow.resilience["retries"]["cloud.upload"] == 1
         # the AFI was created from the *intact* payload
         record = flow.aws.afi.describe_fpga_image(result.afi_id)
         assert record.xclbin_bytes == ref_bytes
@@ -147,6 +146,76 @@ class TestBreakerSnapshot:
         if res is not None:
             assert all(b["opened_count"] == 0
                        for b in res.get("breakers", {}).values())
+
+
+class TestOneLedger:
+    """Each retry, give-up and breaker event is counted once, in the
+    resilience ledger: the registry series and the run's block both
+    read it."""
+
+    def test_retry_counted_once(self, tmp_path, monkeypatch):
+        from repro.obs import REGISTRY
+        from repro.obs.metrics import Counter
+
+        names = ("condor_resilience_retries_total",
+                 "condor_resilience_giveups_total",
+                 "condor_resilience_breaker_rejected_total",
+                 "condor_resilience_breaker_opened_total")
+        inc = Counter.inc
+
+        def no_push(self, *args, **labels):
+            if self.name.startswith("condor_resilience_") and \
+                    self.name != "condor_resilience_faults_injected_total":
+                raise AssertionError(f"{self.name} was pushed")
+            return inc(self, *args, **labels)
+        monkeypatch.setattr(Counter, "inc", no_push)
+        series = {name: REGISTRY.get(name) for name in names}
+        before = {name: metric.snapshot()["values"]
+                  for name, metric in series.items()}
+        retries = series["condor_resilience_retries_total"]
+        upload_before = retries.value(boundary="cloud.upload")
+
+        plan = FaultPlan([FaultSpec("cloud.upload", FaultKind.TRANSIENT,
+                                    times=1)], seed=5)
+        flow = CondorFlow(tmp_path)
+        with inject_faults(plan):
+            flow.run(aws_inputs())
+
+        block = json.loads(
+            (tmp_path / "telemetry.json").read_text())["resilience"]
+        assert block["retries"] == {"cloud.upload": 1}
+        assert block["giveups"] == {}
+        assert block["breaker_rejections"] == {}
+        assert flow.resilience["retries"] == {"cloud.upload": 1}
+        assert retries.value(boundary="cloud.upload") == upload_before + 1
+        # no other series moved, and no metric holds a pushed copy
+        after = {name: metric.snapshot()["values"]
+                 for name, metric in series.items()}
+        moved = [(name, entry) for name in names
+                 for entry in after[name] if entry not in before[name]]
+        assert moved == [("condor_resilience_retries_total",
+                          {"labels": {"boundary": "cloud.upload"},
+                           "value": upload_before + 1})]
+        assert all(not metric._values for metric in series.values())
+
+    def test_block_kept_when_the_run_raises(self, tmp_path):
+        plan = FaultPlan([FaultSpec("toolchain.xocc-link",
+                                    FaultKind.TRANSIENT, times=3)],
+                         seed=6)
+        flow = CondorFlow(tmp_path)
+        with inject_faults(plan), pytest.raises(FlowError):
+            flow.run(aws_inputs())
+        manifest = json.loads(
+            (tmp_path / "telemetry.json").read_text())
+        assert manifest["run"]["status"] == "error"
+        block = manifest["resilience"]
+        assert list(block)[:4] == ["calls", "retries", "giveups",
+                                   "breaker_rejections"]
+        assert block["retries"] == {"toolchain.xocc-link": 2}
+        assert block["giveups"] == {"toolchain.xocc-link": 1}
+        assert flow.resilience == {key: block[key] for key in
+                                   ("calls", "retries", "giveups",
+                                    "breaker_rejections")}
 
 
 class TestManifestErrorCapture:

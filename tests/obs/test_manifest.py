@@ -225,41 +225,6 @@ class TestMetricsCoverage:
             assert name in metrics
 
 
-class TestLedger:
-    def test_disabled_by_default(self, run, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_LEDGER", raising=False)
-        from repro.obs import append_ledger
-
-        assert append_ledger({"run": {}}) is None
-
-    def test_appends_one_line_per_run(self, tmp_path, monkeypatch):
-        ledger = tmp_path / "runs.jsonl"
-        monkeypatch.setenv("REPRO_BENCH_LEDGER", "1")
-        monkeypatch.setenv("REPRO_BENCH_LEDGER_PATH", str(ledger))
-        flow = CondorFlow(tmp_path / "w")
-        flow.run(FlowInputs(model=tc1_model()))
-        flow2 = CondorFlow(tmp_path / "w2")
-        flow2.run(FlowInputs(model=tc1_model()))
-
-        lines = [json.loads(l) for l in
-                 ledger.read_text().strip().splitlines()]
-        assert len(lines) == 2
-        from repro.obs.manifest import MANIFEST_SCHEMA, git_sha
-
-        import platform
-
-        for line in lines:
-            assert line["network"] == "tc1"
-            assert line["status"] == "ok"
-            assert line["seconds"] > 0
-            assert line["span_count"] > 0
-            assert line["gflops"] > 0
-            # provenance satellite: every ledger line is attributable
-            assert line["schema"] == MANIFEST_SCHEMA
-            assert line["git_sha"] == git_sha()
-            assert line["hostname"] == platform.node()
-
-
 class TestOverhead:
     def test_telemetry_overhead_is_bounded(self, tmp_path):
         """Telemetry must not meaningfully slow the flow down.  The

@@ -325,3 +325,19 @@ class TestCompare:
         current = [_result(op="sim", cycles=50),
                    _result(speedup=4.0)]
         assert compare_benchmarks(current, base) == []
+
+
+def test_bench_writes_nothing_by_default(tmp_path, monkeypatch, capsys):
+    """A bare ``condor bench`` run from the repo root must not rewrite
+    the committed baseline: only ``--output`` writes."""
+    from pathlib import Path
+
+    from repro.cli import main
+
+    baseline = Path(__file__).resolve().parents[2] / "BENCH_perf.json"
+    committed = tmp_path / "BENCH_perf.json"
+    committed.write_bytes(baseline.read_bytes())
+    monkeypatch.chdir(tmp_path)
+    assert main(["bench", "--op", "sim"]) == 0
+    assert committed.read_bytes() == baseline.read_bytes()
+    assert "benchmarks written" not in capsys.readouterr().err

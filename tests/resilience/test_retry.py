@@ -101,17 +101,3 @@ class TestCall:
         assert is_transient(exc)
         assert not is_transient(LinkError("real failure"))
         assert is_transient(TransientError("weather"))
-
-    def test_on_retry_hook(self):
-        seen = []
-
-        def flaky():
-            if not seen:
-                raise TransientError("once")
-            return 1
-
-        RetryPolicy().call(
-            flaky, boundary="b", clock=VirtualClock(),
-            on_retry=lambda attempt, exc: seen.append((attempt,
-                                                       str(exc))))
-        assert seen == [(1, "once")]

@@ -226,3 +226,43 @@ def test_counts_outlive_their_server_and_fleet(image, weights, server_name,
     # gauges over live state drop the collected server's series
     assert {"server": server_name} not in \
         [v["labels"] for v in slots.snapshot()["values"]]
+
+
+def test_sources_keep_live_owners_only(image, weights, server_name,
+                                       monkeypatch):
+    """Dropped servers and fleets leave the process-wide metrics: their
+    sources fold into the totals and go, so reads stay flat however
+    many servers a process builds, and ``scalars()`` copies no sketch."""
+    from repro.obs import metrics
+
+    clock = VirtualClock()
+    sourced = [REGISTRY.get(name) for name in
+               COUNTERS + ("condor_serve_latency_seconds",)]
+
+    def build_and_drop():
+        fleet = make_fleet(image, weights, clock=clock)
+        server = InferenceServer(fleet, TENANTS,
+                                 config=ServeConfig(name=server_name),
+                                 clock=clock)
+        server.submit("alpha", np.zeros(fleet.net.input_shape()
+                                        .as_tuple(), np.float32))
+        server.drain()
+
+    build_and_drop()
+    gc.collect()
+    REGISTRY.scalars()
+    sizes = [len(metric._sources) for metric in sourced]
+    latency = REGISTRY.get("condor_serve_latency_seconds")
+    served = latency.count(server=server_name)
+    for _ in range(20):
+        build_and_drop()
+    gc.collect()
+
+    def deepcopy(*args, **kwargs):
+        raise AssertionError("scalars() copied a sketch")
+    monkeypatch.setattr(metrics.copy, "deepcopy", deepcopy)
+    flat = REGISTRY.scalars()
+    monkeypatch.undo()
+    assert [len(metric._sources) for metric in sourced] == sizes
+    assert latency.count(server=server_name) == served + 20
+    assert flat["condor_serve_latency_seconds_count"] >= served + 20
