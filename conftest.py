@@ -20,29 +20,6 @@ _WEIGHT_CACHE: dict = {}
 
 
 @pytest.fixture(autouse=True)
-def _tsan_gate(request):
-    """Under ``REPRO_TSAN=1`` every factory-made lock reports into the
-    process-wide sanitizer realm; any *new* error finding (lock-order
-    inversion, double acquire) fails the test that produced it.  Tests
-    that provoke findings on purpose use a private ``SanitizerState``,
-    so they never trip this gate."""
-    from repro.util.sync import tsan_enabled
-
-    if not tsan_enabled():
-        yield
-        return
-    from repro.sanitizer import STATE
-
-    before = STATE.error_count()
-    yield
-    new = STATE.findings(severity="error")[before:]
-    if new:
-        pytest.fail(
-            "runtime lock sanitizer findings:\n"
-            + "\n".join(f.render() for f in new))
-
-
-@pytest.fixture(autouse=True)
 def _obs_enabled(monkeypatch):
     """Strip the ``REPRO_NO_OBS`` kill switch from the environment so
     telemetry assertions see the default (enabled) behaviour regardless

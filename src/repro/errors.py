@@ -254,12 +254,6 @@ class AnalysisError(CondorError):
         self.report = report
 
 
-class SanitizerError(CondorError):
-    """The runtime lock sanitizer caught a fatal lock misuse — a thread
-    re-acquiring a lock it already holds.  Raised instead of letting the
-    real lock deadlock the process."""
-
-
 # ---------------------------------------------------------------------------
 # Flow / DSE
 # ---------------------------------------------------------------------------

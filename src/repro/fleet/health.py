@@ -36,10 +36,8 @@ class ManagedSlot:
 
     Bundles the cloud-side slot handle with the runtime objects the
     fleet drives it through (context, kernel, queue, buffers) and the
-    health bookkeeping.  Mutable fields (``busy`` and the counters) are
-    guarded by the owning :class:`~repro.fleet.manager.FleetManager`'s
-    lock; the runtime objects are only touched by the thread that holds
-    the slot (``busy`` acts as the exclusivity token).
+    health bookkeeping.  Only the owning
+    :class:`~repro.fleet.manager.FleetManager` touches it.
     """
 
     label: str          # fleet-ordinal label, e.g. "i0.slot1" (stable
@@ -53,10 +51,6 @@ class ManagedSlot:
     in_buf: Any = None
     out_buf: Any = None
     w_buf: Any = None
-    busy: bool = False
-    #: Set by ``FleetManager.drain_instance``: the slot takes no new
-    #: work and is detached once its in-flight submission releases.
-    draining: bool = False
     submissions: int = 0
     failures: int = 0
     reloads: int = 0

@@ -38,8 +38,6 @@ weather run in milliseconds.
 from __future__ import annotations
 
 import hashlib
-import threading
-import weakref
 from collections import Counter
 from dataclasses import dataclass
 
@@ -67,7 +65,6 @@ from repro.runtime.opencl import (
 )
 from repro.toolchain.xclbin import read_xclbin
 from repro.util.logging import get_logger
-from repro.util.sync import new_lock
 
 from repro.fleet.health import ManagedSlot, SlotState
 
@@ -95,7 +92,7 @@ _RELOADS = REGISTRY.counter(
     "AFI re-loads issued for repair or recovery")
 _HEALTHY_SLOTS = REGISTRY.gauge(
     "condor_fleet_healthy_slots_count",
-    "Slots currently not quarantined (the most recently built fleet)")
+    "Slots currently not quarantined, over every live fleet")
 #: Each counter's action in the ledger, and its label name.
 _LEDGER_METRICS = (
     (_SUBMISSIONS, "submission", "status"),
@@ -113,6 +110,11 @@ _PROBE_SEED = 7
 #: a shape error is the caller's bug, not slot weather).
 FAILOVER_ERRORS = (DeviceLostError, WatchdogTimeoutError,
                    ScrubMismatchError)
+
+
+def _healthy(slots: list[ManagedSlot]) -> int:
+    """How many of ``slots`` are not quarantined."""
+    return sum(1 for s in slots if s.breaker.state != OPEN)
 
 
 @dataclass(frozen=True)
@@ -157,6 +159,10 @@ class FleetManager:
     All instances are loaded with ``agfi_id`` and the packed ``weights``
     at attach time; attach performs no kernel launches, so building a
     fleet under an armed fault plan is deterministic and fault-free.
+
+    A fleet is used by one thread at a time (docs/INTERNALS.md,
+    "Concurrency model"): a caller that wants parallel submitters
+    builds one fleet per thread.
     """
 
     def __init__(self, instances, agfi_id: str, weights, *,
@@ -187,20 +193,12 @@ class FleetManager:
         self._probe_out = self.golden.forward_batch(self._probe_in) \
             .reshape(1, self._out_size)
 
-        #: Guards the round-robin cursor, slot busy flags and counters,
-        #: and the action ledger.  Never held across device work.
-        self._lock = new_lock("fleet.manager.FleetManager")
-        #: Pulsed (outside the lock) whenever a slot goes idle or joins
-        #: the rotation, so ``submit(..., wait=True)`` callers blocked
-        #: on an all-busy fleet re-scan promptly.  Waits are bounded,
-        #: so a missed pulse costs latency, never liveness.
-        self._slot_freed = threading.Event()
         self._cursor = 0
         #: ``(action, label)`` counts, e.g. ``("failover", "DeviceLostError")``
         self._actions: Counter[tuple[str, str]] = Counter()
         for metric, action, *label in _LEDGER_METRICS:
             metric.add_source(ledger_source(self._actions, action, *label),
-                              lock=self._lock, owner=self)
+                              owner=self)
         self.slots: list[ManagedSlot] = []
         for j, instance in enumerate(self.instances):
             for slot in instance.slots:
@@ -211,12 +209,11 @@ class FleetManager:
         #: so labels stay unique across add/drain cycles.
         self._next_ordinal = len(self.instances)
         # read at collect time, so no health transition (nor any
-        # successful submission) pays a gauge update; held weakly so
-        # the process-wide registry does not keep the fleet alive
-        fleet = weakref.ref(self)
-        _HEALTHY_SLOTS.set_function(
-            lambda: None if (f := fleet()) is None
-            else f.healthy_slot_count())
+        # successful submission) pays a gauge update; the function
+        # holds the slot list rather than the fleet, so the fleet can
+        # be collected, and its function leaves the gauge with it
+        slots = self.slots
+        _HEALTHY_SLOTS.set_function(lambda: _healthy(slots), owner=self)
         _log.info("fleet attached: %d slot(s) across %d instance(s)",
                   len(self.slots), len(self.instances))
 
@@ -250,12 +247,11 @@ class FleetManager:
                            out_buf=out_buf, w_buf=w_buf)
 
     def _repair(self, managed: ManagedSlot) -> None:
-        """Re-load the AFI and rewrite golden weights on a held slot."""
+        """Re-load the AFI and rewrite golden weights on a slot."""
         managed.instance.load_afi(managed.slot.index, self.agfi_id)
         managed.queue.enqueue_write_buffer(managed.w_buf, self._packed)
-        with self._lock:
-            managed.reloads += 1
-            self._actions["reload", ""] += 1
+        managed.reloads += 1
+        self._actions["reload", ""] += 1
         _log.info("slot %s: AFI re-loaded, weights rewritten",
                   managed.label)
 
@@ -273,7 +269,7 @@ class FleetManager:
         return self.submit(images, verify=verify).outputs
 
     def submit(self, images, *, bucket: int | None = None,
-               verify: bool = False, wait: bool = False) -> Submission:
+               verify: bool = False) -> Submission:
         """Like :meth:`run`, but returns a :class:`Submission` receipt
         (outputs + modeled device seconds + serving slot).
 
@@ -282,12 +278,6 @@ class FleetManager:
         written and computed: the ``bucket - len(images)`` pad rows are
         modeled, so every figure keyed on the device batch (cycles,
         device seconds, the watchdog) is the bucket's.
-
-        ``wait=True`` is the concurrent-submitter mode: when every
-        healthy slot is busy the caller blocks (bounded re-scans on the
-        slot-freed signal) until one frees up, instead of failing.  A
-        fleet with no healthy slot still raises :class:`FleetError` —
-        waiting is for contention, not for quarantine recovery.
         """
         batch = np.asarray(images, dtype=np.float32)
         batch = batch.reshape((batch.shape[0],) +
@@ -306,7 +296,7 @@ class FleetManager:
         last_error: Exception | None = None
         while failures < self.config.max_attempts:
             self._heal()
-            managed = self._acquire(wait=wait)
+            managed = self._next_slot()
             if managed is None:
                 break
             attempts += 1
@@ -317,19 +307,14 @@ class FleetManager:
                 last_error = exc
                 failures += 1
                 self._record_failure(managed, exc)
-                with self._lock:
-                    self._actions["failover", type(exc).__name__] += 1
+                self._actions["failover", type(exc).__name__] += 1
                 continue
-            finally:
-                self._release(managed)
             managed.breaker.record_success()
-            with self._lock:
-                self._actions["submission", "ok"] += 1
+            self._actions["submission", "ok"] += 1
             return Submission(outputs=outputs,
                               device_seconds=device_seconds,
                               slot=managed.label, attempts=attempts)
-        with self._lock:
-            self._actions["submission", "failed"] += 1
+        self._actions["submission", "failed"] += 1
         detail = f" (last error: {last_error})" if last_error else ""
         raise FleetError(
             f"submission failed after {failures} attempt(s);"
@@ -338,46 +323,17 @@ class FleetManager:
 
     # -- slot selection -----------------------------------------------------
 
-    def _next_idle_locked(self) -> ManagedSlot | None:
-        """The next idle, healthy, non-draining slot (lock held)."""
+    def _next_slot(self) -> ManagedSlot | None:
+        """The next non-quarantined slot, round-robin."""
         count = len(self.slots)
         for offset in range(count):
             index = (self._cursor + offset) % count
             managed = self.slots[index]
-            if managed.busy or managed.draining or \
-                    managed.breaker.state == OPEN:
+            if managed.breaker.state == OPEN:
                 continue
             self._cursor = (index + 1) % count
             return managed
         return None
-
-    def _acquire(self, *, wait: bool = False) -> ManagedSlot | None:
-        """Claim the next non-quarantined idle slot, round-robin.
-
-        ``wait=True``: while no slot is idle but at least one is busy
-        (so a release is coming), block on the slot-freed signal and
-        re-scan.  The wait is time-bounded, so a signal lost to the
-        benign clear/set race below costs one re-scan interval, never
-        a hang; and a fleet whose busy slots all quarantined on release
-        is noticed at the next re-scan and gives up cleanly.
-        """
-        while True:
-            with self._lock:
-                managed = self._next_idle_locked()
-                if managed is not None:
-                    managed.busy = True
-                    return managed
-                if not wait or not any(s.busy for s in self.slots):
-                    return None
-                self._slot_freed.clear()
-            self._slot_freed.wait(timeout=0.05)
-
-    def _release(self, managed: ManagedSlot) -> None:
-        with self._lock:
-            managed.busy = False
-            if managed.draining:
-                self._reap_drained_locked()
-        self._slot_freed.set()
 
     def _record_failure(self, managed: ManagedSlot,
                         exc: Exception) -> None:
@@ -389,33 +345,22 @@ class FleetManager:
         else:
             _log.info("slot %s failure (%s): %s", managed.label,
                       managed.breaker.state, exc)
-        with self._lock:
-            managed.failures += 1
-            if quarantined:
-                self._actions["quarantine", managed.label] += 1
+        managed.failures += 1
+        if quarantined:
+            self._actions["quarantine", managed.label] += 1
 
     # -- recovery -----------------------------------------------------------
 
     def _heal(self) -> None:
         """Probe every quarantined slot whose recovery window elapsed."""
-        with self._lock:
-            snapshot = list(self.slots)
-        for managed in snapshot:
-            with self._lock:
-                if managed.busy or managed.draining or \
-                        managed.breaker.state != HALF_OPEN:
-                    continue
-                managed.busy = True
-            try:
+        for managed in self.slots:
+            if managed.breaker.state == HALF_OPEN:
                 self._recover(managed)
-            finally:
-                self._release(managed)
 
     def _recover(self, managed: ManagedSlot) -> None:
         """Half-open recovery probe: re-load, rewrite, verify golden."""
         managed.breaker.allow()  # materialize the half-open probe
-        with self._lock:
-            self._actions["recovery", ""] += 1
+        self._actions["recovery", ""] += 1
         try:
             self._repair(managed)
             self._probe(managed)
@@ -438,7 +383,7 @@ class FleetManager:
     def _execute(self, managed: ManagedSlot, batch: np.ndarray,
                  bucket: int) -> tuple[np.ndarray, float]:
         """One watchdogged kernel invocation of a ``bucket`` device
-        batch carrying ``batch``'s rows, on a held slot.
+        batch carrying ``batch``'s rows.
 
         Returns ``(outputs, elapsed)`` where ``outputs`` has one row per
         row of ``batch`` and ``elapsed`` is the modeled device seconds
@@ -451,8 +396,7 @@ class FleetManager:
         elapsed = managed.queue.enqueue_task(
             managed.kernel, rows=count).device_seconds
         if elapsed > self.config.watchdog_s:
-            with self._lock:
-                self._actions["watchdog_trip", ""] += 1
+            self._actions["watchdog_trip", ""] += 1
             raise WatchdogTimeoutError(
                 f"slot {managed.label}: invocation took {elapsed:.1f}s"
                 f" (virtual), watchdog deadline is"
@@ -465,9 +409,8 @@ class FleetManager:
     def _invoke(self, managed: ManagedSlot, batch: np.ndarray,
                 bucket: int, *, verify: bool) \
             -> tuple[np.ndarray, float]:
-        with self._lock:
-            managed.submissions += 1
-            serial = managed.submissions
+        managed.submissions += 1
+        serial = managed.submissions
         outputs, elapsed = self._execute(managed, batch, bucket)
         every = self.config.scrub_every
         if verify or (every > 0 and serial % every == 0):
@@ -476,7 +419,7 @@ class FleetManager:
 
     def _scrub(self, managed: ManagedSlot, batch: np.ndarray,
                outputs: np.ndarray) -> None:
-        """Spot-check a held slot: weight digest + golden outputs.
+        """Spot-check a slot: weight digest + golden outputs.
 
         A mismatch repairs the slot immediately (re-load + rewrite) and
         raises :class:`ScrubMismatchError` so the tainted submission is
@@ -486,8 +429,7 @@ class FleetManager:
         digest = hashlib.sha256(
             managed.w_buf.data[:self._packed.size].tobytes()).hexdigest()
         if digest != self._golden_digest:
-            with self._lock:
-                self._actions["scrub_catch", "digest"] += 1
+            self._actions["scrub_catch", "digest"] += 1
             self._repair(managed)
             raise ScrubMismatchError(
                 f"slot {managed.label}: weight buffer digest mismatch"
@@ -495,8 +437,7 @@ class FleetManager:
         golden = self.golden.forward_batch(batch) \
             .reshape(outputs.shape)
         if not np.array_equal(golden, outputs):
-            with self._lock:
-                self._actions["scrub_catch", "golden"] += 1
+            self._actions["scrub_catch", "golden"] += 1
             self._repair(managed)
             raise ScrubMismatchError(
                 f"slot {managed.label}: outputs diverge from the golden"
@@ -507,21 +448,16 @@ class FleetManager:
     def add_instance(self, instance) -> list[str]:
         """Attach every slot of a new instance and put it in rotation.
 
-        The autoscaler's scale-up verb.  AFI load + weight rewrite
-        happen outside the fleet lock (attach performs no kernel
-        launches); the slots only become acquirable once appended.
-        Returns the new slot labels.
+        The autoscaler's scale-up verb (attach performs no kernel
+        launches).  Returns the new slot labels.
         """
-        with self._lock:
-            ordinal = self._next_ordinal
-            self._next_ordinal += 1
+        ordinal = self._next_ordinal
+        self._next_ordinal += 1
         attached = [
             self._attach(f"i{ordinal}.slot{slot.index}", instance, slot)
             for slot in instance.slots]
-        with self._lock:
-            self.instances.append(instance)
-            self.slots.extend(attached)
-        self._slot_freed.set()
+        self.instances.append(instance)
+        self.slots.extend(attached)
         _log.info("instance %s joined the fleet: %d new slot(s)",
                   instance.instance_id, len(attached))
         return [m.label for m in attached]
@@ -529,64 +465,41 @@ class FleetManager:
     def drain_instance(self) -> str:
         """Remove the most recently added instance from rotation.
 
-        The autoscaler's scale-down verb.  Idle slots detach
-        immediately; busy slots finish their in-flight submission and
-        are reaped on release (no work is ever aborted).  The last
-        instance cannot be drained.  Returns the drained instance id.
+        The autoscaler's scale-down verb: its slots leave the rotation
+        at once (a submission runs inside :meth:`submit`, so none is in
+        flight).  The last instance cannot be drained.  Returns the
+        drained instance id.
         """
-        with self._lock:
-            if len(self.instances) <= 1:
-                raise FleetError("cannot drain the last fleet instance")
-            instance = self.instances.pop()
-            for managed in self.slots:
-                if managed.instance is instance:
-                    managed.draining = True
-            self._reap_drained_locked()
-        _log.info("instance %s draining out of the fleet",
+        if len(self.instances) <= 1:
+            raise FleetError("cannot drain the last fleet instance")
+        instance = self.instances.pop()
+        self.slots[:] = [s for s in self.slots if s.instance is not instance]
+        self._cursor %= len(self.slots)
+        _log.info("instance %s left the fleet",
                   instance.instance_id)
         return instance.instance_id
 
-    def _reap_drained_locked(self) -> None:
-        """Drop idle draining slots from the rotation (lock held)."""
-        keep = [s for s in self.slots if s.busy or not s.draining]
-        if len(keep) != len(self.slots):
-            self.slots[:] = keep
-            self._cursor %= max(1, len(self.slots))
-
     # -- introspection ------------------------------------------------------
 
-    def _snapshot_slots(self) -> "list[ManagedSlot]":
-        """A point-in-time copy of the slot list (it resizes under the
-        lock on ``add_instance``/``drain_instance``)."""
-        with self._lock:
-            return list(self.slots)
-
     def healthy_slot_count(self) -> int:
-        return sum(1 for s in self._snapshot_slots()
-                   if s.breaker.state != OPEN and not s.draining)
+        return _healthy(self.slots)
 
     def health(self) -> dict[str, SlotState]:
-        return {s.label: s.health for s in self._snapshot_slots()}
+        return {s.label: s.health for s in self.slots}
 
     def stats(self) -> dict:
         """Deterministic snapshot for reports and manifests."""
-        with self._lock:
-            ledger = dict(self._actions)
-            snapshot = list(self.slots)
-            instances = len(self.instances)
         actions: Counter[str] = Counter()
-        for (action, label), count in ledger.items():
+        for (action, label), count in self._actions.items():
             # a failed submission is a registry series, not an action
             if (action, label) != ("submission", "failed"):
                 actions[action] += count
         return {
-            "instances": instances,
-            "slots": {s.label: s.snapshot() for s in snapshot},
+            "instances": len(self.instances),
+            "slots": {s.label: s.snapshot() for s in self.slots},
             "actions": dict(sorted(actions.items())),
-            "healthy_slots": sum(
-                1 for s in snapshot
-                if s.breaker.state != OPEN and not s.draining),
+            "healthy_slots": _healthy(self.slots),
             "quarantined": sorted(
-                s.label for s in snapshot
+                s.label for s in self.slots
                 if s.health is SlotState.QUARANTINED),
         }

@@ -25,10 +25,10 @@ from __future__ import annotations
 import ctypes
 import glob
 import os
+import threading
 
 import numpy as np
 
-from repro.util.sync import new_lock
 
 __all__ = ["PINNED_THREADS", "UNPINNED", "blas_threads"]
 
@@ -43,7 +43,7 @@ _LIBRARY = os.path.join(os.path.dirname(np.__file__), os.pardir,
 
 #: ``None`` until the first pin attempt, then its outcome.
 _pinned: int | str | None = None
-_PIN_LOCK = new_lock("nn.blas")
+_PIN_LOCK = threading.Lock()
 
 
 def _openblas():

@@ -98,7 +98,6 @@ from repro.ir.shapes import TensorShape
 from repro.nn import functional as F
 from repro.nn.blas import blas_threads
 from repro.obs import REGISTRY, span
-from repro.util.sync import new_lock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.frontend.weights import WeightStore
@@ -792,7 +791,7 @@ class PlanLedger:
     one call per pass)."""
 
     def __init__(self):
-        self._lock = new_lock("nn.plan.PlanLedger")
+        self._lock = threading.Lock()
         self._counts = {"hits": 0, "misses": 0}
 
     def record_hit(self, count: int) -> None:

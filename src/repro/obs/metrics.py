@@ -16,7 +16,8 @@ counts at collect time instead of pushing each event twice: counters
 and summaries take *sources* (``add_source``), so the hot path makes no
 metric update at all.  A source tied to an owner leaves with it, its
 final counts kept in the totals.  Gauges are collect-time only: each
-series is a function (``set_function``) read when the gauge is.
+series sums functions (``set_function``) read when the gauge is, and a
+function tied to an owner leaves with it.
 
 :class:`Summary` is the one distribution type: it streams every
 observation through a :class:`~repro.obs.quantiles.QuantileSketch`, so
@@ -28,8 +29,12 @@ The default :data:`REGISTRY` honours the ``REPRO_NO_OBS=1`` kill switch
 Reads are never gated, so a collect-time series keeps reporting its
 owner's counts while the switch is on.
 
-Everything is in-process and thread-safe; there is deliberately no
-dependency on ``prometheus_client`` — the exposition format is simple
+The registry and every metric lock their own state, so any thread may
+update or read them; a source or gauge function reads its owner's state
+on the reading thread, so an owner used by one thread at a time is read
+from that thread (docs/INTERNALS.md, "Concurrency model").  Everything
+is in-process; there is deliberately no dependency on
+``prometheus_client`` — the exposition format is simple
 enough to emit directly, and the registry stays importable everywhere.
 """
 
@@ -38,12 +43,12 @@ from __future__ import annotations
 import contextlib
 import copy
 import math
+import threading
 import weakref
 from typing import Any, Callable, Mapping
 
 from repro.obs.quantiles import DEFAULT_QUANTILES, QuantileSketch
 from repro.obs.spans import obs_disabled
-from repro.util.sync import new_lock
 
 __all__ = [
     "Counter",
@@ -88,7 +93,7 @@ class _Metric:
     def __init__(self, name: str, help: str = ""):
         self.name = name
         self.help = help
-        self._lock = new_lock("obs.metrics.Metric")
+        self._lock = threading.Lock()
         #: set by a gated registry; gated metrics honour REPRO_NO_OBS
         self._gated = False
 
@@ -140,10 +145,11 @@ class _Sourced(_Metric):
         """Add ``fn()``, ``{label pairs: value}``, to every read.
 
         ``fn`` runs outside this metric's lock and, when one is given,
-        under ``lock`` (its owner's), so it may return the owner's live
-        state; it must not read this metric.  ``owner`` is held weakly,
-        and ``fn`` should hold the owner's ledger, not the owner, and
-        leave locking to ``lock``: each registration first folds the
+        under ``lock`` (that of an owner every thread shares, such as
+        the resilience ledger), so it may return the owner's live state;
+        it must not read this metric.  ``owner`` is held weakly, and
+        ``fn`` should hold the owner's ledger, not the owner, and leave
+        locking to ``lock``: each registration first folds the
         final counts of sources whose owner was collected into this
         metric's own values and drops them.  So the source list stays
         at the live owners (plus those dropped since the last
@@ -268,7 +274,7 @@ def ledger_source(ledger: Mapping[tuple, float], kind: str,
                   *labels: str) -> Callable[[], dict[tuple, float]]:
     """A :meth:`Counter.add_source` over the ``kind`` entries of a
     ledger ``{(kind, *label values): count}``; register it with the
-    ledger's lock as ``lock``."""
+    ledger's lock, if every thread shares the ledger, as ``lock``."""
     def read() -> dict[tuple, float]:
         return {tuple(zip(labels, key[1:])): n
                 for key, n in ledger.items() if key[0] == kind}
@@ -276,46 +282,59 @@ def ledger_source(ledger: Mapping[tuple, float], kind: str,
 
 
 class Gauge(_Metric):
-    """A collect-time value: each series is whatever a function returns.
+    """A collect-time value: each series sums what its functions return.
 
-    :meth:`set_function` declares a series; its callable runs whenever
-    the gauge is read or exported, outside this metric's lock, so it may
-    take its owner's locks.  Returning ``None`` (say, a weakly held
-    owner was collected) omits the series.
+    :meth:`set_function` adds a function to a series; the functions run
+    whenever the gauge is read or exported, outside this metric's lock.
+    A function returning ``None`` adds nothing, and a series nothing
+    adds to is omitted.
     """
 
     kind = "gauge"
 
     def __init__(self, name: str, help: str = ""):
         super().__init__(name, help)
-        self._functions: dict[_LabelKey, Callable[[], float | None]] = {}
+        #: ``(label key, fn, weak owner or None)`` per function
+        self._functions: list[tuple] = []
 
-    def set_function(self, fn: Callable[[], float | None],
-                     **labels: Any) -> None:
-        """Read this series from ``fn()`` at collect time.
+    def set_function(self, fn: Callable[[], float | None], *,
+                     owner: object = None, **labels: Any) -> None:
+        """Add ``fn()`` to this series at collect time.
 
+        ``owner`` is held weakly, as by :meth:`Counter.add_source`, so
+        ``fn`` should hold the owner's state, not the owner: once the
+        owner is collected its function is dropped.  So a series over
+        one kind of owner reads the sum over the live ones.
         Registration is a declaration, not an update, so it is not
         gated by the kill switch (reads never are), and
         :meth:`MetricsRegistry.reset` keeps it.
         """
+        ref = None if owner is None else weakref.ref(owner)
+        entry = (_label_key(labels), fn, ref)
         with self._lock:
-            self._functions[_label_key(labels)] = fn
+            self._functions = self._live() + [entry]
 
-    def value(self, **labels: Any) -> float:
-        with self._lock:
-            fn = self._functions.get(_label_key(labels))
-        value = None if fn is None else fn()
-        return 0.0 if value is None else float(value)
+    def _live(self) -> list[tuple]:
+        """The functions whose owner is alive (lock held)."""
+        return [entry for entry in self._functions
+                if entry[2] is None or entry[2]() is not None]
 
-    def _series(self) -> dict[_LabelKey, float]:
+    def _series(self, *only: _LabelKey) -> dict[_LabelKey, float]:
+        """Every series, or just the ``only`` ones, read now."""
         with self._lock:
-            functions = list(self._functions.items())
-        series = {}
-        for key, fn in functions:
+            functions = self._functions = self._live()
+        series: dict[_LabelKey, float] = {}
+        for key, fn, _ in functions:
+            if only and key not in only:
+                continue
             value = fn()
             if value is not None:
-                series[key] = float(value)
+                series[key] = series.get(key, 0.0) + float(value)
         return series
+
+    def value(self, **labels: Any) -> float:
+        key = _label_key(labels)
+        return self._series(key).get(key, 0.0)
 
     expose = Counter.expose
     snapshot = Counter.snapshot
@@ -432,7 +451,7 @@ class MetricsRegistry:
 
     def __init__(self, *, gated: bool = False) -> None:
         self._metrics: dict[str, _Metric] = {}
-        self._lock = new_lock("obs.metrics.MetricsRegistry")
+        self._lock = threading.Lock()
         self._gated = gated
 
     def _declare(self, cls: type, name: str, help: str) -> Any:

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.obs.quantiles import QuantileSketch
-from repro.util.sync import new_lock
 
 __all__ = [
     "DISABLE_ENV",
@@ -153,7 +152,7 @@ class SpanRecorder:
     def __init__(self) -> None:
         self.spans: list[Span] = []
         self._ids = itertools.count(1)
-        self._lock = new_lock("obs.spans.SpanRecorder")
+        self._lock = threading.Lock()
         self._sketches: dict[str, QuantileSketch] = {}
 
     def __len__(self) -> int:

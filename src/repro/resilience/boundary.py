@@ -21,6 +21,7 @@ rejection is counted once, in :mod:`repro.resilience.ledger`.
 from __future__ import annotations
 
 import contextlib
+import threading
 from collections.abc import Callable, Iterator
 from typing import Any
 
@@ -29,7 +30,6 @@ from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.clock import VirtualClock
 from repro.resilience.faults import FaultPlan, _activate, active_plan
 from repro.resilience.retry import DEFAULT_POLICY, RetryPolicy, is_transient
-from repro.util.sync import new_lock
 
 __all__ = [
     "breaker_for",
@@ -42,7 +42,7 @@ __all__ = [
 #: The process-wide breaker realm (boundary name -> breaker).
 _BREAKERS: dict[str, CircuitBreaker] = {}
 #: Guards realm membership (get-or-create, reset, the chaos swap).
-_BREAKERS_LOCK = new_lock("resilience.boundary.breakers")
+_BREAKERS_LOCK = threading.Lock()
 
 
 def breaker_for(boundary: str, *,

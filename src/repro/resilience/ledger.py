@@ -19,17 +19,17 @@ fleet ledgers, it is not gated by ``REPRO_NO_OBS``.
 
 from __future__ import annotations
 
+import threading
 from collections import Counter
 
 from repro.obs import REGISTRY
 from repro.obs.metrics import ledger_source
-from repro.util.sync import new_lock
 
 __all__ = ["counts", "record", "since"]
 
 _LEDGER: Counter[tuple[str, str]] = Counter()
 #: A leaf lock: nothing else is acquired while it is held.
-_LOCK = new_lock("resilience.ledger")
+_LOCK = threading.Lock()
 
 for _kind, _name, _help in (
         ("retry", "condor_resilience_retries_total",

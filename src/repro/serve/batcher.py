@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ServeError
-from repro.util.sync import new_lock
 
 __all__ = ["DEFAULT_BUCKETS", "DynamicBatcher", "Flush", "ServeRequest"]
 
@@ -85,7 +84,8 @@ class Flush:
 
 
 class DynamicBatcher:
-    """Lock-guarded FIFO coalescer with bucketed, SLO-bounded flushes."""
+    """FIFO coalescer with bucketed, SLO-bounded flushes (one thread
+    at a time, like the server that owns it)."""
 
     def __init__(self, *, slo_s: float = 0.010,
                  buckets: tuple[int, ...] = DEFAULT_BUCKETS):
@@ -97,14 +97,12 @@ class DynamicBatcher:
         self.slo_s = float(slo_s)
         self.buckets = ladder
         self.max_batch = ladder[-1]
-        self._lock = new_lock("serve.batcher.DynamicBatcher")
         self._pending: deque[ServeRequest] = deque()
 
     @property
     def depth(self) -> int:
         """Requests currently queued (the admission-control signal)."""
-        with self._lock:
-            return len(self._pending)
+        return len(self._pending)
 
     def bucket_for(self, count: int) -> int:
         """The smallest bucket covering ``count`` requests."""
@@ -120,38 +118,33 @@ class DynamicBatcher:
         immediately (the *size* trigger — zero padding by
         construction)."""
         request.deadline_s = request.arrival_s + self.slo_s
-        with self._lock:
-            self._pending.append(request)
-            if len(self._pending) >= self.max_batch:
-                return self._flush_locked(self.max_batch, "size")
+        self._pending.append(request)
+        if len(self._pending) >= self.max_batch:
+            return self._flush(self.max_batch, "size")
         return None
 
     def next_deadline(self) -> float | None:
         """Virtual time of the earliest SLO-triggered flush, if any."""
-        with self._lock:
-            if not self._pending:
-                return None
-            return self._pending[0].deadline_s
+        if not self._pending:
+            return None
+        return self._pending[0].deadline_s
 
     def due(self, now: float) -> Flush | None:
         """Flush if the oldest request's SLO deadline has arrived."""
-        with self._lock:
-            if not self._pending or self._pending[0].deadline_s > now:
-                return None
-            count = min(len(self._pending), self.max_batch)
-            return self._flush_locked(self.bucket_for(count), "slo")
+        if not self._pending or self._pending[0].deadline_s > now:
+            return None
+        count = min(len(self._pending), self.max_batch)
+        return self._flush(self.bucket_for(count), "slo")
 
     def drain(self) -> list[Flush]:
         """Flush everything queued (shutdown / end of load)."""
         flushes = []
-        with self._lock:
-            while self._pending:
-                count = min(len(self._pending), self.max_batch)
-                flushes.append(
-                    self._flush_locked(self.bucket_for(count), "drain"))
+        while self._pending:
+            count = min(len(self._pending), self.max_batch)
+            flushes.append(self._flush(self.bucket_for(count), "drain"))
         return flushes
 
-    def _flush_locked(self, bucket: int, trigger: str) -> Flush:
+    def _flush(self, bucket: int, trigger: str) -> Flush:
         taken = tuple(self._pending.popleft()
                       for _ in range(min(len(self._pending), bucket)))
         return Flush(requests=taken, bucket=bucket, trigger=trigger)

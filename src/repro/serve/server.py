@@ -25,14 +25,16 @@ server built under the same name.
 The server owns no thread: callers drive it (``submit`` on arrivals,
 ``pump`` at batcher deadlines, ``drain`` at shutdown), which keeps
 every flush decision deterministic under the
-:class:`~repro.resilience.clock.VirtualClock`.
+:class:`~repro.resilience.clock.VirtualClock`.  A server, like its
+fleet, is used by one thread at a time (docs/INTERNALS.md,
+"Concurrency model"): a caller that wants parallel submitters builds
+one server and fleet per thread.
 """
 
 from __future__ import annotations
 
 import collections
 import itertools
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +43,6 @@ from repro.errors import FleetError, ServeError, ShedError
 from repro.obs import REGISTRY, QuantileSketch
 from repro.obs.metrics import ledger_source
 from repro.util.logging import get_logger
-from repro.util.sync import new_lock
 
 from repro.serve.batcher import (
     DEFAULT_BUCKETS,
@@ -126,32 +127,25 @@ class InferenceServer:
         self.admission = AdmissionController(
             tenants, max_queue_depth=self.config.max_queue_depth,
             start_s=self.clock.now)
-        #: Guards the lane model, the ledger and the latency sketch.
-        #: Never held across fleet submissions.
-        self._lock = new_lock("serve.server.InferenceServer")
         self._lanes: list[float] = [self.clock.now] * len(fleet.slots)
         self._ids = itertools.count(0)
         #: ``("done", tenant, ok|failed)``, ``("shed", tenant, reason)``,
         #: ``("batch", trigger, bucket)``, ``("padded",)`` counts
         self._ledger: collections.Counter[tuple] = collections.Counter()
         self.latency_sketch = QuantileSketch()
-        # read at collect time under the server's lock; the server is
-        # held only weakly, and its final counts outlive it
-        ledger, lock, sketch = self._ledger, self._lock, \
-            self.latency_sketch
+        # read at collect time; the server is held only weakly, its
+        # final counts outlive it, and its gauge series leave with it
+        ledger, sketch = self._ledger, self.latency_sketch
         for metric, kind, *labels in _LEDGER_METRICS:
             metric.add_source(ledger_source(ledger, kind, *labels),
-                              lock=lock, owner=self)
+                              owner=self)
         name = self.config.name
         _LATENCY.add_source(lambda: {(("server", name),): sketch},
-                            lock=lock, owner=self)
-        server = weakref.ref(self)
-        _QUEUE_DEPTH.set_function(
-            lambda: None if (s := server()) is None else s.batcher.depth,
-            server=name)
-        _SLOTS.set_function(
-            lambda: None if (s := server()) is None else s.stats()["lanes"],
-            server=name)
+                            owner=self)
+        batcher, lanes = self.batcher, self._lanes
+        _QUEUE_DEPTH.set_function(lambda: batcher.depth, owner=self,
+                                  server=name)
+        _SLOTS.set_function(lambda: len(lanes), owner=self, server=name)
 
     # -- the request path ---------------------------------------------------
 
@@ -168,8 +162,7 @@ class InferenceServer:
         try:
             self.admission.admit(tenant, now, self.batcher.depth)
         except ShedError as exc:
-            with self._lock:
-                self._ledger["shed", tenant, exc.reason] += 1
+            self._ledger["shed", tenant, exc.reason] += 1
             raise
         request = ServeRequest(
             tenant=tenant,
@@ -207,30 +200,25 @@ class InferenceServer:
         requests = flush.requests
         batch = np.stack([r.image for r in requests])
         try:
-            receipt = self.fleet.submit(batch, bucket=flush.bucket,
-                                        wait=True)
+            receipt = self.fleet.submit(batch, bucket=flush.bucket)
         except FleetError as exc:
-            with self._lock:
-                for request in requests:
-                    self._ledger["done", request.tenant, "failed"] += 1
             for request in requests:
+                self._ledger["done", request.tenant, "failed"] += 1
                 request.error = str(exc)
             _log.warning("flush of %d request(s) failed: %s",
                          len(requests), exc)
             return
-        with self._lock:
-            lane = min(range(len(self._lanes)),
-                       key=self._lanes.__getitem__)
-            start = max(now, self._lanes[lane])
-            completion = start + receipt.device_seconds
-            self._lanes[lane] = completion
-            ledger = self._ledger
-            for request in requests:
-                ledger["done", request.tenant, "ok"] += 1
-                self.latency_sketch.observe(completion - request.arrival_s)
-            ledger["batch", flush.trigger, flush.bucket] += 1
-            if flush.padding:
-                ledger[("padded",)] += flush.padding
+        lane = min(range(len(self._lanes)), key=self._lanes.__getitem__)
+        start = max(now, self._lanes[lane])
+        completion = start + receipt.device_seconds
+        self._lanes[lane] = completion
+        ledger = self._ledger
+        for request in requests:
+            ledger["done", request.tenant, "ok"] += 1
+            self.latency_sketch.observe(completion - request.arrival_s)
+        ledger["batch", flush.trigger, flush.bucket] += 1
+        if flush.padding:
+            ledger[("padded",)] += flush.padding
         for index, request in enumerate(requests):
             request.output = receipt.outputs[index]
             request.completion_s = completion
@@ -243,36 +231,29 @@ class InferenceServer:
     def sync_lanes(self, now: float | None = None) -> int:
         """Resize the lane model after fleet capacity changed."""
         now = self.clock.now if now is None else now
-        with self._lock:
-            current = len(self.fleet.slots)
-            while len(self._lanes) < current:
-                self._lanes.append(now)
-            if len(self._lanes) > current:
-                del self._lanes[current:]
+        current = len(self.fleet.slots)
+        while len(self._lanes) < current:
+            self._lanes.append(now)
+        del self._lanes[current:]
         return current
 
     def backlog_s(self, now: float | None = None) -> float:
         """Modeled seconds until the busiest lane goes idle."""
         now = self.clock.now if now is None else now
-        with self._lock:
-            if not self._lanes:
-                return 0.0
-            return max(0.0, max(self._lanes) - now)
+        if not self._lanes:
+            return 0.0
+        return max(0.0, max(self._lanes) - now)
 
     def latency_quantile(self, q: float) -> float | None:
         """A quantile of this server's request latency so far (``None``
         before its first completed request)."""
-        with self._lock:
-            return self.latency_sketch.quantile(q)
+        return self.latency_sketch.quantile(q)
 
     # -- introspection ------------------------------------------------------
 
     def stats(self) -> dict:
         """Deterministic snapshot for reports and manifests."""
-        depth = self.batcher.depth
-        with self._lock:
-            ledger = dict(self._ledger)
-            lanes = len(self._lanes)
+        ledger = self._ledger
         status = _tally(ledger, "done", 2)
         shed = _tally(ledger, "shed", 1)
         tenants = {t: {"completed": ledger.get(("done", t, "ok"), 0),
@@ -288,8 +269,8 @@ class InferenceServer:
             "triggers": _tally(ledger, "batch", 1),
             "padded_samples": ledger.get(("padded",), 0),
             "tenants": tenants,
-            "queue_depth": depth,
-            "lanes": lanes,
+            "queue_depth": self.batcher.depth,
+            "lanes": len(self._lanes),
             "buckets": list(self.batcher.buckets),
             "slo_s": self.config.slo_s,
         }

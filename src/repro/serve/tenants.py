@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import ServeError, ShedError
-from repro.util.sync import new_lock
 
 __all__ = ["AdmissionController", "TenantSpec", "TokenBucket"]
 
@@ -49,25 +48,22 @@ class TokenBucket:
                 f"token bucket burst must be >= 1, got {burst}")
         self.rate_rps = float(rate_rps)
         self.burst = int(burst)
-        self._lock = new_lock("serve.tenants.TokenBucket")
         self._tokens = float(burst)
         self._refilled_s = float(start_s)
 
     def tokens(self, now: float) -> float:
-        with self._lock:
-            return self._peek_locked(now)
+        return self._peek(now)
 
     def try_take(self, now: float) -> bool:
         """Take one token at virtual time ``now`` if one is available."""
-        with self._lock:
-            self._tokens = self._peek_locked(now)
-            self._refilled_s = max(self._refilled_s, now)
-            if self._tokens < 1.0:
-                return False
-            self._tokens -= 1.0
-            return True
+        self._tokens = self._peek(now)
+        self._refilled_s = max(self._refilled_s, now)
+        if self._tokens < 1.0:
+            return False
+        self._tokens -= 1.0
+        return True
 
-    def _peek_locked(self, now: float) -> float:
+    def _peek(self, now: float) -> float:
         elapsed = max(0.0, now - self._refilled_s)
         return min(float(self.burst),
                    self._tokens + elapsed * self.rate_rps)

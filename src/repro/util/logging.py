@@ -12,9 +12,9 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import logging
+import threading
 from collections.abc import Iterator
 
-from repro.util.sync import new_lock
 
 _context: contextvars.ContextVar[str] = contextvars.ContextVar(
     "repro_log_context", default="")
@@ -34,7 +34,7 @@ class _ContextFilter(logging.Filter):
 #: One shared filter instance: installation checks are identity-based and
 #: the filter itself is stateless (context lives in the contextvar).
 _filter = _ContextFilter()
-_install_lock = new_lock("util.logging.install")
+_install_lock = threading.Lock()
 
 
 def get_logger(name: str) -> logging.Logger:

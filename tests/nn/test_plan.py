@@ -434,8 +434,8 @@ def test_empty_batch_rejected(path, zoo_model, zoo_weights):
 @pytest.mark.parametrize("mode", ["untraced", "recording", "threads"])
 def test_warm_passes_count_one_hit_per_layer(mode, zoo_model, zoo_weights):
     # each pass reports its memo hits in one call; none may be lost,
-    # including when two threads share one engine (the fleet's golden
-    # engine is shared by concurrent submitters)
+    # including when two threads share one engine: the ledger is
+    # process-wide, and an engine may be shared by threads
     import threading
 
     from repro.nn.plan import PLAN_HITS

@@ -83,7 +83,7 @@ class StubFleet:
         #: ``(rows computed, device batch)`` per submission
         self.flushes: list[tuple[int, int]] = []
 
-    def submit(self, images, *, bucket=None, verify=False, wait=False):
+    def submit(self, images, *, bucket=None, verify=False):
         if self.fail is not None:
             raise self.fail
         batch = np.asarray(images, dtype=np.float32)

@@ -289,31 +289,33 @@ def test_thread_free_bans_threads_executors_and_processes(tmp_path):
         "from concurrent import futures\n"
         "import multiprocessing\n"
         "from multiprocessing.pool import Pool\n"
-        "local = threading.local()  # per-thread state: fine\n"
-        "event = threading.Event()  # fine\n",
+        "local = threading.local()  # per-thread state: fine\n",
         select=["thread-free"])
     assert sorted(v.line for v in found) == [3, 4, 6, 7, 8, 9, 10, 11]
 
 
-def test_thread_free_raw_locks_only_in_the_factory(tmp_path):
+def test_thread_free_locks_only_on_shared_state(tmp_path):
+    # the plan ledger is shared by every thread; a server is used by
+    # one thread at a time
     source = ("import threading\n"
               "from threading import RLock\n"
-              "mu = threading.Lock()\n")
-    for rel in ("util/sync.py", "sanitizer/lockcheck.py",
-                "obs/metrics.py"):
+              "mu = threading.Lock()\n"
+              "freed = threading.Event()\n")
+    for rel in ("nn/plan.py", "serve/server.py"):
         (tmp_path / rel).parent.mkdir(exist_ok=True)
         (tmp_path / rel).write_text(source)
     found = run_lint(tmp_path, select=["thread-free"])
-    assert [(v.path, v.line) for v in found] == [("obs/metrics.py", 2),
-                                                 ("obs/metrics.py", 3)]
-    assert "new_lock" in found[0].message
+    assert [(v.path, v.line) for v in found] == [("serve/server.py", 2),
+                                                 ("serve/server.py", 3),
+                                                 ("serve/server.py", 4)]
+    assert "one thread at a time" in found[0].message
 
 
-def test_thread_free_factory_may_not_start_threads(tmp_path):
-    # the lock makers are exempt from the raw-lock half only
-    (tmp_path / "util").mkdir()
-    (tmp_path / "util" / "sync.py").write_text(
+def test_thread_free_lock_owners_may_not_start_threads(tmp_path):
+    # the shared-state modules are exempt from the lock half only
+    (tmp_path / "nn").mkdir()
+    (tmp_path / "nn" / "plan.py").write_text(
         "import threading\n"
         "threading.Thread(target=print).start()\n")
     found = run_lint(tmp_path, select=["thread-free"])
-    assert [(v.path, v.line) for v in found] == [("util/sync.py", 2)]
+    assert [(v.path, v.line) for v in found] == [("nn/plan.py", 2)]

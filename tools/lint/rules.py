@@ -480,6 +480,9 @@ class FlowStepSpanRule(LintRule):
 
 #: ``threading`` names that start an OS thread.
 _THREAD_STARTERS = {"Thread", "Timer"}
+#: ``threading`` synchronisation primitives (locks, events and the like).
+_SYNC_PRIMITIVES = {"Lock", "RLock", "Condition", "Semaphore",
+                    "BoundedSemaphore", "Event", "Barrier"}
 #: Modules whose only job is running work on other threads or processes.
 _WORKER_MODULES = ("concurrent.futures", "multiprocessing")
 
@@ -492,22 +495,26 @@ def _is_worker_module(name: str | None) -> bool:
 @register_rule
 class ThreadFreeRule(LintRule):
     """The package starts no thread or process of its own: the flow, the
-    engine and the serving layer all run on the caller's thread.  Callers
-    may still share an engine or a fleet across their own threads, so
-    every lock is made by the named-lock factory (:mod:`repro.util.sync`),
-    which is how it joins the runtime sanitizer under ``REPRO_TSAN=1``.
-    Only the factory and the sanitizer itself build raw locks."""
+    engine and the serving layer all run on the caller's thread.  A
+    server, batcher, token bucket or fleet is used by one thread at a
+    time, so it takes no lock (docs/INTERNALS.md, "Concurrency model").
+    Only the modules that own state every thread shares build a
+    ``threading`` synchronisation primitive."""
 
     id = "thread-free"
-    description = ("ban starting threads, executors and processes; ban raw"
-                   " threading.Lock()/RLock() outside the lock factory")
-    #: Modules allowed to construct ``threading.Lock()``/``RLock()``: the
-    #: factory, and the sanitizer whose bookkeeping must not instrument
-    #: itself.
-    lock_makers = frozenset({"util/sync.py", "sanitizer/lockcheck.py"})
+    description = ("ban starting threads, executors and processes; ban"
+                   " locks and events outside the shared-state modules")
+    #: Modules that own state every caller thread shares, each behind a
+    #: plain ``threading.Lock()``: the plan ledger, the metrics registry
+    #: and its metrics, the span recorder, the resilience ledger, the
+    #: breaker registry, the BLAS pin and the logging install.
+    lock_owners = frozenset({
+        "nn/plan.py", "nn/blas.py", "obs/metrics.py", "obs/spans.py",
+        "resilience/ledger.py", "resilience/boundary.py",
+        "util/logging.py"})
 
     def check(self, tree, rel_path):
-        raw_locks_ok = rel_path in self.lock_makers
+        locks_ok = rel_path in self.lock_owners
         # every name the threading module is bound to (import ... as x)
         threading_names = {"threading"} | {
             alias.asname for node in ast.walk(tree)
@@ -526,15 +533,15 @@ class ThreadFreeRule(LintRule):
                 elif node.module == "threading":
                     if names & _THREAD_STARTERS:
                         yield self._thread(rel_path, node)
-                    if names & {"Lock", "RLock"} and not raw_locks_ok:
-                        yield self._raw_lock(rel_path, node)
+                    if names & _SYNC_PRIMITIVES and not locks_ok:
+                        yield self._lock(rel_path, node)
             elif isinstance(node, ast.Attribute) and \
                     isinstance(node.value, ast.Name) and \
                     node.value.id in threading_names:
                 if node.attr in _THREAD_STARTERS:
                     yield self._thread(rel_path, node)
-                elif node.attr in ("Lock", "RLock") and not raw_locks_ok:
-                    yield self._raw_lock(rel_path, node)
+                elif node.attr in _SYNC_PRIMITIVES and not locks_ok:
+                    yield self._lock(rel_path, node)
 
     def _thread(self, rel_path, node):
         return self.violation(
@@ -548,8 +555,10 @@ class ThreadFreeRule(LintRule):
             f"{module} — the package starts no executor or process; run"
             " the work on the caller's thread")
 
-    def _raw_lock(self, rel_path, node):
+    def _lock(self, rel_path, node):
         return self.violation(
             rel_path, node,
-            "raw threading.Lock()/RLock() — unnamed locks are invisible"
-            " to the runtime sanitizer; use repro.util.sync.new_lock(name)")
+            "threading lock or event outside the shared-state modules —"
+            " an object the package builds is used by one thread at a"
+            " time and takes no lock (docs/INTERNALS.md, \"Concurrency"
+            " model\")")
