@@ -446,7 +446,7 @@ def cmd_serve(args) -> int:
     workdir = Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     manifest = build_manifest(
-        recorder=recorder, workdir=workdir,
+        recorder=recorder,
         run={"command": "serve", "network": args.model,
              "rate_rps": args.rate, "duration_s": args.duration,
              "seed": args.seed, "status": "ok"},

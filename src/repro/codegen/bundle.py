@@ -34,16 +34,6 @@ class SourceBundle:
     def total_lines(self) -> int:
         return sum(text.count("\n") for text in self.files.values())
 
-    def write_to(self, directory) -> None:
-        from pathlib import Path
-
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        for path, text in self.files.items():
-            target = directory / path
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(text)
-
 
 def generate_sources(acc: Accelerator) -> SourceBundle:
     """Emit the PE, filter, datamover and host sources for ``acc``."""

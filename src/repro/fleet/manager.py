@@ -311,6 +311,7 @@ class FleetManager:
                 continue
             managed.breaker.record_success()
             self._actions["submission", "ok"] += 1
+            last_error = None  # its traceback holds this frame (and fleet)
             return Submission(outputs=outputs,
                               device_seconds=device_seconds,
                               slot=managed.label, attempts=attempts)
@@ -340,11 +341,13 @@ class FleetManager:
         opened_before = managed.breaker.opened_count
         managed.breaker.record_failure()
         quarantined = managed.breaker.opened_count > opened_before
+        # log text: a kept record must not hold the traceback (and fleet)
         if quarantined:
-            _log.warning("slot %s quarantined: %s", managed.label, exc)
+            _log.warning("slot %s quarantined: %s", managed.label,
+                         str(exc))
         else:
             _log.info("slot %s failure (%s): %s", managed.label,
-                      managed.breaker.state, exc)
+                      managed.breaker.state, str(exc))
         managed.failures += 1
         if quarantined:
             self._actions["quarantine", managed.label] += 1

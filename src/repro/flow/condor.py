@@ -32,10 +32,10 @@ from repro.frontend.caffe.converter import convert_caffe_model
 from repro.frontend.condor_format import (
     CondorModel,
     DeploymentOption,
+    condor_json_bytes,
     load_condor_json,
     model_from_json,
     model_to_json,
-    save_condor_json,
 )
 from repro.frontend.weights import WeightStore
 from repro.hw.accelerator import build_accelerator
@@ -69,14 +69,15 @@ from repro.toolchain.vivado import VivadoIP
 from repro.toolchain.xclbin import Xclbin, read_xclbin, write_xclbin
 from repro.obs import (
     REGISTRY,
+    TIMESERIES_NAME,
     SpanRecorder,
     build_manifest,
     obs_disabled,
     recording,
     span,
+    timeseries_jsonl,
     timeseries_row,
     write_manifest,
-    write_timeseries,
 )
 from repro.util.logging import get_logger, log_context
 
@@ -199,13 +200,6 @@ class FlowResult:
         return table.render()
 
 
-def _files_under(directory: Path) -> list[Path]:
-    """Every file below ``directory`` (checkpoint artifact lists)."""
-    if not directory.is_dir():
-        return []
-    return sorted(p for p in directory.rglob("*") if p.is_file())
-
-
 def _hints_from_mapping(mapping: MappingConfig) -> dict:
     """Express a mapping as per-layer Condor JSON hardware hints."""
     from repro.frontend.condor_format import LayerHints
@@ -241,6 +235,8 @@ class CondorFlow:
         #: (``condor build --resume``).  Checkpoints are *written*
         #: unconditionally; this only controls whether they are read.
         self.resume = resume
+        #: Writer of the workdir and record of the files the most
+        #: recent :meth:`run` wrote or restored (a new one per run).
         self.checkpoints = CheckpointStore(self.workdir)
         #: Boundary calls, retries, give-ups and breaker rejections of
         #: the most recent :meth:`run`, by boundary: the difference of
@@ -388,8 +384,8 @@ class CondorFlow:
                       " weights")
             weights = WeightStore.initialize(model.network)
         weights.validate(model.network)
-        save_condor_json(model, self.workdir / "network.condor.json")
-        weights.save(self.workdir / "weights")
+        for filename, data in weights.files().items():
+            self.checkpoints.write(f"weights/{filename}", data)
         return model, weights
 
     # -- the public entry point ----------------------------------------------------
@@ -408,6 +404,7 @@ class CondorFlow:
         see each other's events.
         """
         start = ledger.counts()
+        self.checkpoints = CheckpointStore(self.workdir)
         if not self.telemetry:
             try:
                 return self._pipeline(inputs)
@@ -434,10 +431,11 @@ class CondorFlow:
         finally:
             self.resilience = ledger.since(start)
             _RUNS.inc(status=status)
-            series = (write_timeseries(self.workdir, self._rows)
-                      if self._rows else None)
+            if self._rows:
+                self.checkpoints.write(TIMESERIES_NAME,
+                                       timeseries_jsonl(self._rows))
             manifest = self._build_manifest(
-                result, status=status, error=error, series=series,
+                result, status=status, error=error,
                 started_wall=started_wall,
                 seconds=time.perf_counter() - t0)
             path = write_manifest(self.workdir, manifest)
@@ -445,8 +443,8 @@ class CondorFlow:
                 result.telemetry_path = path
 
     def _build_manifest(self, result: FlowResult | None, *, status: str,
-                        error: str | None, series: Path | None,
-                        started_wall: float, seconds: float) -> dict:
+                        error: str | None, started_wall: float,
+                        seconds: float) -> dict:
         run: dict = {
             "network": result.model.network.name if result else None,
             "board": result.model.board if result else None,
@@ -474,7 +472,7 @@ class CondorFlow:
         if breakers:
             snapshots.setdefault("resilience", {})["breakers"] = breakers
         snapshots["timeseries"] = {
-            "path": series.name if series else None,
+            "path": TIMESERIES_NAME if self._rows else None,
             "samples": len(self._rows or ()),
         }
         if result is not None:
@@ -503,8 +501,8 @@ class CondorFlow:
                 snapshots["afi"] = {"afi_id": result.afi_id,
                                     "agfi_id": result.agfi_id}
         return build_manifest(
-            recorder=self.recorder, workdir=self.workdir, run=run,
-            steps=steps, snapshots=snapshots)
+            recorder=self.recorder, run=run, steps=steps,
+            artifacts=self.checkpoints.listing(), snapshots=snapshots)
 
     def _pipeline(self, inputs: FlowInputs) -> FlowResult:
         self._steps = []
@@ -535,13 +533,10 @@ class CondorFlow:
         else:
             with self._step("1-input-analysis"):
                 model, weights = self._input_analysis(inputs)
-                store.save(
-                    "1-input-analysis", d1,
-                    artifacts=_files_under(self.workdir / "weights"),
-                    # the model travels in state, not as the
-                    # network.condor.json artifact: DSE rewrites that
-                    # file, which must not invalidate this step
-                    state={"model": model_to_json(model)})
+                # network.condor.json is step 2's: with DSE it carries
+                # the chosen mapping
+                store.save("1-input-analysis", d1,
+                           state={"model": model_to_json(model)})
 
         d2 = chain_digest(d1, "2-design-space-exploration")
         cp = fresh("2-design-space-exploration", d2)
@@ -573,16 +568,14 @@ class CondorFlow:
                         frequency_hz=model.frequency_hz,
                         deployment=model.deployment,
                         hints=_hints_from_mapping(mapping))
-                    save_condor_json(model,
-                                     self.workdir / "network.condor.json")
                 elif model.hints:
                     mapping = mapping_from_model(model)
                 else:
                     mapping = default_mapping(model.network)
+                store.write("network.condor.json",
+                            condor_json_bytes(model))
                 store.save(
                     "2-design-space-exploration", d2,
-                    artifacts=["network.condor.json"]
-                    if inputs.run_dse else [],
                     state={"used_dse": inputs.run_dse,
                            "model": model_to_json(model)})
 
@@ -601,27 +594,23 @@ class CondorFlow:
                     ctx = AnalysisContext(model, weights=weights,
                                           mapping=mapping)
                     report = AnalysisPipeline().run(ctx)
-                    reports_dir = self.workdir / "reports"
-                    reports_dir.mkdir(exist_ok=True)
-                    (reports_dir / "analysis.txt").write_text(
-                        report.render() + "\n")
-                    (reports_dir / "analysis.json").write_text(
-                        report.to_json() + "\n")
+                    store.write("reports/analysis.txt",
+                                report.render() + "\n")
+                    store.write("reports/analysis.json",
+                                report.to_json() + "\n")
                     _log.info("static analysis: %s",
                               report.summary_line())
                     if not report.ok:
                         raise AnalysisError(
                             f"static analysis found"
                             f" {len(report.errors)} error(s); see"
-                            f" {reports_dir / 'analysis.txt'} (rerun"
-                            " with --no-check to bypass the gate)",
+                            f" {self.workdir / 'reports' / 'analysis.txt'}"
+                            " (rerun with --no-check to bypass the gate)",
                             report=report)
                     # the gate already built the design; reuse it
                     # downstream
                     accelerator = ctx.accelerator
-                    store.save("2b-static-analysis", d2b,
-                               artifacts=["reports/analysis.txt",
-                                          "reports/analysis.json"])
+                    store.save("2b-static-analysis", d2b)
 
         d35 = chain_digest(d_prev, "3-5-hardware-generation")
         cp = fresh("3-5-hardware-generation", d35)
@@ -638,38 +627,29 @@ class CondorFlow:
                 if accelerator is None:
                     accelerator = build_accelerator(model, mapping)
                 sources = generate_sources(accelerator)
-                sources.write_to(self.workdir / "sources")
+                for rel, text in sources.files.items():
+                    store.write(f"sources/{rel}", text)
                 hls = VivadoHLS(device_for_board(model.board).part,
                                 model.frequency_hz, self.cal)
                 assembly: AssemblyResult = build_network_ip(
                     accelerator, hls, self.cal)
                 accelerator_ip = assembly.accelerator_ip
                 estimate = estimate_accelerator(accelerator, self.cal)
-                (self.workdir / "reports").mkdir(exist_ok=True)
-                (self.workdir / "reports" / "resources.txt").write_text(
-                    estimate.summary(
-                        device_for_board(model.board).capacity) + "\n")
-                hls_dir = self.workdir / "reports" / "hls"
-                hls_dir.mkdir(exist_ok=True)
+                store.write("reports/resources.txt", estimate.summary(
+                    device_for_board(model.board).capacity) + "\n")
                 for hls_report in hls.reports:
-                    (hls_dir / f"{hls_report.kernel}_csynth.rpt") \
-                        .write_text(hls_report.render(model.frequency_hz))
+                    store.write(
+                        f"reports/hls/{hls_report.kernel}_csynth.rpt",
+                        hls_report.render(model.frequency_hz))
                 from repro.ir.dot import (
                     accelerator_to_dot,
                     network_to_dot,
                 )
-                (self.workdir / "network.dot").write_text(
-                    network_to_dot(model.network))
-                (self.workdir / "accelerator.dot").write_text(
-                    accelerator_to_dot(accelerator))
+                store.write("network.dot", network_to_dot(model.network))
+                store.write("accelerator.dot",
+                            accelerator_to_dot(accelerator))
                 store.save(
                     "3-5-hardware-generation", d35,
-                    artifacts=[
-                        *_files_under(self.workdir / "sources"),
-                        self.workdir / "reports" / "resources.txt",
-                        *_files_under(hls_dir),
-                        "network.dot", "accelerator.dot",
-                    ],
                     state={"accelerator_ip": accelerator_ip.to_dict()})
 
         d6 = chain_digest(d35, "6-sdaccel-integration")
@@ -682,12 +662,10 @@ class CondorFlow:
         else:
             with self._step("6-sdaccel-integration"):
                 kernel_xml = generate_kernel_xml(accelerator_ip)
-                (self.workdir / "kernel.xml").write_text(
-                    kernel_xml + "\n")
+                store.write("kernel.xml", kernel_xml + "\n")
                 xo = package_xo(accelerator_ip, kernel_xml, model=model)
-                xo_path.write_bytes(xo.data)
-                store.save("6-sdaccel-integration", d6,
-                           artifacts=["kernel.xml", xo_path])
+                store.write(xo_path.name, xo.data)
+                store.save("6-sdaccel-integration", d6)
 
         d7 = chain_digest(d6, "7-deployment-on-board")
         cp = fresh("7-deployment-on-board", d7)
@@ -709,16 +687,16 @@ class CondorFlow:
                 xclbin = xocc_link(xo, device, model.frequency_hz,
                                    self.cal)
                 # serialize exactly once; step 8 uploads these bytes
-                xclbin_bytes = write_xclbin(xclbin, xclbin_path)
+                xclbin_bytes = write_xclbin(xclbin)
+                store.write(xclbin_path.name, xclbin_bytes)
                 accelerator.frequency_hz = xclbin.frequency_hz
-                host_path.write_text(generate_host_source(
+                store.write(host_path.name, generate_host_source(
                     accelerator, xclbin_name=xclbin_path.name))
                 performance = estimate_performance(accelerator,
                                                    self.cal)
                 power = estimate_power_watts(accelerator, estimate,
                                              self.cal)
-                store.save("7-deployment-on-board", d7,
-                           artifacts=[xclbin_path, host_path])
+                store.save("7-deployment-on-board", d7)
 
         afi_id = agfi_id = None
         degraded = False
@@ -745,14 +723,12 @@ class CondorFlow:
                             record.afi_id,
                             max_polls=inputs.afi_max_polls)
                         afi_id, agfi_id = record.afi_id, record.agfi_id
-                        (self.workdir / "afi.json").write_text(
-                            json.dumps({
-                                "afi_id": afi_id, "agfi_id": agfi_id,
-                                "bucket": inputs.s3_bucket,
-                                "key": uri_key,
-                            }, indent=2) + "\n")
+                        store.write("afi.json", json.dumps({
+                            "afi_id": afi_id, "agfi_id": agfi_id,
+                            "bucket": inputs.s3_bucket,
+                            "key": uri_key,
+                        }, indent=2) + "\n")
                         store.save("8-afi-creation", d8,
-                                   artifacts=["afi.json"],
                                    state={"afi_id": afi_id,
                                           "agfi_id": agfi_id})
                 except FlowError as exc:

@@ -265,10 +265,15 @@ def model_from_json(doc: dict, *, source: str | None = None) -> CondorModel:
         raise
 
 
+def condor_json_bytes(model: CondorModel) -> bytes:
+    """The model as Condor JSON file contents."""
+    return (json.dumps(model_to_json(model), indent=2) + "\n").encode()
+
+
 def save_condor_json(model: CondorModel, path: str | Path) -> Path:
     """Write the model as a Condor JSON file."""
     path = Path(path)
-    path.write_text(json.dumps(model_to_json(model), indent=2) + "\n")
+    path.write_bytes(condor_json_bytes(model))
     return path
 
 

@@ -9,6 +9,7 @@ the in-memory object maps ``layer name → blob name → ndarray``.
 
 from __future__ import annotations
 
+import io
 import json
 from pathlib import Path
 
@@ -118,19 +119,29 @@ class WeightStore:
 
     # -- persistence ------------------------------------------------------------
 
-    def save(self, directory: str | Path) -> Path:
-        """Write the store as ``<dir>/weights.json`` + one npy per blob."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
+    def files(self) -> dict[str, bytes]:
+        """The on-disk form: file name -> contents, ``weights.json``
+        plus one npy per blob."""
+        files: dict[str, bytes] = {}
         manifest: dict[str, dict[str, str]] = {}
         for layer, named in sorted(self._blobs.items()):
             manifest[layer] = {}
             for blob, array in sorted(named.items()):
                 filename = f"{layer.replace('/', '__')}.{blob}.npy"
-                np.save(directory / filename, array)
+                buffer = io.BytesIO()
+                np.save(buffer, array)
+                files[filename] = buffer.getvalue()
                 manifest[layer][blob] = filename
-        (directory / _MANIFEST).write_text(
-            json.dumps(manifest, indent=2, sort_keys=True))
+        files[_MANIFEST] = json.dumps(manifest, indent=2,
+                                      sort_keys=True).encode()
+        return files
+
+    def save(self, directory: str | Path) -> Path:
+        """Write :meth:`files` into ``directory``."""
+        directory = Path(directory)
+        directory.mkdir(parents=True, exist_ok=True)
+        for filename, data in self.files().items():
+            (directory / filename).write_bytes(data)
         return directory
 
     @classmethod

@@ -46,9 +46,9 @@ from repro.obs.manifest import (
     build_manifest,
     git_sha,
     peak_rss_bytes,
+    timeseries_jsonl,
     timeseries_row,
     write_manifest,
-    write_timeseries,
 )
 from repro.obs.metrics import (
     REGISTRY,
@@ -95,8 +95,8 @@ __all__ = [
     "span_events",
     "span_report",
     "summarize_timeseries",
+    "timeseries_jsonl",
     "timeseries_row",
     "write_chrome_trace",
     "write_manifest",
-    "write_timeseries",
 ]

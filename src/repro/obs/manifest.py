@@ -4,8 +4,8 @@ Every :class:`~repro.flow.condor.CondorFlow` run writes a
 ``telemetry.json`` into its working directory: the span tree, per-step
 durations (the *same* numbers carried by
 :class:`~repro.flow.condor.FlowResult` — both read the spans), a metrics
-snapshot, the resource-estimate / performance numbers, the artifacts the
-run left behind, and process stats (peak RSS, span count, the BLAS
+snapshot, the resource-estimate / performance numbers, the files the
+run wrote or restored, and process stats (peak RSS, span count, the BLAS
 thread count every GEMM ran on).  That file is
 the machine-readable record later benchmarking sessions diff against.
 
@@ -37,7 +37,7 @@ __all__ = [
     "build_manifest",
     "write_manifest",
     "timeseries_row",
-    "write_timeseries",
+    "timeseries_jsonl",
 ]
 
 MANIFEST_NAME = "telemetry.json"
@@ -93,21 +93,10 @@ def peak_rss_bytes() -> int | None:
     return peak if sys.platform == "darwin" else peak * 1024
 
 
-def _artifact_listing(workdir: Path) -> list[dict[str, Any]]:
-    if not workdir.is_dir():
-        return []
-    out = []
-    for path in sorted(workdir.rglob("*")):
-        if path.is_file() and path.name != MANIFEST_NAME:
-            out.append({"path": str(path.relative_to(workdir)),
-                        "bytes": path.stat().st_size})
-    return out
-
-
 def build_manifest(*, recorder: SpanRecorder | None,
-                   workdir: Path | str,
                    run: dict[str, Any],
                    steps: list[dict[str, Any]],
+                   artifacts: list[dict[str, Any]] = (),
                    registry: MetricsRegistry = REGISTRY,
                    snapshots: dict[str, Any] | None = None) \
         -> dict[str, Any]:
@@ -115,12 +104,13 @@ def build_manifest(*, recorder: SpanRecorder | None,
 
     ``run`` carries identity fields (network, board, status, timing);
     ``steps`` is the flow's step table (name/seconds/status);
+    ``artifacts`` lists the files the run wrote or restored (the flow's
+    :meth:`~repro.resilience.CheckpointStore.listing`);
     ``snapshots`` holds structured extras such as the resource estimate.
     """
     # repro.nn imports repro.obs, so this import waits for a call
     from repro.nn.blas import blas_threads
 
-    workdir = Path(workdir)
     manifest: dict[str, Any] = {
         "schema": MANIFEST_SCHEMA,
         "generator": "repro.obs",
@@ -143,7 +133,7 @@ def build_manifest(*, recorder: SpanRecorder | None,
         "span_summaries":
             recorder.summaries() if recorder is not None else {},
         "metrics": registry.to_dict(),
-        "artifacts": _artifact_listing(workdir),
+        "artifacts": list(artifacts),
     }
     if snapshots:
         manifest.update(snapshots)
@@ -152,7 +142,8 @@ def build_manifest(*, recorder: SpanRecorder | None,
 
 def write_manifest(workdir: Path | str, manifest: dict[str, Any]) -> Path:
     path = Path(workdir) / MANIFEST_NAME
-    path.write_text(json.dumps(manifest, indent=2, default=str) + "\n")
+    path.write_text(json.dumps(manifest, separators=(",", ":"),
+                               default=str) + "\n")
     return path
 
 
@@ -165,13 +156,7 @@ def timeseries_row(step: str) -> dict[str, Any]:
             "metrics": REGISTRY.scalars()}
 
 
-def write_timeseries(workdir: Path | str,
-                     rows: list[dict[str, Any]]) -> Path:
-    """Write ``rows`` as ``<workdir>/timeseries.jsonl``, one JSON
-    object per line."""
-    path = Path(workdir) / TIMESERIES_NAME
-    with path.open("w") as fh:
-        for row in rows:
-            fh.write(json.dumps(row) + "\n")
-    return path
-
+def timeseries_jsonl(rows: list[dict[str, Any]]) -> str:
+    """The ``timeseries.jsonl`` text of ``rows``: one JSON object per
+    line."""
+    return "".join(json.dumps(row) + "\n" for row in rows)

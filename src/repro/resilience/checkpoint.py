@@ -1,13 +1,19 @@
-"""Flow checkpoints: what ``condor build --resume`` skips from.
+"""Flow checkpoints and the build's artifact record.
 
-Each completed flow step persists a small JSON record under
-``workdir/checkpoints/``: the step's *chained input digest* (a hash over
-the run inputs and every upstream step's configuration), the SHA-256 of
-each artifact the step wrote, and a free-form ``state`` dict with
-whatever downstream steps need to rehydrate.  On resume, a step is
-skipped iff its recorded digest matches the recomputed chain *and* every
-artifact is still on disk with the recorded hash — the first stale,
-missing or failed step re-runs, and everything after it re-runs too.
+:class:`CheckpointStore` is the only writer of a build's workdir: each
+:meth:`~CheckpointStore.write` records the file's SHA-256 and size from
+the bytes in hand.  That record lists the files this run wrote or
+restored (the run manifest's ``artifacts``); a stale file an earlier
+run left in the workdir is not listed.
+
+Each completed flow step saves ``workdir/checkpoints/<step>.json``: the
+step's *chained input digest* (run inputs and every upstream step's
+configuration), the digest of each file written since the previous
+checkpoint, and a ``state`` dict downstream steps rehydrate from.  On
+``condor build --resume`` a step is skipped iff its digest matches the
+recomputed chain *and* every artifact re-hashes to its recorded digest
+on disk; the first stale, missing or failed step re-runs, and every
+step after it.  A skipped step's files and checkpoint join the record.
 """
 
 from __future__ import annotations
@@ -68,83 +74,105 @@ class Checkpoint:
             return cls(step=doc["step"], digest=doc["digest"],
                        artifacts=dict(doc["artifacts"]),
                        state=dict(doc.get("state", {})))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"malformed checkpoint document: {exc}") from exc
 
 
 class CheckpointStore:
-    """The ``workdir/checkpoints/`` directory."""
+    """The writer of one run's workdir and its ``checkpoints/``."""
 
     def __init__(self, workdir: Path | str):
         self.workdir = Path(workdir)
         self.directory = self.workdir / CHECKPOINT_DIRNAME
+        #: Workdir-relative path -> (sha256 hex digest, size in bytes)
+        #: of every file this run wrote or restored.
+        self.record: dict[str, tuple[str, int]] = {}
+        #: Path -> digest of the files written since the last checkpoint.
+        self._pending: dict[str, str] = {}
 
-    def _path(self, step: str) -> Path:
-        return self.directory / f"{step}.json"
+    def _rel(self, step: str) -> str:
+        return f"{CHECKPOINT_DIRNAME}/{step}.json"
 
     # -- writing --------------------------------------------------------------
 
+    def _put(self, rel: str, data: bytes | str) -> str:
+        if isinstance(data, str):
+            data = data.encode()
+        path = self.workdir / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+        digest = hashlib.sha256(data).hexdigest()
+        self.record[rel] = (digest, len(data))
+        return digest
+
+    def write(self, rel: str, data: bytes | str) -> None:
+        """Write ``data`` (text is UTF-8 encoded) to the workdir-relative
+        path ``rel``, creating parent directories, and record it for the
+        next :meth:`save`."""
+        self._pending[rel] = self._put(rel, data)
+
     def save(self, step: str, digest: str, *,
-             artifacts: list[Path | str] = (),
              state: dict[str, Any] | None = None) -> Checkpoint:
-        """Record a completed step (artifact hashes taken now)."""
-        workdir = self.workdir.resolve()
-        hashed: dict[str, str] = {}
-        for artifact in artifacts:
-            resolved = Path(artifact).resolve()
-            try:
-                rel = resolved.relative_to(workdir)
-            except ValueError:
-                # a workdir-relative name like "kernel.xml"
-                resolved = (self.workdir / artifact).resolve()
-                rel = resolved.relative_to(workdir)
-            hashed[rel.as_posix()] = file_digest(resolved)
+        """Record a completed step: its artifacts are exactly the files
+        :meth:`write` wrote since the previous checkpoint."""
         checkpoint = Checkpoint(step=step, digest=digest,
-                                artifacts=hashed, state=state or {})
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._path(step).write_text(
-            json.dumps(checkpoint.to_dict(), indent=2) + "\n")
+                                artifacts=self._pending, state=state or {})
+        self._pending = {}
+        self._put(self._rel(step), json.dumps(
+            checkpoint.to_dict(), separators=(",", ":")) + "\n")
         return checkpoint
 
-    def discard(self, step: str) -> None:
-        self._path(step).unlink(missing_ok=True)
+    def listing(self) -> list[dict[str, Any]]:
+        """The record as manifest rows, sorted by path."""
+        return [{"path": rel, "bytes": size, "sha256": digest}
+                for rel, (digest, size) in sorted(self.record.items())]
 
     # -- reading --------------------------------------------------------------
 
-    def load(self, step: str) -> Checkpoint | None:
-        path = self._path(step)
-        if not path.is_file():
+    def _read(self, step: str) -> tuple[Checkpoint, bytes] | None:
+        try:
+            raw = (self.workdir / self._rel(step)).read_bytes()
+        except (FileNotFoundError, IsADirectoryError):
             return None
         try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+            doc = json.loads(raw)
+        except ValueError as exc:
             raise CheckpointError(
-                f"unreadable checkpoint {path}: {exc}") from exc
-        return Checkpoint.from_dict(doc)
+                f"unreadable checkpoint {self._rel(step)}: {exc}") from exc
+        return Checkpoint.from_dict(doc), raw
+
+    def load(self, step: str) -> Checkpoint | None:
+        read = self._read(step)
+        return read[0] if read is not None else None
 
     def valid(self, step: str, digest: str) -> Checkpoint | None:
         """The checkpoint iff it is fresh: digest matches and every
-        artifact is intact on disk.  Returns ``None`` otherwise."""
+        artifact is intact on disk.  Returns ``None`` otherwise.  A fresh
+        checkpoint's artifacts and its own file join :attr:`record`."""
         try:
-            checkpoint = self.load(step)
+            read = self._read(step)
         except CheckpointError as exc:
             _log.warning("ignoring %s: %s", step, exc)
             return None
-        if checkpoint is None:
+        if read is None:
             return None
+        checkpoint, raw = read
         if checkpoint.digest != digest:
             _log.info("checkpoint %s is stale (inputs changed)", step)
             return None
+        restored = {}
         for rel, expected in checkpoint.artifacts.items():
-            path = self.workdir / rel
-            if not path.is_file() or file_digest(path) != expected:
+            try:
+                data = (self.workdir / rel).read_bytes()
+            except OSError:
+                data = None
+            if data is None or hashlib.sha256(data).hexdigest() != expected:
                 _log.info("checkpoint %s: artifact %s missing or"
                           " modified", step, rel)
                 return None
+            restored[rel] = (expected, len(data))
+        self.record.update(restored)
+        self.record[self._rel(step)] = (hashlib.sha256(raw).hexdigest(),
+                                        len(raw))
         return checkpoint
-
-    def steps(self) -> list[str]:
-        if not self.directory.is_dir():
-            return []
-        return sorted(p.stem for p in self.directory.glob("*.json"))

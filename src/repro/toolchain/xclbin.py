@@ -67,8 +67,8 @@ def _header_bytes(xclbin: Xclbin) -> bytes:
             struct.pack("<d", xclbin.frequency_hz))
 
 
-def write_xclbin(xclbin: Xclbin, path: str | Path | None = None) -> bytes:
-    """Serialize (and optionally write) an xclbin."""
+def write_xclbin(xclbin: Xclbin) -> bytes:
+    """Serialize an xclbin."""
     body = bytearray()
     crc = 0
     for tag, payload in sorted(xclbin.sections.items()):
@@ -77,11 +77,8 @@ def write_xclbin(xclbin: Xclbin, path: str | Path | None = None) -> bytes:
         body += _SECTION_HEADER.pack(tag, len(payload))
         body += payload
         crc = zlib.crc32(payload, crc)
-    blob = (MAGIC + _header_bytes(xclbin) +
+    return (MAGIC + _header_bytes(xclbin) +
             struct.pack("<IQ", crc & 0xFFFFFFFF, len(body)) + bytes(body))
-    if path is not None:
-        Path(path).write_bytes(blob)
-    return blob
 
 
 def read_xclbin(data: bytes | str | Path) -> Xclbin:

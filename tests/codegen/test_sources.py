@@ -144,10 +144,18 @@ class TestBundle:
         assert len(pe_files) == 6
 
     def test_write_to_disk(self, tc1_acc, tmp_path):
+        """The flow writes ``bundle.files`` through the build's store."""
+        from repro.resilience import CheckpointStore
+
         bundle = generate_sources(tc1_acc)
-        bundle.write_to(tmp_path)
+        store = CheckpointStore(tmp_path)
+        for path, text in bundle.files.items():
+            store.write(f"sources/{path}", text)
         for path in bundle.paths():
-            assert (tmp_path / path).is_file()
+            assert (tmp_path / "sources" / path).read_text() == \
+                bundle[path]
+        assert sorted(store.save("sources", "d").artifacts) == \
+            [f"sources/{path}" for path in bundle.paths()]
 
     def test_total_lines_positive(self, tc1_acc):
         bundle = generate_sources(tc1_acc)

@@ -286,6 +286,31 @@ class TestHealthyGauge:
         assert gauge.value() == base
 
 
+class TestLifetime:
+    def test_a_fleet_that_failed_over_is_freed_on_del(self, image,
+                                                      weights):
+        import gc
+        import weakref
+
+        config = FleetConfig(scrub_every=0, failure_threshold=1)
+        plan = FaultPlan([FaultSpec(DEVICE_PATTERN,
+                                    FaultKind.SLOT_CRASH)], seed=5)
+        rng = np.random.default_rng(5)
+        gc.collect()
+        gc.disable()
+        try:
+            with inject_faults(plan):
+                fleet = make_fleet(image, weights, clock=VirtualClock(),
+                                   config=config)
+                receipt = fleet.submit(batch_for(fleet, rng))
+            assert receipt.attempts == 2  # slot0 crashed, slot1 served
+            ref = weakref.ref(fleet)
+            del fleet, receipt
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
 class TestHealthStateMachine:
     def test_ok_suspect_quarantined_halfopen(self, image, weights):
         clock = VirtualClock()

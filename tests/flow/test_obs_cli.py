@@ -35,6 +35,10 @@ class TestReport:
         assert main(["obs", "report",
                      str(run_dir / "telemetry.json")]) == 0
         assert "condor.flow" in capsys.readouterr().out
+        # telemetry.json and the checkpoints are written compactly
+        for path in (run_dir / "telemetry.json",
+                     *(run_dir / "checkpoints").glob("*.json")):
+            assert path.read_text().count("\n") == 1, path.name
 
     def test_json_sort_and_limit(self, run_dir, capsys):
         assert main(["obs", "report", str(run_dir), "--format", "json",

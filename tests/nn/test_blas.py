@@ -34,8 +34,8 @@ def test_a_pass_runs_on_one_pinned_thread(tmp_path):
     getter = library.scipy_openblas_get_num_threads64_
     getter.restype = ctypes.c_int
     assert getter() == 1
-    manifest = build_manifest(recorder=None, workdir=tmp_path,
-                              run={"status": "ok"}, steps=[])
+    manifest = build_manifest(recorder=None, run={"status": "ok"},
+                              steps=[])
     assert manifest["process"]["blas_threads"] == 1
     path = write_benchmarks(
         [BenchResult(op="sim", model="tc1", wall_s=0.0, cycles=1,
@@ -44,15 +44,14 @@ def test_a_pass_runs_on_one_pinned_thread(tmp_path):
     assert json.loads(path.read_text())["blas_threads"] == 1
 
 
-def test_a_library_without_the_setter_records_unpinned(tmp_path,
-                                                       monkeypatch):
+def test_a_library_without_the_setter_records_unpinned(monkeypatch):
     monkeypatch.setattr(blas, "_openblas", lambda: object())
     monkeypatch.setattr(blas, "_pinned", None)
     planned, oracle = _lenet_pass()
     assert np.array_equal(planned, oracle)
     assert blas.blas_threads() == blas.UNPINNED == "unpinned"
-    manifest = build_manifest(recorder=None, workdir=tmp_path,
-                              run={"status": "ok"}, steps=[])
+    manifest = build_manifest(recorder=None, run={"status": "ok"},
+                              steps=[])
     assert manifest["process"]["blas_threads"] == "unpinned"
 
 

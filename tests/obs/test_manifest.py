@@ -189,7 +189,7 @@ class TestMetricsCoverage:
                      "condor_cloud_api_calls_total"):
             assert name in text
 
-    def test_plan_cache_counters_reach_manifest(self, tmp_path):
+    def test_plan_cache_counters_reach_manifest(self):
         """Running the planned engine moves the plan-ledger metrics and
         they flow into the ``telemetry.json`` metrics block (the
         manifest snapshots the whole registry)."""
@@ -215,7 +215,6 @@ class TestMetricsCoverage:
         assert compiles.total() >= len(net.layers)
 
         manifest = build_manifest(recorder=SpanRecorder(),
-                                  workdir=tmp_path,
                                   run={"status": "succeeded"}, steps=[])
         metrics = manifest["metrics"]
         for name in ("condor_plan_cache_hits_total",
