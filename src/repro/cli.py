@@ -8,7 +8,7 @@ Exposes the framework the way the paper's users would drive it::
     condor dse    <model>                    # explore configurations
     condor simulate <model> --batch N        # event-driven simulation
     condor profile <model>                   # flow + per-step timing
-    condor bench [--quick]                   # hot-path benchmarks
+    condor bench                             # modeled-figure gate
     condor obs report <run>                  # span latency quantiles
     condor obs diff <base> <run>             # flag telemetry regressions
     condor obs timeseries <run>              # metrics per flow step
@@ -526,8 +526,8 @@ def cmd_dse(args) -> int:
         result = explore(model)
     print(f"explored {len(result.explored)} configurations in"
           f" {result.steps} steps"
-          f" ({result.cache_misses} evaluated,"
-          f" {result.cache_hits} cache hits)")
+          f" ({result.cache_misses} PEs built,"
+          f" {result.cache_hits} reused)")
     print(f"best II: {result.performance.ii_cycles} cycles "
           f"({result.performance.gflops():.2f} GFLOPS at"
           f" {model.frequency_hz / 1e6:.0f} MHz)")
@@ -582,23 +582,21 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    """Time the hot paths on zoo models and gate against a baseline."""
+    """Run the bench suite on zoo models and gate against a baseline."""
     import json as _json
 
     from repro.perf.bench import (
         KIND,
+        SCHEMA,
         compare_benchmarks,
         load_benchmarks,
-        merge_benchmarks,
         run_bench,
         write_benchmarks,
     )
     from repro.util.tables import TextTable
 
-    ops = set(args.op) if args.op else None
     with recording() as recorder:
-        results = run_bench(quick=args.quick, ops=ops,
-                            progress=lambda msg: print(msg,
+        results = run_bench(progress=lambda msg: print(msg,
                                                        file=sys.stderr))
 
     violations = []
@@ -617,33 +615,26 @@ def cmd_bench(args) -> int:
 
     # load the baseline *before* writing: --output may point at it
     if args.output:
-        to_write = results
-        out_path = Path(args.output)
-        if ops is not None and out_path.exists():
-            # a partial (--op) run refreshes only its own rows
-            to_write = merge_benchmarks(load_benchmarks(out_path),
-                                        results)
-        path = write_benchmarks(to_write, out_path)
+        path = write_benchmarks(results, args.output)
         print(f"benchmarks written to {path}", file=sys.stderr)
 
     if args.format == "json":
         from dataclasses import asdict
 
         from repro.nn.blas import blas_threads
-        print(_json.dumps({"schema": "condor-bench/v1",
+        print(_json.dumps({"schema": SCHEMA,
                            "blas_threads": blas_threads(),
                            "results": [dict(asdict(r), kind=KIND[r.op])
                                        for r in results],
                            "violations": violations}, indent=2))
     else:
         table = TextTable(["op", "model", "kind", "wall (s)", "cycles",
-                           "cache hits", "speedup"],
+                           "speedup"],
                           float_format="{:.4g}")
         for r in results:
             table.add_row([
                 r.op, r.model, KIND[r.op], r.wall_s,
                 r.cycles if r.cycles is not None else "-",
-                r.cache_hits if r.cache_hits is not None else "-",
                 f"{r.speedup_vs_baseline:.2f}x"
                 if r.speedup_vs_baseline is not None else "-",
             ])
@@ -991,19 +982,9 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.set_defaults(func=cmd_simulate)
 
     bench = sub.add_parser(
-        "bench", help="time the batched engine, DSE and simulator hot"
-                      " paths on zoo models; diff against a committed"
-                      " baseline")
-    bench.add_argument("--quick", action="store_true",
-                       help="run the small CI suite (TC1/LeNet rows"
-                            " and the CIFAR10 engine-steady row)")
-    bench.add_argument("--op", action="append", metavar="OP",
-                       choices=["engine", "engine-steady", "dse", "sim",
-                                "serve", "obs-overhead"],
-                       help="run only this operation's rows (repeatable;"
-                            " e.g. --op engine-steady); a partial run"
-                            " merges into --output instead of replacing"
-                            " it")
+        "bench", help="gate the modeled DSE, simulator and serving"
+                      " figures and the telemetry-overhead budget of"
+                      " zoo models against a committed baseline")
     bench.add_argument("--output", metavar="PATH",
                        help="write results here (default: write"
                             " nothing; refresh the committed baseline"

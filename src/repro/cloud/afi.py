@@ -109,9 +109,6 @@ class AFIService:
         except KeyError:
             raise AFIError(f"unknown AGFI {agfi_id!r}") from None
 
-    def list_images(self) -> list[AFIRecord]:
-        return list(self._records.values())
-
     # -- backend ------------------------------------------------------------------
 
     def tick(self) -> None:

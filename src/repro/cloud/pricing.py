@@ -50,10 +50,6 @@ class CostEstimate:
         seconds = 1e6 / self.aggregate_images_per_second
         return seconds / 3600.0 * self.hourly_usd
 
-    @property
-    def usd_per_slot_hour(self) -> float:
-        return self.hourly_usd / self.slots
-
 
 def estimate_costs(perf: AcceleratorPerformance,
                    *, batch: int | None = None,

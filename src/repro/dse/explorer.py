@@ -10,8 +10,8 @@ explored to find the optimal tradeoff between resource consumption and
 performance") and converges to a balanced pipeline.
 
 Evaluation goes through :class:`repro.dse.evaluator.CachedEvaluator`
-(content-keyed memoization — a move re-estimates only the PE it changed),
-one candidate move at a time, each under its own ``dse.evaluate`` span.
+(per-PE memoization — a move re-estimates only the PE it changed), one
+candidate move at a time, each under its own ``dse.evaluate`` span.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.hw.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.hw.mapping import MappingConfig, default_mapping
 from repro.hw.perf import AcceleratorPerformance
 from repro.hw.resources import ResourceVector, device_for_board
-from repro.dse.evaluator import CachedEvaluator, EvaluationCache
+from repro.dse.evaluator import CachedEvaluator
 from repro.dse.frontier import ParetoFrontier
 from repro.dse.space import parallelism_moves
 from repro.obs import span
@@ -51,8 +51,7 @@ class DSEResult:
     resources: ResourceVector
     explored: list[DSEPoint] = field(default_factory=list)
     steps: int = 0
-    #: Evaluation-cache hits/misses of this call only, also when the
-    #: caller shares one cache across calls.
+    #: PE builds this call reused / distinct PEs it built.
     cache_hits: int = 0
     cache_misses: int = 0
 
@@ -64,25 +63,15 @@ class DSEResult:
 def explore(model: CondorModel, *,
             mapping: MappingConfig | None = None,
             cal: Calibration = DEFAULT_CALIBRATION,
-            max_steps: int = 64,
-            cache: EvaluationCache | None = None,
-            memoize: bool = True) -> DSEResult:
+            max_steps: int = 64) -> DSEResult:
     """Run the greedy explorer for ``model``; returns the best mapping
-    found under the calibration's DSP/BRAM budget fractions.
-
-    ``cache`` shares memoized evaluations across calls for the same
-    model and calibration.  ``memoize=False`` restores the
-    evaluate-from-scratch behaviour — the baseline ``condor bench``
-    reports DSE speedup against.
-    """
+    found under the calibration's DSP/BRAM budget fractions."""
     with span("dse.explore", network=model.network.name):
-        evaluator = CachedEvaluator(model, cal, cache=cache,
-                                    memoize=memoize)
-        hits, misses = evaluator.cache.hits, evaluator.cache.misses
+        evaluator = CachedEvaluator(model, cal)
         result = _explore(model, mapping=mapping, cal=cal,
                           max_steps=max_steps, evaluator=evaluator)
-        result.cache_hits = evaluator.cache.hits - hits
-        result.cache_misses = evaluator.cache.misses - misses
+        result.cache_hits = evaluator.hits
+        result.cache_misses = evaluator.misses
         return result
 
 
@@ -148,7 +137,5 @@ def _explore(model: CondorModel, *,
         _log.debug("step %d: II=%d DSP=%.0f", steps, perf.ii_cycles,
                    resources.dsp)
 
-    final = evaluator.evaluate(current)
-    return DSEResult(mapping=current, performance=final.performance,
-                     resources=final.resources, explored=explored,
-                     steps=steps)
+    return DSEResult(mapping=current, performance=perf,
+                     resources=resources, explored=explored, steps=steps)

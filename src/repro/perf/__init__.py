@@ -1,12 +1,10 @@
 """Performance benchmarking: the ``condor bench`` regression harness."""
 
 from repro.perf.bench import (
-    FULL_SUITE,
-    QUICK_SUITE,
     SCHEMA,
+    SUITE,
     BenchResult,
     bench_dse,
-    bench_engine,
     bench_sim,
     compare_benchmarks,
     load_benchmarks,
@@ -15,12 +13,10 @@ from repro.perf.bench import (
 )
 
 __all__ = [
-    "FULL_SUITE",
-    "QUICK_SUITE",
     "SCHEMA",
+    "SUITE",
     "BenchResult",
     "bench_dse",
-    "bench_engine",
     "bench_sim",
     "compare_benchmarks",
     "load_benchmarks",

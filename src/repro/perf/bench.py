@@ -1,35 +1,25 @@
-"""The ``condor bench`` performance-regression harness.
+"""The ``condor bench`` regression harness.
 
-Times the three hot paths this codebase optimises — the batched
-reference engine, the memoized design-space explorer, and the
-discrete-event simulator — on zoo models, under the telemetry spans, and
-writes the results as ``BENCH_perf.json``::
+Gates the exact (modeled) figures of zoo models — the explorer's best
+initiation interval, simulated cycles, the serving path's batching
+multiple — plus one measured budget, the telemetry overhead, and writes
+the results as ``BENCH_perf.json``::
 
-    {"schema": "condor-bench/v1", "blas_threads": 1,
-     "results": [{"op": "engine", "model": "tc1", "wall_s": ...,
-                  "cycles": null, "cache_hits": null,
-                  "speedup_vs_baseline": 2.7}, ...]}
+    {"schema": "condor-bench/v2", "blas_threads": 1,
+     "results": [{"op": "sim", "model": "tc1", "wall_s": ...,
+                  "cycles": 8363, "speedup_vs_baseline": null}, ...]}
 
 ``blas_threads`` is the BLAS thread count every timed GEMM ran on
 (:func:`repro.nn.blas.blas_threads`: ``1``, or ``"unpinned"``).
+Host time of the serving and build paths, per workload and per stage,
+is perfbench's to measure, so no row here times our code against a
+slower path.
 
 Per-op semantics:
 
-* ``engine`` — one N=32 :meth:`ReferenceEngine.run_batch` pass against
-  32 N=1 passes (``forward``).  ``speedup_vs_baseline`` is the
-  N=1/N=32 wall-clock ratio; the N=32 outputs are asserted bit-identical
-  to the N=1 outputs before any number is reported.
-* ``engine-steady`` — warm-cache execution-plan replay
-  (:mod:`repro.nn.plan`) against the unplanned kernels on the same
-  batch, after a compile pass.  ``speedup_vs_baseline`` is the
-  unplanned/planned ratio, ``cache_hits`` the plan hits (layers
-  replayed) of the timed replays; outputs are asserted bit-identical
-  first.
-* ``dse`` — a memoized :func:`repro.dse.explore` against the
-  evaluate-from-scratch baseline (``memoize=False``).  ``cycles`` is the
-  best initiation interval, ``cache_hits`` the evaluation-cache hits of
-  the final (warm) run.  Both runs must choose the same mapping or the
-  bench aborts.
+* ``dse`` — one cold :func:`repro.dse.explore`, the call a
+  ``condor build --dse`` makes.  ``cycles`` is the best initiation
+  interval it found.
 * ``sim`` — :func:`repro.sim.dataflow.simulate_accelerator` on a small
   batch.  ``cycles`` is the simulated total — fully deterministic, so
   the regression gate can hold it to zero drift across machines.
@@ -46,23 +36,15 @@ Per-op semantics:
   :data:`OBS_OVERHEAD_LIMIT` — telemetry must stay under 5% whatever
   the committed baseline says.
 
-Timings take the best of a few repetitions after a warmup pass: the
-minimum is the least noisy location statistic for a cold-cache-free
-measurement, and the DSE fast path is *meant* to keep its evaluation
-cache warm across repetitions (that reuse is the feature under test).
-The speedup-row timed loops run under
-:func:`~repro.obs.spans.no_recording` so the spans the engine and the
-explorer emit are charged to the ``obs-overhead`` row only, not booked
-as a phantom regression in every other row.
-
 Each op's figure is either *measured* (a host wall-clock ratio) or
-*modeled* (virtual device time or simulated cycles, exact per seed);
-:data:`KIND` labels the rows, and ``condor bench`` prints the label.
+*modeled* (virtual device time, modeled or simulated cycles, exact per
+seed); :data:`KIND` labels the rows, and ``condor bench`` prints the
+label.  ``wall_s`` is informational.
 
 ``compare_benchmarks`` diffs a fresh run against a committed baseline:
 ``cycles`` growth or ``speedup_vs_baseline`` decay beyond the threshold
-is a violation; ``wall_s`` is informational only (it is machine-bound,
-the derived ratios are not).
+is a violation; ``wall_s`` is never gated (it is machine-bound, the
+gated figures are not).
 """
 
 from __future__ import annotations
@@ -77,21 +59,16 @@ from typing import Callable
 
 import numpy as np
 
-from repro.dse import EvaluationCache, explore
+from repro.dse import explore
 from repro.errors import BenchError
 from repro.frontend.weights import WeightStore
 from repro.hw.accelerator import build_accelerator
 from repro.nn.blas import blas_threads
 from repro.nn.engine import ReferenceEngine
-from repro.nn.plan import LEDGER
 from repro.obs import SpanRecorder, no_recording, recording, span
 from repro.obs.spans import DISABLE_ENV
 
-SCHEMA = "condor-bench/v1"
-
-#: Batch size of the engine benchmark — large enough that the stacked
-#: GEMMs dominate per-call dispatch overhead.
-ENGINE_BATCH = 32
+SCHEMA = "condor-bench/v2"
 
 #: Absolute ceiling on the ``obs-overhead`` instrumented/plain ratio.
 OBS_OVERHEAD_LIMIT = 1.05
@@ -99,12 +76,10 @@ OBS_OVERHEAD_LIMIT = 1.05
 #: Whether each op's figure is a host wall-clock ratio (``measured``) or
 #: comes from modeled device time or simulated cycles (``modeled``).
 KIND = {
-    "engine": "measured",
-    "engine-steady": "measured",
-    "dse": "measured",
-    "obs-overhead": "measured",
-    "serve": "modeled",
+    "dse": "modeled",
     "sim": "modeled",
+    "serve": "modeled",
+    "obs-overhead": "measured",
 }
 
 
@@ -146,137 +121,22 @@ class BenchResult:
     model: str
     wall_s: float
     cycles: int | None
-    cache_hits: int | None
     speedup_vs_baseline: float | None
 
     def key(self) -> tuple[str, str]:
         return (self.op, self.model)
 
 
-def bench_engine(name: str, *, batch: int = ENGINE_BATCH,
-                 reps: int = 5, rng_seed: int = 0) -> BenchResult:
-    """One N=``batch`` pass vs ``batch`` N=1 passes.
-
-    A single sample is a batch of one, so both sides run the same
-    kernels and the ratio measures batch amortization of the per-layer
-    dispatch.  Both run the unplanned kernels (``use_plans=False``); the
-    compiled-plan win is the separate ``engine-steady`` row.
-    """
-    with span("bench.engine", model=name, batch=batch):
-        model, weights = _build(name)
-        net = model.network
-        engine = ReferenceEngine(net, weights, use_plans=False)
-        rng = np.random.default_rng(rng_seed)
-        images = rng.normal(size=(batch,) + net.input_shape().as_tuple()) \
-            .astype(np.float32)
-
-        singles = np.stack([engine.forward(im) for im in images])
-        batched = engine.run_batch(images)
-        if not np.array_equal(singles, batched):
-            raise BenchError(
-                f"N={batch} engine output diverged from the N=1 passes"
-                f" on {name!r} — refusing to report a speedup for"
-                " a wrong answer")
-
-        # interleave the two paths and take the median per-pair ratio:
-        # machine-load drift then hits both sides of each ratio alike,
-        # which keeps the reported speedup stable across runs
-        ratios, batch_times = [], []
-        with no_recording():
-            for _ in range(max(1, reps)):
-                single_s = _best_of(
-                    lambda: [engine.forward(im) for im in images], 1)
-                batch_s = _best_of(lambda: engine.run_batch(images), 1)
-                ratios.append(single_s / batch_s)
-                batch_times.append(batch_s)
-    return BenchResult(op="engine", model=name,
-                       wall_s=float(np.median(batch_times)),
-                       cycles=None, cache_hits=None,
-                       speedup_vs_baseline=float(np.median(ratios)))
-
-
-def bench_engine_steady(name: str, *, batch: int = ENGINE_BATCH,
-                        reps: int = 5, rng_seed: int = 0) -> BenchResult:
-    """Warm-cache execution-plan replay vs the unplanned kernels.
-
-    The steady-state serving scenario: the same shapes arrive over and
-    over, so every layer replays a compiled plan (precomputed gather
-    maps, packed weights, reused scratch — :mod:`repro.nn.plan`).  The
-    first pass compiles and is excluded; ``cache_hits`` reports the plan
-    hits (one per layer per pass) of the timed replays, and outputs are
-    asserted bit-identical to the unplanned path before any number is
-    reported.
-    """
-    with span("bench.engine_steady", model=name, batch=batch):
-        model, weights = _build(name)
-        net = model.network
-        unplanned = ReferenceEngine(net, weights, use_plans=False)
-        planned = ReferenceEngine(net, weights, use_plans=True)
-        rng = np.random.default_rng(rng_seed)
-        images = rng.normal(size=(batch,) + net.input_shape().as_tuple()) \
-            .astype(np.float32)
-
-        baseline = unplanned.run_batch(images)
-        warm = planned.run_batch(images)  # compile pass, not timed
-        if not np.array_equal(baseline, warm):
-            raise BenchError(
-                f"planned engine output diverged from the unplanned"
-                f" path on {name!r} — refusing to report a speedup for"
-                " a wrong answer")
-
-        ratios, fast_times = [], []
-        hits_before = LEDGER.stats()["hits"]
-        with no_recording():
-            for _ in range(max(1, reps)):
-                base_s = _best_of(lambda: unplanned.run_batch(images), 1)
-                fast_s = _best_of(lambda: planned.run_batch(images), 1)
-                ratios.append(base_s / fast_s)
-                fast_times.append(fast_s)
-        hits = LEDGER.stats()["hits"] - hits_before
-    return BenchResult(op="engine-steady", model=name,
-                       wall_s=float(np.median(fast_times)),
-                       cycles=None, cache_hits=hits,
-                       speedup_vs_baseline=float(np.median(ratios)))
-
-
-def bench_dse(name: str, *, reps: int = 9) -> BenchResult:
-    """Memoized explorer vs the evaluate-from-scratch baseline.
-
-    Baseline and memoized reps are interleaved and the per-rep ratios
-    medianed (the ``bench_engine`` idiom) — the warm explorer finishes
-    in ~100us on the small models, so ratioing two independently-taken
-    minima is noise-dominated.
-    """
+def bench_dse(name: str) -> BenchResult:
+    """One cold explorer call; ``cycles`` is the best II it found."""
     with span("bench.dse", model=name):
         model, _ = _build(name)
-        baseline = explore(model, memoize=False)
-
-        cache = EvaluationCache()
-        result = explore(model, cache=cache)
-        if result.mapping != baseline.mapping:
-            raise BenchError(
-                f"memoized DSE chose a different mapping than the"
-                f" from-scratch baseline on {name!r}")
-        holder: list = [result]
-
-        def run() -> None:
-            holder[0] = explore(model, cache=cache)
-
-        ratios = []
-        fast_times = []
-        with no_recording():
-            for _ in range(max(1, reps)):
-                baseline_s = _best_of(
-                    lambda: explore(model, memoize=False), 1)
-                fast_s = _best_of(run, 1)
-                ratios.append(baseline_s / fast_s)
-                fast_times.append(fast_s)
-        result = holder[0]
-    return BenchResult(op="dse", model=name,
-                       wall_s=float(np.median(fast_times)),
+        start = timeit.default_timer()
+        result = explore(model)
+        wall_s = timeit.default_timer() - start
+    return BenchResult(op="dse", model=name, wall_s=wall_s,
                        cycles=result.performance.ii_cycles,
-                       cache_hits=result.cache_hits,
-                       speedup_vs_baseline=float(np.median(ratios)))
+                       speedup_vs_baseline=None)
 
 
 def bench_sim(name: str, *, batch: int = 4, reps: int = 1,
@@ -299,7 +159,7 @@ def bench_sim(name: str, *, batch: int = 4, reps: int = 1,
         wall_s = _best_of(run, reps)
         result = holder[0]
     return BenchResult(op="sim", model=name, wall_s=wall_s,
-                       cycles=result.total_cycles, cache_hits=None,
+                       cycles=result.total_cycles,
                        speedup_vs_baseline=None)
 
 
@@ -317,7 +177,7 @@ def _obs_disabled_env():
             os.environ[DISABLE_ENV] = saved
 
 
-def bench_obs_overhead(name: str, *, batch: int = ENGINE_BATCH,
+def bench_obs_overhead(name: str, *, batch: int = 32,
                        reps: int = 100, rng_seed: int = 0) -> BenchResult:
     """Cost of the telemetry layer on the serving hot path.
 
@@ -363,7 +223,7 @@ def bench_obs_overhead(name: str, *, batch: int = ENGINE_BATCH,
         instr_times.append(instr_s)
     return BenchResult(op="obs-overhead", model=name,
                        wall_s=float(np.median(instr_times)),
-                       cycles=None, cache_hits=None,
+                       cycles=None,
                        speedup_vs_baseline=float(np.median(ratios)))
 
 
@@ -445,36 +305,23 @@ def bench_serve(name: str, *, requests: int = 2048,
                     " batch-size-1 path")
         return BenchResult(
             op="serve", model=name, wall_s=batched_wall,
-            cycles=None, cache_hits=None,
+            cycles=None,
             speedup_vs_baseline=single.makespan_s / batched.makespan_s)
 
 
-#: (op, model, kwargs) rows of the two suites.  The quick suite is the
-#: CI gate; the full suite adds the slow rows (VGG-16 DSE carries the
-#: headline memoization speedup) and produces the committed baseline.
-QUICK_SUITE: tuple[tuple[str, str, dict], ...] = (
-    ("engine", "tc1", {}),
-    # a tc1 pair times ~3 ms; 41 pairs (~0.1 s) keep the median ratio
-    # inside the 20% gate, where 5 pairs spread wider than the gate
-    ("engine-steady", "tc1", {"reps": 41}),
-    ("engine-steady", "lenet", {}),
-    ("engine-steady", "cifar10", {}),
+#: (op, model, kwargs) rows of the suite: the CI gate and the source of
+#: the committed baseline.
+SUITE: tuple[tuple[str, str, dict], ...] = (
     ("dse", "tc1", {}),
     ("dse", "lenet", {}),
+    ("dse", "vgg16", {}),
     ("sim", "tc1", {"batch": 4}),
+    ("sim", "lenet", {"batch": 2}),
     ("serve", "tc1", {}),
     ("obs-overhead", "lenet", {"batch": 64}),
 )
 
-FULL_SUITE: tuple[tuple[str, str, dict], ...] = QUICK_SUITE + (
-    ("engine", "lenet", {}),
-    ("dse", "vgg16", {}),
-    ("sim", "lenet", {"batch": 2}),
-)
-
 _OPS: dict[str, Callable[..., BenchResult]] = {
-    "engine": bench_engine,
-    "engine-steady": bench_engine_steady,
     "dse": bench_dse,
     "sim": bench_sim,
     "serve": bench_serve,
@@ -482,26 +329,12 @@ _OPS: dict[str, Callable[..., BenchResult]] = {
 }
 
 
-def run_bench(*, quick: bool = False,
-              ops: "set[str] | None" = None,
-              progress: Callable[[str], None] | None = None) \
+def run_bench(*, progress: Callable[[str], None] | None = None) \
         -> list[BenchResult]:
-    """Run the quick or full suite; returns one result per row.
-
-    ``ops`` restricts the suite to the named operations (e.g.
-    ``{"engine-steady"}`` for ``condor bench --op engine-steady``).
-    """
-    if ops is not None:
-        unknown = ops - set(_OPS)
-        if unknown:
-            raise BenchError(f"unknown bench op(s) {sorted(unknown)};"
-                             f" known: {sorted(_OPS)}")
-    suite = QUICK_SUITE if quick else FULL_SUITE
+    """Run the suite; returns one result per row."""
     results = []
-    with span("bench.suite", quick=quick):
-        for op, model, kwargs in suite:
-            if ops is not None and op not in ops:
-                continue
+    with span("bench.suite"):
+        for op, model, kwargs in SUITE:
             if progress is not None:
                 progress(f"bench {op}:{model} ...")
             results.append(_OPS[op](model, **kwargs))
@@ -509,20 +342,6 @@ def run_bench(*, quick: bool = False,
 
 
 # -- persistence + regression gate ------------------------------------------
-
-
-def merge_benchmarks(existing: list[BenchResult],
-                     fresh: list[BenchResult]) -> list[BenchResult]:
-    """Overlay ``fresh`` rows onto ``existing`` by ``(op, model)`` key.
-
-    A partial run (``condor bench --op ...``) refreshes only the rows it
-    measured; every other committed row survives, in its original order,
-    with genuinely new rows appended.
-    """
-    fresh_by_key = {r.key(): r for r in fresh}
-    merged = [fresh_by_key.pop(r.key(), r) for r in existing]
-    merged.extend(r for r in fresh if r.key() in fresh_by_key)
-    return merged
 
 
 def write_benchmarks(results: list[BenchResult], path: str | Path) -> Path:
@@ -574,12 +393,11 @@ def compare_benchmarks(current: list[BenchResult],
     grow, and ``speedup_vs_baseline`` may not decay, by more than
     ``max_regression`` (fractional).  ``wall_s`` is never gated — it
     measures the machine, not the code.  Rows present on only one side
-    are *informational, never a failure*: the quick suite is a subset
-    of the committed full one, and a brand-new op must be able to land
-    in the same PR that refreshes ``BENCH_perf.json``.  Pass ``notes``
-    (a list) to collect one message per candidate row the baseline
-    lacks, so new-op runs are visible in CI logs instead of silently
-    skipped.  ``obs-overhead`` is gated *absolutely* at
+    are *informational, never a failure*: a brand-new op must be able
+    to land in the same change that refreshes ``BENCH_perf.json``.
+    Pass ``notes`` (a list) to collect one message per candidate row
+    the baseline lacks, so new-op runs are visible in CI logs instead
+    of silently skipped.  ``obs-overhead`` is gated *absolutely* at
     :data:`OBS_OVERHEAD_LIMIT` whether or not the baseline has the row —
     telemetry overhead is a budget, not a trend.
     """

@@ -88,6 +88,10 @@ class XoFile:
                               bram_18k=r["bram_18k"])
 
 
+#: Timestamp of every ``.xo`` member (the zip format's earliest).
+_XO_DATE_TIME = (1980, 1, 1, 0, 0, 0)
+
+
 def package_xo(ip: VivadoIP, kernel_xml: str,
                *, model: CondorModel | None = None) -> XoFile:
     """Flow step 6b: package the accelerator IP + kernel XML into a .xo.
@@ -119,13 +123,20 @@ def _package_xo(ip: VivadoIP, kernel_xml: str,
         "resources": ip.resources.as_dict(),
         "metadata": ip.metadata,
     }
-    with zipfile.ZipFile(buffer, "w", zipfile.ZIP_DEFLATED) as zf:
-        zf.writestr("manifest.json", json.dumps(manifest, indent=2))
-        zf.writestr("kernel.xml", kernel_xml)
-        zf.writestr("ip/component.xml", ip.component_xml())
-        if model is not None:
-            zf.writestr("ip/network.json",
-                        json.dumps(model_to_json(model)))
+    members = {
+        "manifest.json": json.dumps(manifest, indent=2),
+        "kernel.xml": kernel_xml,
+        "ip/component.xml": ip.component_xml(),
+    }
+    if model is not None:
+        members["ip/network.json"] = json.dumps(model_to_json(model))
+    with zipfile.ZipFile(buffer, "w") as zf:
+        for name, text in members.items():
+            # a fixed timestamp: the same inputs give the same bytes
+            info = zipfile.ZipInfo(name, date_time=_XO_DATE_TIME)
+            info.compress_type = zipfile.ZIP_DEFLATED
+            info.external_attr = 0o600 << 16  # unzips as -rw-------
+            zf.writestr(info, text)
     return XoFile(kernel_name=ip.name, data=buffer.getvalue())
 
 

@@ -171,7 +171,9 @@ class TestDseSimulateFigure5:
 
     @pytest.mark.parametrize("argv", [["dse", "model.json", "--jobs", "2"],
                                       ["bench", "--jobs", "2"],
-                                      ["bench", "--op", "tsan-overhead"]])
+                                      ["bench", "--op", "tsan-overhead"],
+                                      ["bench", "--quick"],
+                                      ["bench", "--op", "dse"]])
     def test_removed_options_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)

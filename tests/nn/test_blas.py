@@ -39,7 +39,7 @@ def test_a_pass_runs_on_one_pinned_thread(tmp_path):
     assert manifest["process"]["blas_threads"] == 1
     path = write_benchmarks(
         [BenchResult(op="sim", model="tc1", wall_s=0.0, cycles=1,
-                     cache_hits=None, speedup_vs_baseline=None)],
+                     speedup_vs_baseline=None)],
         tmp_path / "bench.json")
     assert json.loads(path.read_text())["blas_threads"] == 1
 

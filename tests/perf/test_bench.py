@@ -6,46 +6,46 @@ import pytest
 
 from repro.errors import BenchError
 from repro.perf.bench import (
-    FULL_SUITE,
     KIND,
     OBS_OVERHEAD_LIMIT,
-    QUICK_SUITE,
     SCHEMA,
+    SUITE,
     BenchResult,
     bench_dse,
-    bench_engine,
-    bench_engine_steady,
     bench_obs_overhead,
     bench_serve,
     bench_sim,
     compare_benchmarks,
     load_benchmarks,
-    merge_benchmarks,
     run_bench,
     write_benchmarks,
 )
 
 
-def _result(op="engine", model="tc1", wall_s=1.0, cycles=None,
-            cache_hits=None, speedup=None):
+def _result(op="serve", model="tc1", wall_s=1.0, cycles=None,
+            speedup=None):
     return BenchResult(op=op, model=model, wall_s=wall_s, cycles=cycles,
-                       cache_hits=cache_hits, speedup_vs_baseline=speedup)
+                       speedup_vs_baseline=speedup)
+
+
+def _stub_ops(monkeypatch):
+    """Replace every op with a stub row (the real measurements are
+    covered by ``TestOps``)."""
+    import repro.perf.bench as bench_mod
+
+    for op in KIND:
+        monkeypatch.setitem(
+            bench_mod._OPS, op,
+            lambda model, _op=op, **kw: _result(op=_op, model=model))
 
 
 class TestOps:
-    def test_engine_reports_speedup(self):
-        result = bench_engine("tc1", batch=8, reps=1)
-        assert (result.op, result.model) == ("engine", "tc1")
-        assert result.wall_s > 0
-        assert result.speedup_vs_baseline > 0
-        assert result.cycles is None and result.cache_hits is None
-
-    def test_dse_reports_cycles_and_hits(self):
-        result = bench_dse("tc1", reps=1)
+    def test_dse_reports_cycles(self):
+        result = bench_dse("tc1")
         assert (result.op, result.model) == ("dse", "tc1")
-        assert result.cycles > 0
-        assert result.cache_hits > 0  # the warm rerun hits the cache
-        assert result.speedup_vs_baseline > 1.0
+        assert result.wall_s > 0
+        assert result.cycles == 256  # the explorer's best II on tc1
+        assert result.speedup_vs_baseline is None
 
     def test_sim_cycles_deterministic(self):
         first = bench_sim("tc1", batch=2, reps=1)
@@ -53,18 +53,9 @@ class TestOps:
         assert first.cycles == second.cycles > 0
         assert first.speedup_vs_baseline is None
 
-    def test_engine_steady_reports_hits(self):
-        result = bench_engine_steady("tc1", batch=8, reps=1)
-        assert (result.op, result.model) == ("engine-steady", "tc1")
-        assert result.wall_s > 0
-        # the timed replay phase runs warm: every layer is a plan hit
-        assert result.cache_hits > 0
-        assert result.speedup_vs_baseline > 0
-        assert result.cycles is None
-
     def test_unknown_model_rejected(self):
         with pytest.raises(BenchError, match="unknown zoo model"):
-            bench_engine("alexnet")
+            bench_dse("alexnet")
 
     def test_obs_overhead_reports_ratio(self):
         result = bench_obs_overhead("tc1", batch=4, reps=3)
@@ -72,7 +63,7 @@ class TestOps:
         assert result.wall_s > 0
         # instrumented/plain wall ratio: near 1.0, positive by nature
         assert result.speedup_vs_baseline > 0
-        assert result.cycles is None and result.cache_hits is None
+        assert result.cycles is None
 
     def test_serve_batching_beats_batch_size_one(self):
         result = bench_serve("tc1", requests=1024)
@@ -82,27 +73,22 @@ class TestOps:
         # throughput over the per-request path (same seeded workload,
         # bit-identical outputs asserted inside the op)
         assert result.speedup_vs_baseline >= 2.0
-        assert result.cycles is None and result.cache_hits is None
+        assert result.cycles is None
 
 
-def test_suites_are_subset():
-    quick = {(op, model) for op, model, _ in QUICK_SUITE}
-    full = {(op, model) for op, model, _ in FULL_SUITE}
-    assert quick <= full
-    assert {op for op, _ in full} == \
-        {"engine", "engine-steady", "dse", "sim", "serve",
-         "obs-overhead"}
-    # the serving path rides the CI regression gate
-    assert ("serve", "tc1") in quick
-    # the steady-state rows are part of the CI regression gate;
-    # cifar10 brings padded convs, ceil-mode pools and avg-pool stages
-    assert {m for op, m, _ in QUICK_SUITE if op == "engine-steady"} == \
-        {"tc1", "lenet", "cifar10"}
+def test_suite_rows():
+    """One suite: exact figures of every op on the zoo, plus the
+    telemetry budget; every row's op is labelled."""
+    assert [(op, model) for op, model, _ in SUITE] == [
+        ("dse", "tc1"), ("dse", "lenet"), ("dse", "vgg16"),
+        ("sim", "tc1"), ("sim", "lenet"), ("serve", "tc1"),
+        ("obs-overhead", "lenet")]
+    assert {op for op, _, _ in SUITE} == set(KIND)
 
 
-def test_run_bench_quick(monkeypatch):
-    """The quick suite runs end to end and yields one row per entry
-    (ops stubbed out — the real measurements are covered above)."""
+def test_run_bench(monkeypatch):
+    """The suite runs end to end and yields one row per entry, each
+    run with exactly its suite kwargs."""
     import repro.perf.bench as bench_mod
 
     calls = []
@@ -113,78 +99,42 @@ def test_run_bench_quick(monkeypatch):
             return _result(op=op, model=model)
         return run
 
-    for op in ("engine", "engine-steady", "dse", "sim", "serve",
-               "obs-overhead"):
+    for op in KIND:
         monkeypatch.setitem(bench_mod._OPS, op, fake(op))
-    results = run_bench(quick=True)
+    results = run_bench()
     assert [(r.op, r.model) for r in results] == \
-        [(op, model) for op, model, _ in QUICK_SUITE]
-    # each row runs with exactly its suite kwargs
-    assert calls == list(QUICK_SUITE)
-
-
-def test_run_bench_op_filter(monkeypatch):
-    import repro.perf.bench as bench_mod
-
-    for op in ("engine", "engine-steady", "dse", "sim", "serve",
-               "obs-overhead"):
-        monkeypatch.setitem(
-            bench_mod._OPS, op,
-            lambda model, _op=op, **kw: _result(op=_op, model=model))
-    results = run_bench(quick=True, ops={"engine-steady"})
-    assert [(r.op, r.model) for r in results] == \
-        [(op, model) for op, model, _ in QUICK_SUITE
-         if op == "engine-steady"]
-    with pytest.raises(BenchError, match="unknown bench op"):
-        run_bench(quick=True, ops={"warp-drive"})
+        [(op, model) for op, model, _ in SUITE]
+    assert calls == list(SUITE)
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_rows_are_labelled_modeled_or_measured(fmt, monkeypatch, tmp_path,
                                                capsys):
     """Every op carries one label, shown as a table column and as
-    ``kind`` on each JSON row; the written file keeps the v1 schema."""
+    ``kind`` on each JSON row; the written file keeps the schema."""
     import repro.perf.bench as bench_mod
     from repro.cli import main
 
-    assert KIND == {"engine": "measured", "engine-steady": "measured",
-                    "dse": "measured", "obs-overhead": "measured",
-                    "serve": "modeled", "sim": "modeled"}
+    assert KIND == {"dse": "modeled", "sim": "modeled",
+                    "serve": "modeled", "obs-overhead": "measured"}
     assert set(KIND) == set(bench_mod._OPS)
-    for op in KIND:
-        monkeypatch.setitem(
-            bench_mod._OPS, op,
-            lambda model, _op=op, **kw: _result(op=_op, model=model))
+    _stub_ops(monkeypatch)
     out_path = tmp_path / "bench.json"
-    assert main(["bench", "--quick", "--op", "serve", "--op", "dse",
-                 "--format", fmt, "--output", str(out_path)]) == 0
+    assert main(["bench", "--format", fmt, "--output",
+                 str(out_path)]) == 0
     out = capsys.readouterr().out
+    expected = {(op, KIND[op]) for op, _, _ in SUITE}
     if fmt == "json":
-        rows = json.loads(out)["results"]
-        assert {(r["op"], r["kind"]) for r in rows} == \
-            {("serve", "modeled"), ("dse", "measured")}
+        doc = json.loads(out)
+        assert doc["schema"] == SCHEMA
+        assert {(r["op"], r["kind"]) for r in doc["results"]} == expected
     else:
         header, _, *lines = [[cell.strip() for cell in line.split("|")]
                              for line in out.splitlines()]
         assert header[:3] == ["op", "model", "kind"]
-        assert {(line[0], line[2]) for line in lines} == \
-            {("serve", "modeled"), ("dse", "measured")}
+        assert {(line[0], line[2]) for line in lines} == expected
     assert [r.op for r in load_benchmarks(out_path)] == \
-        ["dse", "dse", "serve"]
-
-
-def test_merge_benchmarks_overlays_by_key():
-    existing = [_result(op="engine", speedup=2.0),
-                _result(op="sim", cycles=100),
-                _result(op="dse", model="lenet", speedup=5.0)]
-    fresh = [_result(op="sim", cycles=90),
-             _result(op="engine-steady", speedup=3.0)]
-    merged = merge_benchmarks(existing, fresh)
-    assert [(r.op, r.model) for r in merged] == \
-        [("engine", "tc1"), ("sim", "tc1"), ("dse", "lenet"),
-         ("engine-steady", "tc1")]
-    assert merged[1].cycles == 90  # refreshed in place
-    assert merged[0].speedup_vs_baseline == 2.0  # untouched row survives
+        [op for op, _, _ in SUITE]
 
 
 class TestPersistence:
@@ -202,6 +152,27 @@ class TestPersistence:
         with pytest.raises(BenchError, match="schema"):
             load_benchmarks(path)
 
+    def test_v1_file_rejected(self, tmp_path):
+        """A v1 file (rows with ``cache_hits``) is rejected by its
+        schema, not misread row by row."""
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps({"schema": "condor-bench/v1",
+                                    "results": [
+                                        {"op": "sim", "model": "tc1",
+                                         "wall_s": 0.1, "cycles": 8363,
+                                         "cache_hits": None,
+                                         "speedup_vs_baseline": None}]}))
+        with pytest.raises(BenchError, match="condor-bench/v1"):
+            load_benchmarks(path)
+
+    def test_committed_baseline_loads(self):
+        """``BENCH_perf.json`` holds one row per suite entry."""
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[2] / "BENCH_perf.json"
+        assert [r.key() for r in load_benchmarks(path)] == \
+            [(op, model) for op, model, _ in SUITE]
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(BenchError, match="cannot read"):
             load_benchmarks(tmp_path / "absent.json")
@@ -210,25 +181,20 @@ class TestPersistence:
                                                monkeypatch, capsys):
         """``condor bench --format json`` rows carry their op's ``kind``
         label; the printed document loads as a ``--baseline``."""
-        import repro.perf.bench as bench_mod
         from repro.cli import main
 
         monkeypatch.chdir(tmp_path)  # the default --output/--baseline
-        for op in KIND:
-            monkeypatch.setitem(
-                bench_mod._OPS, op,
-                lambda model, _op=op, **kw: _result(op=_op, model=model))
-        assert main(["bench", "--quick", "--op", "serve", "--op", "sim",
-                     "--format", "json", "--output", ""]) == 0
+        _stub_ops(monkeypatch)
+        assert main(["bench", "--format", "json", "--output", ""]) == 0
         path = tmp_path / "stdout.json"
         path.write_text(capsys.readouterr().out)
         rows = json.loads(path.read_text())["results"]
         assert [(r.op, r.model) for r in load_benchmarks(path)] == \
             [(r["op"], r["model"]) for r in rows]
-        assert main(["bench", "--quick", "--op", "sim", "--baseline",
-                     str(path), "--output", ""]) == 0
+        assert main(["bench", "--baseline", str(path),
+                     "--output", ""]) == 0
         # a kind other than the op's own is an unexpected key
-        rows[0]["kind"] = "measured"
+        rows[0]["kind"] = "measured"  # rows[0] is a modeled dse row
         path.write_text(json.dumps({"schema": SCHEMA, "results": rows}))
         with pytest.raises(BenchError, match="malformed"):
             load_benchmarks(path)
@@ -236,7 +202,7 @@ class TestPersistence:
     def test_malformed_row_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(
-            {"schema": SCHEMA, "results": [{"op": "engine"}]}))
+            {"schema": SCHEMA, "results": [{"op": "sim"}]}))
         with pytest.raises(BenchError, match="malformed"):
             load_benchmarks(path)
 
@@ -338,6 +304,7 @@ def test_bench_writes_nothing_by_default(tmp_path, monkeypatch, capsys):
     committed = tmp_path / "BENCH_perf.json"
     committed.write_bytes(baseline.read_bytes())
     monkeypatch.chdir(tmp_path)
-    assert main(["bench", "--op", "sim"]) == 0
+    _stub_ops(monkeypatch)
+    assert main(["bench"]) == 0
     assert committed.read_bytes() == baseline.read_bytes()
     assert "benchmarks written" not in capsys.readouterr().err

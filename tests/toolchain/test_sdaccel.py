@@ -51,6 +51,20 @@ class TestXoPackaging:
         assert b"network.json" in xo.data or \
             reopened.read_entry("ip/network.json")
 
+    def test_packaging_is_reproducible(self, tc1_setup, monkeypatch):
+        """Two packagings of the same inputs, at different wall-clock
+        times, give the same bytes."""
+        import time
+
+        model, _, assembly = tc1_setup
+        xml = generate_kernel_xml(assembly.accelerator_ip)
+        packaged = []
+        for now in (1_000_000_000.0, 1_700_000_000.0):
+            monkeypatch.setattr(time, "time", lambda now=now: now)
+            packaged.append(package_xo(assembly.accelerator_ip, xml,
+                                       model=model).data)
+        assert packaged[0] == packaged[1]
+
     def test_only_accelerator_ip_packagable(self, tc1_setup):
         _, _, assembly = tc1_setup
         with pytest.raises(PackagingError, match="accelerator"):
